@@ -11,7 +11,6 @@ scale.
 
 from .cluster import (
     Clustering,
-    DerivedGraph,
     RunReport,
     a_posteriori_ratio,
     cover_flip_pivot,

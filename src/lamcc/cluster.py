@@ -4,7 +4,9 @@ The clustering objective charges 1-lam for every edge cut between
 clusters and lam for every non-adjacent pair placed inside a cluster.
 All approximation algorithms here share one skeleton: build a derived
 graph whose edges encode "should be together", then run the random-pivot
-procedure on it. What varies is how the derived graph is built:
+procedure on it. The derived graph is a plain ``Graph``: the input graph
+with a set of pairs toggled (``Graph.toggled``, a symmetric difference of
+sorted pair keys). What varies is which pairs are toggled:
 
 * cover_flip_pivot flips the pairs labeled by the wedge-cover algorithm
   (expected cost at most twice the labeling cost, hence 6x optimal for
@@ -27,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .stc import DualCertificate, StcLabeling, check_lambda, cover_label
 
 __all__ = [
     "Clustering",
-    "DerivedGraph",
     "RunReport",
     "DeterministicPivotResult",
     "lambda_cc_objective",
@@ -85,35 +87,6 @@ class Clustering:
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-
-class DerivedGraph:
-    """A graph equal to ``base`` with the adjacency of ``flipped`` pairs toggled."""
-
-    __slots__ = ("base", "flipped", "_adj")
-
-    def __init__(self, base: Graph, flipped):
-        self.base = base
-        self.flipped = StcLabeling.normalize(flipped)
-        adj: list[set[int]] = [set(map(int, base.neighbors(v))) for v in range(base.n)]
-        for u, v in self.flipped:
-            if v in adj[u]:
-                adj[u].discard(v)
-                adj[v].discard(u)
-            else:
-                adj[u].add(v)
-                adj[v].add(u)
-        self._adj = [tuple(sorted(s)) for s in adj]
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
 
 
 @dataclass(frozen=True)
@@ -170,8 +143,8 @@ def lambda_cc_objective(g: Graph, lam: float, c: Clustering) -> float:
 # Pivot
 
 
-def pivot(gh, seed: int) -> Clustering:
-    """Random-pivot clustering of a Graph or DerivedGraph.
+def pivot(gh: Graph, seed: int) -> Clustering:
+    """Random-pivot clustering of a graph.
 
     Repeatedly draws a uniformly random unclustered vertex (PCG64 stream,
     index into the alive list) and clusters it with its unclustered
@@ -179,6 +152,7 @@ def pivot(gh, seed: int) -> Clustering:
     order, which pins the draw sequence for a given seed.
     """
     n = gh.n
+    indptr, indices = gh.indptr.tolist(), gh.indices.tolist()
     rng = np.random.default_rng(seed)
     assignment = [-1] * n
     alive = list(range(n))
@@ -194,7 +168,9 @@ def pivot(gh, seed: int) -> Clustering:
 
     while alive:
         k = alive[int(rng.integers(len(alive)))]
-        members = [k] + [int(u) for u in gh.neighbors(k) if assignment[u] < 0 and u != k]
+        members = [k] + [
+            u for u in indices[indptr[k]:indptr[k + 1]] if assignment[u] < 0
+        ]
         for v in sorted(members):
             assignment[v] = cid
             _remove(v)
@@ -209,7 +185,7 @@ class DeterministicPivotResult:
 
 
 def pivot_deterministic(
-    gh, g: Graph, lam: float, budgets: dict[tuple[int, int], float]
+    gh: Graph, g: Graph, lam: float, budgets: dict[tuple[int, int], float]
 ) -> DeterministicPivotResult:
     """Pivot with derandomized pivot choice.
 
@@ -242,7 +218,7 @@ def pivot_deterministic(
         best_k = None
         any_finite = False
         for k in rem_sorted:
-            members = {k} | {u for u in gh.neighbors(k) if u in remaining}
+            members = {k} | {u for u in gh.neighbors(k).tolist() if u in remaining}
             outside = remaining - members
             cost = 0.0
             budget = 0.0
@@ -269,7 +245,7 @@ def pivot_deterministic(
         if not any_finite:
             best_k = rem_sorted[0]
             fallbacks.append(round_no)
-        members = {best_k} | {u for u in gh.neighbors(best_k) if u in remaining}
+        members = {best_k} | {u for u in gh.neighbors(best_k).tolist() if u in remaining}
         for v in sorted(members):
             assignment[v] = cid
             remaining.discard(v)
@@ -282,9 +258,15 @@ def pivot_deterministic(
 # Cover -> flip -> pivot
 
 
-def derived_graph_from_labeling(g: Graph, lab: StcLabeling) -> DerivedGraph:
+def _pair_keys(n: int, pairs) -> np.ndarray:
+    """Keys u*n + v of a sized collection of (u, v) pairs, u < v."""
+    uv = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    return uv[0::2] * n + uv[1::2]
+
+
+def derived_graph_from_labeling(g: Graph, lab: StcLabeling) -> Graph:
     """Delete weak edges, insert missing pairs."""
-    return DerivedGraph(g, lab.weak | lab.missing)
+    return g.toggled(_pair_keys(g.n, lab.weak | lab.missing))
 
 
 def cover_flip_pivot(
@@ -335,41 +317,49 @@ def cover_flip_pivot(
 # LP roundings
 
 
+def _solution_arrays(g: Graph, sol: FractionalSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted pair keys of the solution's active pairs and their x values."""
+    x = sol.to_x(g).values
+    keys = _pair_keys(g.n, x)
+    vals = np.fromiter(x.values(), dtype=np.float64, count=len(x))
+    order = np.argsort(keys)
+    return keys[order], vals[order]
+
+
+def _x_at(keys: np.ndarray, vals: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """x of each queried pair key; inactive pairs default to x = 1."""
+    if keys.shape[0] == 0:
+        return np.ones(query.shape)
+    pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
+    return np.where(keys[pos] == query, vals[pos], 1.0)
+
+
 def _check_wedge_feasibility(
-    g: Graph, widx: WedgeIndex, sol: FractionalSolution, tol: float = 1e-9
+    widx: WedgeIndex, keys: np.ndarray, vals: np.ndarray, tol: float = 1e-9
 ) -> None:
     if widx.wedge_count == 0:
         return
-    keys3 = widx.wedge_pair_keys()
-    x = sol.to_x(g)
-    lookup = {u * g.n + v: val for (u, v), val in x.values.items()}
-    vals = np.array(
-        [[lookup.get(int(k), 1.0) for k in row] for row in keys3]
-    )
-    if np.any(vals[:, 2] > vals[:, 0] + vals[:, 1] + tol):
+    x3 = _x_at(keys, vals, widx.wedge_pair_keys())
+    if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + tol):
         raise InfeasibleSolutionError(
             "solution violates an open-wedge triangle inequality"
         )
 
 
 def _check_triangle_feasibility(
-    g: Graph, widx: WedgeIndex, sol: FractionalSolution, tol: float = 1e-9
+    widx: WedgeIndex, keys: np.ndarray, vals: np.ndarray, tol: float = 1e-9
 ) -> None:
     if widx.triangle_count == 0:
         return
-    x = sol.to_x(g)
-    for i, j, k in widx.triangles:
-        xij = x.value(i, j)
-        xik = x.value(i, k)
-        xjk = x.value(j, k)
-        if (
-            xik > xij + xjk + tol
-            or xjk > xij + xik + tol
-            or xij > xik + xjk + tol
-        ):
-            raise InfeasibleSolutionError(
-                "solution violates a triangle inequality at a closed triple"
-            )
+    n = widx.n
+    i, j, k = (t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
+    xij, xik, xjk = (_x_at(keys, vals, a * n + b) for a, b in ((i, j), (i, k), (j, k)))
+    if np.any(
+        (xik > xij + xjk + tol) | (xjk > xij + xik + tol) | (xij > xik + xjk + tol)
+    ):
+        raise InfeasibleSolutionError(
+            "solution violates a triangle inequality at a closed triple"
+        )
 
 
 def stc_rounding_threshold(lam: float) -> float:
@@ -402,20 +392,12 @@ def round_lambda_stc_lp(
     """
     lam = check_lambda(lam)
     t0 = time.perf_counter()
-    _check_wedge_feasibility(g, widx, sol)
-    x = sol.to_x(g)
+    keys, vals = _solution_arrays(g, sol)
+    _check_wedge_feasibility(widx, keys, vals)
     thr = stc_rounding_threshold(lam)
-    flipped: set[tuple[int, int]] = set()
-    if lam >= 0.5:
-        for (u, v), val in x.values.items():
-            if g.has_edge(u, v) and val >= thr:
-                flipped.add((u, v))
-    else:
-        for (u, v), val in x.values.items():
-            if not g.has_edge(u, v) and val < thr:
-                flipped.add((u, v))
-    gh = DerivedGraph(g, flipped)
-    clustering = pivot(gh, seed)
+    is_edge = g.edge_mask(keys)
+    flip = is_edge & (vals >= thr) if lam >= 0.5 else ~is_edge & (vals < thr)
+    clustering = pivot(g.toggled(keys[flip]), seed)
     objective = lambda_cc_objective(g, lam, clustering)
     lb = sol.objective
     return RunReport(
@@ -447,16 +429,11 @@ def round_intermediate_lp(
     if lam < 0.5:
         raise ParameterError("intermediate-LP rounding requires lambda >= 1/2")
     t0 = time.perf_counter()
-    _check_wedge_feasibility(g, widx, sol)
-    _check_triangle_feasibility(g, widx, sol)
-    x = sol.to_x(g)
-    flipped: set[tuple[int, int]] = set()
-    for (u, v), val in x.values.items():
-        inside = val < 1.0 / 3.0
-        if g.has_edge(u, v) != inside:
-            flipped.add((u, v))
-    gh = DerivedGraph(g, flipped)
-    clustering = pivot(gh, seed)
+    keys, vals = _solution_arrays(g, sol)
+    _check_wedge_feasibility(widx, keys, vals)
+    _check_triangle_feasibility(widx, keys, vals)
+    flip = g.edge_mask(keys) != (vals < 1.0 / 3.0)
+    clustering = pivot(g.toggled(keys[flip]), seed)
     objective = lambda_cc_objective(g, lam, clustering)
     lb = sol.objective
     return RunReport(
@@ -580,14 +557,7 @@ def _greedy_passes(adjw, sizes, lam, rng, max_passes):
                 moved_any = True
         if not improved:
             break
-    # compact labels
-    remap: dict[int, int] = {}
-    out = []
-    for lbl in labels:
-        if lbl not in remap:
-            remap[lbl] = len(remap)
-        out.append(remap[lbl])
-    return out, moved_any
+    return Clustering.from_assignment(labels).assignment, moved_any
 
 
 def _fresh_label(members_size) -> int:

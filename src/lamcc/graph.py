@@ -79,28 +79,33 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) pairs; drops self-loops and duplicates."""
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u > v:
-                u, v = v, u
-            seen.add((u, v))
-        if seen:
-            arr = np.array(sorted(seen), dtype=np.int64)
-            src = np.concatenate([arr[:, 0], arr[:, 1]])
-            dst = np.concatenate([arr[:, 1], arr[:, 0]])
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        uv = uv[uv[:, 0] != uv[:, 1]]
+        bad = np.flatnonzero(((uv < 0) | (uv >= n)).any(axis=1))
+        if bad.shape[0]:
+            u, v = uv[bad[0]].tolist()
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        uv.sort(axis=1)
+        return cls.from_keys(n, np.unique(uv[:, 0] * n + uv[:, 1]))
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Build a graph from the sorted, unique pair keys of its edges."""
+        keys = np.array(keys, dtype=np.int64)
+        both = np.concatenate([keys, (keys % n) * n + keys // n])
+        both.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, dst)
+        np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
+        g = cls(n, indptr, both % n)
+        keys.setflags(write=False)
+        g._edge_keys = keys
+        return g
+
+    def toggled(self, keys: np.ndarray) -> "Graph":
+        """This graph with the adjacency of each (unique) pair key flipped."""
+        return Graph.from_keys(
+            self.n, np.setxor1d(self.edge_keys(), keys, assume_unique=True)
+        )
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -126,6 +131,14 @@ class Graph:
             keys.setflags(write=False)
             self._edge_keys = keys
         return self._edge_keys
+
+    def edge_mask(self, keys: np.ndarray) -> np.ndarray:
+        """Boolean mask: which of the pair keys (u < v) are edges."""
+        ek = self.edge_keys()
+        if ek.shape[0] == 0:
+            return np.zeros(np.shape(keys), dtype=bool)
+        pos = np.minimum(np.searchsorted(ek, keys), ek.shape[0] - 1)
+        return ek[pos] == keys
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -391,19 +404,6 @@ def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):
             yield centers, lo, hi
 
 
-def _classify(g: Graph, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Boolean mask: is (lo, hi) an edge of g (lo < hi assumed)."""
-    ek = g.edge_keys()
-    if ek.shape[0] == 0:
-        return np.zeros(lo.shape[0], dtype=bool)
-    keys = lo.astype(np.int64) * g.n + hi.astype(np.int64)
-    pos = np.searchsorted(ek, keys)
-    out = np.zeros(keys.shape[0], dtype=bool)
-    in_range = pos < ek.shape[0]
-    out[in_range] = ek[pos[in_range]] == keys[in_range]
-    return out
-
-
 def enumerate_wedges(g: Graph) -> WedgeIndex:
     """Enumerate all open wedges and triangles, each exactly once.
 
@@ -415,7 +415,7 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     w_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     t_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for centers, lo, hi in _neighbor_pair_chunks(g):
-        closed = _classify(g, lo, hi)
+        closed = g.edge_mask(lo * g.n + hi)
         open_mask = ~closed
         w_parts.append((centers[open_mask], lo[open_mask], hi[open_mask]))
         tri_mask = closed & (centers < lo)
@@ -445,7 +445,7 @@ def count_wedges_and_triangles(g: Graph) -> tuple[int, int]:
     wedges = 0
     triangles = 0
     for centers, lo, hi in _neighbor_pair_chunks(g):
-        closed = _classify(g, lo, hi)
+        closed = g.edge_mask(lo * g.n + hi)
         wedges += int((~closed).sum())
         triangles += int((closed & (centers < lo)).sum())
     return wedges, triangles

@@ -183,7 +183,7 @@ def cover_label(
     keys3 = widx.wedge_pair_keys()[order]
     uniq, idx3_flat = np.unique(keys3.ravel(), return_inverse=True)
     idx3 = idx3_flat.reshape(-1, 3)
-    is_edge = _keys_are_edges(g, uniq)
+    is_edge = g.edge_mask(uniq)
     residual = np.where(is_edge, 1.0 - lam, lam).tolist()
 
     a_col = idx3[:, 0].tolist()
@@ -213,17 +213,6 @@ def cover_label(
     y_arr[order] = y  # store dual values in canonical wedge positions
     cert = DualCertificate(y_arr, math.fsum(y))
     return lab, cert
-
-
-def _keys_are_edges(g: Graph, keys: np.ndarray) -> np.ndarray:
-    ek = g.edge_keys()
-    if ek.shape[0] == 0:
-        return np.zeros(keys.shape[0], dtype=bool)
-    pos = np.searchsorted(ek, keys)
-    out = np.zeros(keys.shape[0], dtype=bool)
-    ok = pos < ek.shape[0]
-    out[ok] = ek[pos[ok]] == keys[ok]
-    return out
 
 
 def _drop_redundant(widx: WedgeIndex, lab: StcLabeling, n: int) -> StcLabeling:

@@ -17,7 +17,6 @@ import pytest
 
 from lamcc.cluster import (
     derived_graph_from_labeling,
-    DerivedGraph,
     lambda_cc_objective,
     pivot,
     round_lambda_stc_lp,
@@ -183,9 +182,13 @@ def test_criterion_3_cfp_six_approx(corpus, cc_opts):
 
 def _mean_rounded_objective(g, widx, lam, xsol, build_flip) -> float:
     flipped = build_flip(g, lam, xsol)
-    gh = DerivedGraph(g, flipped)
+    gh = g.toggled(_flip_keys(g, flipped))
     objs = [lambda_cc_objective(g, lam, pivot(gh, s)) for s in range(SEEDS)]
     return float(np.mean(objs))
+
+
+def _flip_keys(g, pairs):
+    return np.array(sorted(u * g.n + v for u, v in pairs), dtype=np.int64)
 
 
 def _stc_flip(g, lam, xsol):
@@ -224,7 +227,7 @@ def test_criterion_4_stc_lp_rounding(corpus):
             # spot-check the public pipeline agrees with the bulk path
             if idx == 0:
                 rep = round_lambda_stc_lp(g, widx, lam, xsol, seed=0)
-                gh = DerivedGraph(g, _stc_flip(g, lam, xsol))
+                gh = g.toggled(_flip_keys(g, _stc_flip(g, lam, xsol)))
                 assert rep.clustering == pivot(gh, 0)
             mean = _mean_rounded_objective(g, widx, lam, xsol, _stc_flip)
             bound = factor * res.solution.objective * 1.15
@@ -245,7 +248,7 @@ def test_criterion_5_intermediate_lp_rounding(corpus):
             xsol = res.solution
             if idx == 0:
                 rep = round_intermediate_lp(g, widx, lam, xsol, seed=0)
-                gh = DerivedGraph(g, _third_flip(g, lam, xsol))
+                gh = g.toggled(_flip_keys(g, _third_flip(g, lam, xsol)))
                 assert rep.clustering == pivot(gh, 0)
             mean = _mean_rounded_objective(g, widx, lam, xsol, _third_flip)
             bound = 3.0 * res.solution.objective * 1.15

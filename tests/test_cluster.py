@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import lamcc.cluster
 from lamcc.cluster import (
     Clustering,
-    DerivedGraph,
     a_posteriori_ratio,
     assignment_text,
     cover_flip_pivot,
@@ -22,7 +22,13 @@ from lamcc.cluster import (
 )
 from lamcc.errors import InfeasibleSolutionError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
-from lamcc.lp import FractionalSolution, build_lambda_stc_lp, solve_exact
+from lamcc.lp import (
+    FractionalSolution,
+    build_intermediate_lp,
+    build_lambda_stc_lp,
+    solve_exact,
+    solve_general_exact,
+)
 from lamcc.oracle import exact_lambda_cc
 from lamcc.stc import StcLabeling, cover_label, stc_objective
 from lamcc.testing import erdos_renyi
@@ -30,6 +36,71 @@ from lamcc.testing import erdos_renyi
 
 def lab(weak=(), missing=()):
     return StcLabeling(StcLabeling.normalize(weak), StcLabeling.normalize(missing))
+
+
+def _keys(g, pairs):
+    return np.array(sorted(u * g.n + v for u, v in pairs), dtype=np.int64)
+
+
+def _set_toggle(g, flipped):
+    """Reference derived graph: neighbor sets of g with each (u, v) pair toggled."""
+    adj = [set(map(int, g.neighbors(v))) for v in range(g.n)]
+    for u, v in StcLabeling.normalize(flipped):
+        adj[u] ^= {v}
+        adj[v] ^= {u}
+    return [tuple(sorted(s)) for s in adj]
+
+
+def _list_pivot(adj, seed):
+    """Reference random pivot over neighbor tuples (same PCG64 draw rule)."""
+    rng = np.random.default_rng(seed)
+    assignment = [-1] * len(adj)
+    alive = list(range(len(adj)))
+    pos = list(range(len(adj)))
+    cid = 0
+    while alive:
+        k = alive[int(rng.integers(len(alive)))]
+        for v in sorted([k] + [u for u in adj[k] if assignment[u] < 0]):
+            assignment[v] = cid
+            i, last = pos[v], alive[-1]
+            alive[i] = last
+            pos[last] = i
+            alive.pop()
+        cid += 1
+    return Clustering(tuple(assignment))
+
+
+def _assert_matches_reference(gh, g, flipped):
+    ref = _set_toggle(g, flipped)
+    assert isinstance(gh, Graph) and gh.n == g.n
+    assert [tuple(gh.neighbors(v).tolist()) for v in range(g.n)] == ref
+    assert gh == Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in ref[u]])
+    for seed in range(3):
+        assert pivot(gh, seed) == _list_pivot(ref, seed)
+
+
+def _stc_flip(g, lam, x):
+    thr = stc_rounding_threshold(lam)
+    return {p for p, val in x.values.items()
+            if (g.has_edge(*p) and val >= thr if lam >= 0.5
+                else not g.has_edge(*p) and val < thr)}
+
+
+def _third_flip(g, x):
+    return {p for p, val in x.values.items() if g.has_edge(*p) != (val < 1.0 / 3.0)}
+
+
+def _spy_pivot(monkeypatch):
+    """Record every graph the roundings hand to pivot."""
+    seen = []
+    real = lamcc.cluster.pivot
+
+    def spy(gh, seed):
+        seen.append(gh)
+        return real(gh, seed)
+
+    monkeypatch.setattr(lamcc.cluster, "pivot", spy)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +176,92 @@ def test_pivot_is_deterministic_per_seed():
 
 
 def test_derived_graph_flips_adjacency(path3):
-    gh = DerivedGraph(path3, {(0, 1), (0, 2)})
+    gh = path3.toggled(_keys(path3, {(0, 1), (0, 2)}))
     assert not gh.has_edge(0, 1)  # edge deleted
     assert gh.has_edge(0, 2)      # non-edge inserted
     assert gh.has_edge(1, 2)      # untouched
-    assert gh.neighbors(0) == (2,)
+    assert tuple(gh.neighbors(0)) == (2,)
+
+
+def test_toggled_empty_flip_set_is_identity():
+    g = erdos_renyi(12, 0.3, 5)
+    gh = g.toggled(np.zeros(0, dtype=np.int64))
+    assert gh == g
+    assert np.array_equal(gh.edge_keys(), g.edge_keys())
+
+
+def test_derived_graph_matches_set_toggle_on_edgeless_graph(wedges_of):
+    g = Graph.from_edges(6, [])
+    labeling, _ = cover_label(g, wedges_of(g), 0.6)
+    _assert_matches_reference(derived_graph_from_labeling(g, labeling), g, set())
+    flipped = {(0, 5), (1, 2)}
+    _assert_matches_reference(g.toggled(_keys(g, flipped)), g, flipped)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_derived_graph_from_labeling_matches_set_toggle(lam):
+    for seed in range(6):
+        g = erdos_renyi(14, 0.35, 300 + seed)
+        labeling, _ = cover_label(g, enumerate_wedges(g), lam)
+        gh = derived_graph_from_labeling(g, labeling)
+        _assert_matches_reference(gh, g, labeling.weak | labeling.missing)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_rounding_graphs_match_set_toggle(lam, monkeypatch):
+    seen = _spy_pivot(monkeypatch)
+    for seed in range(3):
+        g = erdos_renyi(9, 0.4, 350 + seed)
+        widx = enumerate_wedges(g)
+        x = solve_exact(build_lambda_stc_lp(g, widx, lam)[1]).solution.to_x(g)
+        rep = round_lambda_stc_lp(g, widx, lam, x, seed)
+        _assert_matches_reference(seen.pop(), g, _stc_flip(g, lam, x))
+        assert rep.clustering == _list_pivot(_set_toggle(g, _stc_flip(g, lam, x)), seed)
+        if lam >= 0.5:
+            x3 = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
+            rep = round_intermediate_lp(g, widx, lam, x3, seed)
+            _assert_matches_reference(seen.pop(), g, _third_flip(g, x3))
+            assert rep.clustering == _list_pivot(_set_toggle(g, _third_flip(g, x3)), seed)
+    assert seen == []
+
+
+def _loop_violation(widx, x, triangles):
+    """Reference feasibility scan, one pair lookup at a time (absent pairs: x = 1)."""
+    for w in widx.wedges:
+        (i, k), c = w.ends, w.center
+        if x.value(i, k) > x.value(i, c) + x.value(c, k) + 1e-9:
+            return "open-wedge"
+    for i, j, k in widx.triangles if triangles else ():
+        xij, xik, xjk = x.value(i, j), x.value(i, k), x.value(j, k)
+        if xik > xij + xjk + 1e-9 or xjk > xij + xik + 1e-9 or xij > xik + xjk + 1e-9:
+            return "closed triple"
+    return None
+
+
+def test_rounding_feasibility_checks_match_loop_reference():
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for trial in range(40):
+        g = erdos_renyi(9, 0.45, 500 + trial % 8)
+        widx = enumerate_wedges(g)
+        x = solve_exact(build_lambda_stc_lp(g, widx, 0.75)[1]).solution.to_x(g)
+        values = dict(x.values)
+        for p in list(values):
+            r = rng.random()
+            if r < 0.1:
+                del values[p]  # inactive: the checks must read x = 1
+            elif r < 0.25:
+                values[p] = float(rng.choice([0.0, 0.5, 1.0]))
+        bad = FractionalSolution("x", 0.75, values, x.objective)
+        for rounding, triangles in ((round_lambda_stc_lp, False), (round_intermediate_lp, True)):
+            expected = _loop_violation(widx, bad, triangles)
+            verdicts.add(expected)
+            if expected is None:
+                rounding(g, widx, 0.75, bad, seed=trial)
+            else:
+                with pytest.raises(InfeasibleSolutionError, match=expected):
+                    rounding(g, widx, 0.75, bad, seed=trial)
+    assert verdicts == {None, "open-wedge", "closed triple"}
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +275,7 @@ def test_pivot_deterministic_k3_zero_budgets(k3):
 
 
 def test_pivot_deterministic_flipped_path(path3):
-    gh = DerivedGraph(path3, {(0, 1), (1, 2), (0, 2)})  # Ghat has only edge (0,2)
+    gh = path3.toggled(_keys(path3, {(0, 1), (1, 2), (0, 2)}))  # Ghat has only edge (0,2)
     budgets = {(0, 1): 0.4, (1, 2): 0.4}
     res = pivot_deterministic(gh, path3, 0.6, budgets)
     assert sorted(map(sorted, res.clustering.clusters)) == [[0, 2], [1]]
@@ -143,7 +295,7 @@ def test_pivot_deterministic_fallback_flagged():
     # single edge, zero budgets, but separating it costs: a 2-vertex graph
     # where every pivot decides a positive-cost pair with zero budget
     g = Graph.from_edges(3, [(0, 1)])
-    gh = DerivedGraph(g, {(0, 1)})  # Ghat edgeless; separating (0,1) costs 1-lam
+    gh = g.toggled(_keys(g, {(0, 1)}))  # Ghat edgeless; separating (0,1) costs 1-lam
     res = pivot_deterministic(gh, g, 0.6, budgets={})
     assert res.fallback_rounds != ()
 
@@ -209,7 +361,7 @@ def test_cfp_flip_covers_every_wedge():
         widx = enumerate_wedges(g)
         labeling, _ = cover_label(g, widx, 0.6)
         gh = derived_graph_from_labeling(g, labeling)
-        flipped = gh.flipped
+        flipped = {divmod(int(k), g.n) for k in np.setxor1d(g.edge_keys(), gh.edge_keys())}
         for w in widx.wedges:
             i, k = w.ends
             pairs = [
@@ -309,6 +461,23 @@ def test_round_intermediate_boundary_is_strict(path3, wedges_of):
     sol = FractionalSolution("x", 0.6, {(0, 1): third, (1, 2): third, (0, 2): 2 * third}, 0.0)
     rep = round_intermediate_lp(path3, wedges_of(path3), 0.6, sol, seed=0)
     assert rep.num_clusters == 3  # x == 1/3 pairs are excluded from Ghat
+
+
+def test_round_intermediate_rejects_triangle_infeasible(k3, wedges_of):
+    bad = FractionalSolution("x", 0.6, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0}, 0.0)
+    with pytest.raises(InfeasibleSolutionError, match="closed triple"):
+        round_intermediate_lp(k3, wedges_of(k3), 0.6, bad, seed=0)
+
+
+def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of):
+    # (0, 2) is the open end pair of path3's wedge; left out, it reads x = 1
+    widx = wedges_of(path3)
+    bad = FractionalSolution("x", 0.6, {(0, 1): 0.25, (1, 2): 0.5}, 0.0)
+    ok = FractionalSolution("x", 0.6, {(0, 1): 0.5, (1, 2): 0.5}, 0.0)
+    for rounding in (round_lambda_stc_lp, round_intermediate_lp):
+        with pytest.raises(InfeasibleSolutionError, match="open-wedge"):
+            rounding(path3, widx, 0.6, bad, seed=0)
+        rounding(path3, widx, 0.6, ok, seed=0)
 
 
 def test_round_intermediate_requires_large_lambda(path3, wedges_of):
