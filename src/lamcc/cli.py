@@ -227,6 +227,12 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _values_doc(sol) -> list[list]:
+    """A solution's [u, v, value] triples, walking its sorted pair keys."""
+    u, v = np.divmod(sol.keys, sol.n)
+    return [list(t) for t in zip(u.tolist(), v.tolist(), sol.vals.tolist())]
+
+
 def _parse_lambdas(spec: str) -> list[float]:
     try:
         lams = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -499,7 +505,7 @@ def cmd_lp_solve(args) -> int:
             "lambda": lam,
             "orientation": sol.orientation,
             "objective": sol.objective,
-            "values": [[u, v, val] for (u, v), val in sorted(sol.values.items())],
+            "values": _values_doc(sol),
             "certified_canonical": certified,
             "engine": res.engine,
             "dual_bound": res.dual_objective,
@@ -550,9 +556,7 @@ def cmd_exact(args) -> int:
             }
         else:
             r = phases.run("solve", lambda: exact_canonical_lp(g, lam))
-            witness = {
-                "values": [[u, v, val] for (u, v), val in sorted(r.witness.values.items())]
-            }
+            witness = {"values": _values_doc(r.witness)}
         docs.append({
             "schema_version": SCHEMA_VERSION,
             "problem": args.problem,

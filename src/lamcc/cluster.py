@@ -24,7 +24,6 @@ lambda, seed) triple fixes the output exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -51,7 +50,6 @@ __all__ = [
     "round_intermediate_lp",
     "lambda_louvain",
     "a_posteriori_ratio",
-    "report_to_json",
     "assignment_text",
 ]
 
@@ -258,15 +256,13 @@ def pivot_deterministic(
 # Cover -> flip -> pivot
 
 
-def _pair_keys(n: int, pairs) -> np.ndarray:
-    """Keys u*n + v of a sized collection of (u, v) pairs, u < v."""
-    uv = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-    return uv[0::2] * n + uv[1::2]
-
-
 def derived_graph_from_labeling(g: Graph, lab: StcLabeling) -> Graph:
     """Delete weak edges, insert missing pairs."""
-    return g.toggled(_pair_keys(g.n, lab.weak | lab.missing))
+    flipped = lab.weak | lab.missing
+    uv = np.fromiter(
+        chain.from_iterable(flipped), dtype=np.int64, count=2 * len(flipped)
+    )
+    return g.toggled(uv[0::2] * g.n + uv[1::2])
 
 
 def cover_flip_pivot(
@@ -317,29 +313,12 @@ def cover_flip_pivot(
 # LP roundings
 
 
-def _solution_arrays(g: Graph, sol: FractionalSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted pair keys of the solution's active pairs and their x values."""
-    x = sol.to_x(g).values
-    keys = _pair_keys(g.n, x)
-    vals = np.fromiter(x.values(), dtype=np.float64, count=len(x))
-    order = np.argsort(keys)
-    return keys[order], vals[order]
-
-
-def _x_at(keys: np.ndarray, vals: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """x of each queried pair key; inactive pairs default to x = 1."""
-    if keys.shape[0] == 0:
-        return np.ones(query.shape)
-    pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
-    return np.where(keys[pos] == query, vals[pos], 1.0)
-
-
 def _check_wedge_feasibility(
-    widx: WedgeIndex, keys: np.ndarray, vals: np.ndarray, tol: float = 1e-9
+    widx: WedgeIndex, x: FractionalSolution, tol: float = 1e-9
 ) -> None:
     if widx.wedge_count == 0:
         return
-    x3 = _x_at(keys, vals, widx.wedge_pair_keys())
+    x3 = x.at(widx.wedge_pair_keys())
     if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + tol):
         raise InfeasibleSolutionError(
             "solution violates an open-wedge triangle inequality"
@@ -347,13 +326,13 @@ def _check_wedge_feasibility(
 
 
 def _check_triangle_feasibility(
-    widx: WedgeIndex, keys: np.ndarray, vals: np.ndarray, tol: float = 1e-9
+    widx: WedgeIndex, x: FractionalSolution, tol: float = 1e-9
 ) -> None:
     if widx.triangle_count == 0:
         return
     n = widx.n
     i, j, k = (t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
-    xij, xik, xjk = (_x_at(keys, vals, a * n + b) for a, b in ((i, j), (i, k), (j, k)))
+    xij, xik, xjk = (x.at(a * n + b) for a, b in ((i, j), (i, k), (j, k)))
     if np.any(
         (xik > xij + xjk + tol) | (xjk > xij + xik + tol) | (xij > xik + xjk + tol)
     ):
@@ -392,12 +371,12 @@ def round_lambda_stc_lp(
     """
     lam = check_lambda(lam)
     t0 = time.perf_counter()
-    keys, vals = _solution_arrays(g, sol)
-    _check_wedge_feasibility(widx, keys, vals)
+    x = sol.to_x(g)
+    _check_wedge_feasibility(widx, x)
     thr = stc_rounding_threshold(lam)
-    is_edge = g.edge_mask(keys)
-    flip = is_edge & (vals >= thr) if lam >= 0.5 else ~is_edge & (vals < thr)
-    clustering = pivot(g.toggled(keys[flip]), seed)
+    is_edge = g.edge_mask(x.keys)
+    flip = is_edge & (x.vals >= thr) if lam >= 0.5 else ~is_edge & (x.vals < thr)
+    clustering = pivot(g.toggled(x.keys[flip]), seed)
     objective = lambda_cc_objective(g, lam, clustering)
     lb = sol.objective
     return RunReport(
@@ -429,11 +408,11 @@ def round_intermediate_lp(
     if lam < 0.5:
         raise ParameterError("intermediate-LP rounding requires lambda >= 1/2")
     t0 = time.perf_counter()
-    keys, vals = _solution_arrays(g, sol)
-    _check_wedge_feasibility(widx, keys, vals)
-    _check_triangle_feasibility(widx, keys, vals)
-    flip = g.edge_mask(keys) != (vals < 1.0 / 3.0)
-    clustering = pivot(g.toggled(keys[flip]), seed)
+    x = sol.to_x(g)
+    _check_wedge_feasibility(widx, x)
+    _check_triangle_feasibility(widx, x)
+    flip = g.edge_mask(x.keys) != (x.vals < 1.0 / 3.0)
+    clustering = pivot(g.toggled(x.keys[flip]), seed)
     objective = lambda_cc_objective(g, lam, clustering)
     lb = sol.objective
     return RunReport(
@@ -599,26 +578,6 @@ def a_posteriori_ratio(
     return replace(
         report, lower_bound=lower_bound, lb_provenance=provenance, ratio=ratio
     )
-
-
-def report_to_json(report: RunReport, *, include_timing: bool = True) -> str:
-    sizes = [len(c) for c in report.clustering.clusters]
-    hist: dict[str, int] = {}
-    for s in sizes:
-        hist[str(s)] = hist.get(str(s), 0) + 1
-    doc = {
-        "algorithm": report.algorithm,
-        "lambda": report.lam,
-        "seed": report.seed,
-        "objective": report.objective,
-        "lower_bound": report.lower_bound,
-        "lb_provenance": report.lb_provenance,
-        "ratio": report.ratio,
-        "num_clusters": report.num_clusters,
-        "elapsed_ms": report.elapsed_ms if include_timing else None,
-        "cluster_size_hist": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
-    }
-    return json.dumps(doc, sort_keys=True)
 
 
 def assignment_text(c: Clustering) -> str:

@@ -15,10 +15,16 @@ constraint and has nonnegative cost, so fixing it at z = 0 (distance
 x = 1) is optimal; this restriction is what keeps the programs small on
 real graphs.
 
+Pairs are int64 keys u*n + v (u < v) throughout: a variable space is one
+key array and a solution is a sorted key array with an aligned value
+array, so orientation flips, lookups and certification are vectorized.
+
 Three solvers are provided: a dense simplex with a dual certificate (desk
 scale), a sparse exact backend (scipy/HiGHS) for instances beyond the
 dense cap, and a combinatorial multiplicative-weights solver that returns
 a (1+epsilon)-approximate solution certified against its own dual bound.
+Both exact engines leave out the z <= 1 bounds, which no positive-cost
+optimum exceeds, and check their dual before returning.
 
 ``certify_canonical_feasibility`` checks whether a distance solution also
 satisfies every all-triples triangle inequality; when it does, the wedge
@@ -27,10 +33,10 @@ LP value is simultaneously the canonical LP optimum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .errors import (
     ParameterError,
     SizeCapError,
 )
-from .graph import Graph, WedgeIndex, pair_key
+from .graph import Graph, WedgeIndex, _neighbor_pair_chunks
 from .simplex import simplex_min
 from .stc import check_lambda
 
@@ -58,7 +64,6 @@ __all__ = [
     "solve_mwu",
     "solve_general_exact",
     "certify_canonical_feasibility",
-    "solution_to_json",
     "dump_covering_instance",
     "DEFAULT_DENSE_CAP",
 ]
@@ -67,23 +72,18 @@ DEFAULT_DENSE_CAP = 5000
 FEAS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairVariableSpace:
     """Ordered set of node pairs carrying LP variables.
 
-    Edges come first (sorted), then active non-edges (sorted); the
-    position of a pair in ``pairs`` is its variable index.
+    ``keys`` holds int64 pair keys u*n + v (u < v): edges first (sorted),
+    then active non-edges (sorted); the position of a key is its variable
+    index.
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    keys: np.ndarray
     edge_count: int
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return np.array(
-            [u * self.n + v for u, v in self.pairs], dtype=np.int64
-        )
 
     @cached_property
     def _sorted_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +92,12 @@ class PairVariableSpace:
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return int(self.keys.shape[0])
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) pair of each variable, in variable order; built per call."""
+        return tuple(_decode(self.n, self.keys))
 
     def is_edge_mask(self) -> np.ndarray:
         mask = np.zeros(self.size, dtype=bool)
@@ -107,10 +112,10 @@ class PairVariableSpace:
             raise KeyError("query contains an inactive pair")
         return order[pos]
 
-    def index_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return int(self.indices_of_keys(np.array([u * self.n + v]))[0])
+
+def _decode(n: int, keys: np.ndarray) -> list[tuple[int, int]]:
+    u, v = np.divmod(keys, n)
+    return list(zip(u.tolist(), v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -163,42 +168,58 @@ class GeneralLp:
         return int(self.col_idx.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
     """Values over active pairs, in distance ('x') or labeling ('z') orientation.
 
-    Inactive pairs default to x = 1 (z = 0). Orientation flips negate
-    non-edge values (z = 1 - x); the objective is carried through
-    unchanged, and a converted solution remembers its source, so flipping
-    back returns the original object with bit-identical values (1-(1-v)
-    alone would not).
+    ``keys`` are the active pairs' int64 keys u*n + v (u < v), strictly
+    increasing, and ``vals`` the aligned values; a pair not in ``keys`` is
+    inactive and reads x = 1 (z = 0). Orientation flips negate non-edge
+    values (z = 1 - x) and carry the objective through unchanged. A
+    flipped solution holds the one it came from as ``source``, and
+    flipping it back returns that object, so the round trip is
+    bit-identical (1-(1-v) alone would not be).
     """
 
     orientation: str
     lam: float
-    values: dict[tuple[int, int], float]
+    n: int
+    keys: np.ndarray
+    vals: np.ndarray
     objective: float
-    _twin: "FractionalSolution | None" = field(
-        default=None, repr=False, compare=False
-    )
+    source: "FractionalSolution | None" = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.keys.shape != self.vals.shape or np.any(np.diff(self.keys) <= 0):
+            raise ParameterError(
+                "solution keys must be strictly increasing and match the values"
+            )
+
+    @property
+    def values(self) -> dict[tuple[int, int], float]:
+        """``{(u, v): value}`` over the active pairs; built per call."""
+        return dict(zip(_decode(self.n, self.keys), self.vals.tolist()))
+
+    def at(self, query: np.ndarray) -> np.ndarray:
+        """Value at each queried pair key; inactive pairs read x = 1 (z = 0)."""
+        default = 1.0 if self.orientation == "x" else 0.0
+        if self.keys.shape[0] == 0:
+            return np.full(np.shape(query), default)
+        pos = np.minimum(np.searchsorted(self.keys, query), self.keys.shape[0] - 1)
+        return np.where(self.keys[pos] == query, self.vals[pos], default)
 
     def value(self, u: int, v: int) -> float:
         if u > v:
             u, v = v, u
-        default = 1.0 if self.orientation == "x" else 0.0
-        return self.values.get((u, v), default)
+        return float(self.at(np.int64(u * self.n + v)))
 
     def _flipped(self, g: Graph, orientation: str) -> "FractionalSolution":
-        if self._twin is None:
-            vals = {
-                p: (val if g.has_edge(*p) else 1.0 - val)
-                for p, val in self.values.items()
-            }
-            twin = FractionalSolution(
-                orientation, self.lam, vals, self.objective, _twin=self
-            )
-            object.__setattr__(self, "_twin", twin)
-        return self._twin
+        if self.source is not None and self.source.orientation == orientation:
+            return self.source
+        vals = np.where(g.edge_mask(self.keys), self.vals, 1.0 - self.vals)
+        return FractionalSolution(
+            orientation, self.lam, self.n, self.keys, vals, self.objective, self
+        )
 
     def to_x(self, g: Graph) -> "FractionalSolution":
         return self if self.orientation == "x" else self._flipped(g, "x")
@@ -223,14 +244,34 @@ class SolveResult:
 
 
 def _active_space(g: Graph, widx: WedgeIndex) -> PairVariableSpace:
-    n = g.n
     edge_keys = g.edge_keys()
     end_keys = np.unique(
-        widx.wedge_lo.astype(np.int64) * n + widx.wedge_hi.astype(np.int64)
+        widx.wedge_lo.astype(np.int64) * g.n + widx.wedge_hi.astype(np.int64)
     )
-    pairs = [(int(k) // n, int(k) % n) for k in edge_keys]
-    pairs += [(int(k) // n, int(k) % n) for k in end_keys]
-    return PairVariableSpace(n, tuple(pairs), int(edge_keys.shape[0]))
+    return PairVariableSpace(
+        g.n, np.concatenate([edge_keys, end_keys]), int(edge_keys.shape[0])
+    )
+
+
+def _triangle_rows(
+    space: PairVariableSpace, i: np.ndarray, j: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """(T, 3, 3) variable indices of x_uv + x_vw >= x_uw at triangles i < j < k.
+
+    Axis 1 is the choice of center v, in the order j, i, k.
+    """
+    n = space.n
+    e_ij = space.indices_of_keys(i * n + j)
+    e_ik = space.indices_of_keys(i * n + k)
+    e_jk = space.indices_of_keys(j * n + k)
+    return np.stack(
+        [
+            np.stack([e_ij, e_jk, e_ik], axis=1),  # center j
+            np.stack([e_ij, e_ik, e_jk], axis=1),  # center i
+            np.stack([e_ik, e_jk, e_ij], axis=1),  # center k
+        ],
+        axis=1,
+    )
 
 
 def build_lambda_stc_lp(
@@ -253,23 +294,17 @@ def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
     space = _active_space(g, widx)
-    n = g.n
     idx_rows: list[np.ndarray] = []
     if widx.wedge_count:
         idx_rows.append(
             space.indices_of_keys(widx.wedge_pair_keys().ravel()).reshape(-1, 3)
         )
     if widx.triangle_count:
-        i = widx.tri_i.astype(np.int64)
-        j = widx.tri_j.astype(np.int64)
-        k = widx.tri_k.astype(np.int64)
-        e_ij = space.indices_of_keys(i * n + j)
-        e_ik = space.indices_of_keys(i * n + k)
-        e_jk = space.indices_of_keys(j * n + k)
-        # x_uv + x_vw >= x_uw for each choice of center v in {i, j, k}
-        idx_rows.append(np.stack([e_ij, e_jk, e_ik], axis=1))  # center j
-        idx_rows.append(np.stack([e_ij, e_ik, e_jk], axis=1))  # center i
-        idx_rows.append(np.stack([e_ik, e_jk, e_ij], axis=1))  # center k
+        tri = _triangle_rows(
+            space, *(t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
+        )
+        # all center-j rows, then all center-i rows, then all center-k rows
+        idx_rows.append(tri.transpose(1, 0, 2).reshape(-1, 3))
     if idx_rows:
         col_idx = np.concatenate(idx_rows, axis=0)
     else:
@@ -287,26 +322,17 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     """
     lam = check_lambda(lam)
     n = g.n
-    edge_key_set = set(int(k) for k in g.edge_keys())
-    edge_pairs = [(k // n, k % n) for k in sorted(edge_key_set)]
-    non_pairs = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if u * n + v not in edge_key_set
-    ]
-    space = PairVariableSpace(n, tuple(edge_pairs + non_pairs), len(edge_pairs))
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                ij = space.index_of(i, j)
-                ik = space.index_of(i, k)
-                jk = space.index_of(j, k)
-                rows.append((ij, jk, ik))  # center j
-                rows.append((ij, ik, jk))  # center i
-                rows.append((ik, jk, ij))  # center k
-    col_idx = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    u, v = np.triu_indices(n, 1)
+    all_keys = u.astype(np.int64) * n + v
+    edge_keys = g.edge_keys()
+    space = PairVariableSpace(
+        n,
+        np.concatenate([edge_keys, all_keys[~g.edge_mask(all_keys)]]),
+        int(edge_keys.shape[0]),
+    )
+    ijk = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    # the three rotations of each triple in turn
+    col_idx = _triangle_rows(space, ijk[:, 0], ijk[:, 1], ijk[:, 2]).reshape(-1, 3)
     col_sign = np.tile(np.array([1.0, 1.0, -1.0]), (col_idx.shape[0], 1))
     c, c0 = _distance_costs(space, lam)
     return GeneralLp(space, lam, c, c0, col_idx, col_sign, "canonical")
@@ -323,11 +349,21 @@ def _distance_costs(space: PairVariableSpace, lam: float) -> tuple[np.ndarray, f
 # Exact solvers
 
 
+def _solution(
+    space: PairVariableSpace,
+    orientation: str,
+    lam: float,
+    v: np.ndarray,
+    objective: float,
+) -> FractionalSolution:
+    """The solution whose variable-order values are ``v``, in key order."""
+    skeys, order = space._sorted_keys
+    return FractionalSolution(orientation, lam, space.n, skeys, v[order], objective)
+
+
 def _covering_solution(inst: CoveringInstance, z: np.ndarray) -> FractionalSolution:
     z = np.clip(z, 0.0, 1.0)
-    values = {p: float(z[i]) for i, p in enumerate(inst.space.pairs)}
-    objective = float(inst.costs @ z)
-    return FractionalSolution("z", inst.lam, values, objective)
+    return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z))
 
 
 def solve_exact(
@@ -371,8 +407,11 @@ def solve_exact(
 def solve_exact_sparse(inst: CoveringInstance) -> SolveResult:
     """Exact covering solve through scipy's sparse HiGHS backend.
 
-    Used when an instance exceeds the dense engine's cap; the returned
-    dual is checked for feasibility and gap just like the dense path.
+    Used when an instance exceeds the dense engine's cap. As in
+    solve_exact, the z <= 1 bounds are left out (with positive costs no
+    optimum exceeds them), so the row marginals are the whole dual; that
+    dual is checked for feasibility (y >= 0, A^T y <= c) and for its gap
+    to the primal before the result is returned.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
@@ -392,12 +431,14 @@ def solve_exact_sparse(inst: CoveringInstance) -> SolveResult:
         inst.costs,
         A_ub=-A,
         b_ub=-np.ones(M),
-        bounds=(0.0, 1.0),
+        bounds=(0.0, None),
         method="highs",
     )
     if res.status != 0:
         raise InfeasibleSolutionError(f"sparse LP solve failed: {res.message}")
     y = -np.asarray(res.ineqlin.marginals)
+    if np.any(y < -1e-7) or np.any(A.T @ y > inst.costs + 1e-7):
+        raise InfeasibleSolutionError("sparse solve returned an infeasible dual")
     dual_obj = float(y.sum())
     primal = float(res.fun)
     if abs(primal - dual_obj) > 1e-6 * (1.0 + abs(primal)):
@@ -430,11 +471,10 @@ def solve_general_exact(
     h = np.concatenate([np.zeros(M), -np.ones(N)])
     sol = simplex_min(lp.c.astype(float), G, h, c0=lp.c0)
     x = np.clip(sol.x, 0.0, 1.0)
-    values = {p: float(x[i]) for i, p in enumerate(lp.space.pairs)}
     objective = float(lp.c @ x) + lp.c0
     dual_objective = float(h @ sol.dual) + lp.c0
     return SolveResult(
-        FractionalSolution("x", lp.lam, values, objective),
+        _solution(lp.space, "x", lp.lam, x, objective),
         sol.dual[:M],
         dual_objective,
         "dense",
@@ -736,45 +776,24 @@ def certify_canonical_feasibility(
     the wedge-restricted value, so the solution's objective is also the
     canonical optimum.
     """
-    sol = sol.to_x(g)
-    xmap: dict[int, float] = {}
+    x = sol.to_x(g)
     n = g.n
-    sub_unit: dict[int, list[tuple[int, float]]] = {}
-    for (u, v), val in sol.values.items():
-        key = u * n + v
-        xmap[key] = val
-        if val < 1.0 - 1e-12:
-            sub_unit.setdefault(u, []).append((v, val))
-            sub_unit.setdefault(v, []).append((u, val))
-    violations: set[tuple[int, int, int]] = set()
-    for j, nbrs in sub_unit.items():
-        nbrs = sorted(nbrs)
-        for a in range(len(nbrs)):
-            i, x_ij = nbrs[a]
-            for b in range(a + 1, len(nbrs)):
-                k, x_jk = nbrs[b]
-                key = i * n + k if i < k else k * n + i
-                x_ik = xmap.get(key, 1.0)
-                if x_ik > x_ij + x_jk + tol:
-                    violations.add(tuple(sorted((i, j, k))))
-    return CertifyResult(not violations, sorted(violations))
+
+    def key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    # every two-path i - j - k (i < k) through pairs below 1
+    sub = Graph.from_keys(n, x.keys[x.vals < 1.0 - 1e-12])
+    found = [np.zeros((0, 3), dtype=np.int64)]
+    for j, i, k in _neighbor_pair_chunks(sub):
+        bad = x.at(i * n + k) > x.at(key(i, j)) + x.at(key(j, k)) + tol
+        found.append(np.sort(np.stack([i[bad], j[bad], k[bad]], axis=1), axis=1))
+    triples = [tuple(t) for t in np.unique(np.concatenate(found), axis=0).tolist()]
+    return CertifyResult(not triples, triples)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def solution_to_json(
-    sol: FractionalSolution, certified_canonical: bool | None = None
-) -> str:
-    doc = {
-        "lambda": sol.lam,
-        "orientation": sol.orientation,
-        "objective": sol.objective,
-        "values": [[u, v, val] for (u, v), val in sorted(sol.values.items())],
-        "certified_canonical": certified_canonical,
-    }
-    return json.dumps(doc, sort_keys=True)
 
 
 def dump_covering_instance(inst: CoveringInstance) -> str:

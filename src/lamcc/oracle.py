@@ -127,6 +127,15 @@ def _active_instance(g: Graph, widx: WedgeIndex, lam: float):
     return space, inst.costs, inst.rows
 
 
+def _labeling_of(space, mask: int) -> StcLabeling:
+    """The labeling of the variables whose bits are set in ``mask``."""
+    weak, missing = [], []
+    for i, key in enumerate(space.keys.tolist()):
+        if (mask >> i) & 1:
+            (weak if i < space.edge_count else missing).append(divmod(key, space.n))
+    return StcLabeling(frozenset(weak), frozenset(missing))
+
+
 def exact_lambda_stc(
     g: Graph,
     widx: WedgeIndex,
@@ -199,15 +208,7 @@ def exact_lambda_stc(
             ex |= 1 << p
 
     rec(0, 0, 0.0)
-    weak = frozenset(
-        space.pairs[i] for i in range(space.edge_count) if (best_mask >> i) & 1
-    )
-    missing = frozenset(
-        space.pairs[i]
-        for i in range(space.edge_count, space.size)
-        if (best_mask >> i) & 1
-    )
-    return OracleResult(best_cost, StcLabeling(weak, missing), nodes)
+    return OracleResult(best_cost, _labeling_of(space, best_mask), nodes)
 
 
 def exact_minstc_plus(
@@ -241,16 +242,8 @@ def exact_minstc_plus(
         if all(subset & mk for mk in wedge_masks):
             best_size = size
             best_mask = subset
-    weak = frozenset(
-        space.pairs[i] for i in range(space.edge_count) if (best_mask >> i) & 1
-    )
-    missing = frozenset(
-        space.pairs[i]
-        for i in range(space.edge_count, space.size)
-        if (best_mask >> i) & 1
-    )
     return OracleResult(
-        float(best_size), StcLabeling(weak, missing), 1 << space.size
+        float(best_size), _labeling_of(space, best_mask), 1 << space.size
     )
 
 

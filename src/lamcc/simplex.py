@@ -144,15 +144,14 @@ def _optimize(state: _State, r: np.ndarray, allow: np.ndarray) -> None:
     """Run pivots until no allowed column has negative reduced cost.
 
     ``r`` is updated in place and stays consistent with the tableau. The
-    entering rule is Dantzig's; after 4(M+N)+50 pivots without objective
-    improvement it permanently switches to Bland's smallest-index rule,
-    which cannot cycle.
+    entering rule is Dantzig's; after 4(M+N)+50 consecutive degenerate
+    pivots (minimum ratio <= tol) it permanently switches to Bland's
+    smallest-index rule, which cannot cycle.
     """
     T, tol = state.T, state.tol
     M = T.shape[0]
     stall_limit = 4 * (M + r.shape[0]) + 50
     stall = 0
-    last_rhs_sum = None
     while True:
         cand = np.flatnonzero(allow & (r < -tol))
         if cand.size == 0:
@@ -174,16 +173,15 @@ def _optimize(state: _State, r: np.ndarray, allow: np.ndarray) -> None:
         state.iterations += 1
         if state.iterations > state.max_iterations:
             raise SimplexError("simplex iteration budget exhausted")
-        # degenerate pivots leave the rhs unchanged; a long degenerate run
-        # means possible cycling, so fall back to Bland's rule for good
-        cur = float(T[:, -1].sum())
-        if last_rhs_sum is not None and cur == last_rhs_sum:
+        # a degenerate pivot (zero step) stays at the same vertex; a long
+        # degenerate run means possible cycling, so fall back to Bland's
+        # rule for good
+        if best <= tol:
             stall += 1
             if stall > stall_limit:
                 state.bland = True
         else:
             stall = 0
-        last_rhs_sum = cur
 
 
 def _pivot(state: _State, i: int, j: int, r: np.ndarray) -> None:

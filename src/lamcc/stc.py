@@ -19,7 +19,6 @@ cost, see ``lamcc.cluster``).
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ __all__ = [
     "is_feasible",
     "cover_label",
     "stc_regime",
-    "labeling_to_json",
-    "labeling_from_json",
 ]
 
 RESIDUAL_ZERO_TOL = 1e-12
@@ -240,29 +237,3 @@ def _drop_redundant(widx: WedgeIndex, lab: StcLabeling, n: int) -> StcLabeling:
             kept_weak.discard((u, v))
             kept_missing.discard((u, v))
     return StcLabeling(frozenset(kept_weak), frozenset(kept_missing))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def labeling_to_json(
-    lam: float, lab: StcLabeling, objective: float, lower_bound: float
-) -> str:
-    doc = {
-        "lambda": lam,
-        "weak": sorted([list(p) for p in lab.weak]),
-        "miss": sorted([list(p) for p in lab.missing]),
-        "objective": objective,
-        "lower_bound": lower_bound,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def labeling_from_json(text: str) -> tuple[float, StcLabeling, float, float]:
-    doc = json.loads(text)
-    lab = StcLabeling(
-        StcLabeling.normalize(tuple(p) for p in doc["weak"]),
-        StcLabeling.normalize(tuple(p) for p in doc["miss"]),
-    )
-    return doc["lambda"], lab, doc["objective"], doc["lower_bound"]

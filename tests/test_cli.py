@@ -155,6 +155,7 @@ def test_lp_solve_and_dump(capsys, tmp_path, path_file):
          "--dump-instance", str(dump)],
     )
     assert doc["objective"] == pytest.approx(0.4)
+    assert doc["values"] == [[0, 1, 1.0], [0, 2, 0.0], [1, 2, 0.0]]
     assert doc["certified_canonical"] is True
     assert doc["engine"] == "dense"
     assert dump.read_text().startswith("# covering-lp v1")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from lamcc.cluster import (
     lambda_louvain,
     pivot,
     pivot_deterministic,
-    report_to_json,
     round_intermediate_lp,
     round_lambda_stc_lp,
     stc_rounding_factor,
@@ -23,7 +20,6 @@ from lamcc.cluster import (
 from lamcc.errors import InfeasibleSolutionError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
-    FractionalSolution,
     build_intermediate_lp,
     build_lambda_stc_lp,
     solve_exact,
@@ -238,7 +234,7 @@ def _loop_violation(widx, x, triangles):
     return None
 
 
-def test_rounding_feasibility_checks_match_loop_reference():
+def test_rounding_feasibility_checks_match_loop_reference(solution_of):
     rng = np.random.default_rng(8)
     verdicts = set()
     for trial in range(40):
@@ -252,7 +248,7 @@ def test_rounding_feasibility_checks_match_loop_reference():
                 del values[p]  # inactive: the checks must read x = 1
             elif r < 0.25:
                 values[p] = float(rng.choice([0.0, 0.5, 1.0]))
-        bad = FractionalSolution("x", 0.75, values, x.objective)
+        bad = solution_of(g, "x", 0.75, values, x.objective)
         for rounding, triangles in ((round_lambda_stc_lp, False), (round_intermediate_lp, True)):
             expected = _loop_violation(widx, bad, triangles)
             verdicts.add(expected)
@@ -425,14 +421,14 @@ def test_rounding_thresholds_and_factors():
     assert stc_rounding_factor(1.0 - 1e-9) == pytest.approx(5.0)
 
 
-def test_round_stc_lp_k3_all_zero(k3, wedges_of):
-    sol = FractionalSolution("x", 0.75, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}, 0.0)
+def test_round_stc_lp_k3_all_zero(k3, wedges_of, solution_of):
+    sol = solution_of(k3, "x", 0.75, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}, 0.0)
     rep = round_lambda_stc_lp(k3, wedges_of(k3), 0.75, sol, seed=0)
     assert rep.num_clusters == 1 and rep.objective == 0.0
 
 
-def test_round_stc_lp_rejects_infeasible(path3, wedges_of):
-    bad = FractionalSolution("x", 0.6, {(0, 1): 0.0, (1, 2): 0.0, (0, 2): 1.0}, 0.0)
+def test_round_stc_lp_rejects_infeasible(path3, wedges_of, solution_of):
+    bad = solution_of(path3, "x", 0.6, {(0, 1): 0.0, (1, 2): 0.0, (0, 2): 1.0}, 0.0)
     with pytest.raises(InfeasibleSolutionError):
         round_lambda_stc_lp(path3, wedges_of(path3), 0.6, bad, seed=0)
 
@@ -447,8 +443,8 @@ def test_round_stc_lp_small_lambda_keeps_all_edges(star4, wedges_of):
     assert rep.num_clusters == 1
 
 
-def test_round_intermediate_path_example(path3, wedges_of):
-    sol = FractionalSolution("x", 0.6, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}, 0.4)
+def test_round_intermediate_path_example(path3, wedges_of, solution_of):
+    sol = solution_of(path3, "x", 0.6, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}, 0.4)
     for seed in range(5):
         rep = round_intermediate_lp(path3, wedges_of(path3), 0.6, sol, seed=seed)
         assert sorted(map(sorted, rep.clustering.clusters)) == [[0], [1, 2]]
@@ -456,32 +452,32 @@ def test_round_intermediate_path_example(path3, wedges_of):
         assert rep.objective == pytest.approx(exact_lambda_cc(path3, 0.6).optimum)
 
 
-def test_round_intermediate_boundary_is_strict(path3, wedges_of):
+def test_round_intermediate_boundary_is_strict(path3, wedges_of, solution_of):
     third = 1.0 / 3.0
-    sol = FractionalSolution("x", 0.6, {(0, 1): third, (1, 2): third, (0, 2): 2 * third}, 0.0)
+    sol = solution_of(path3, "x", 0.6, {(0, 1): third, (1, 2): third, (0, 2): 2 * third}, 0.0)
     rep = round_intermediate_lp(path3, wedges_of(path3), 0.6, sol, seed=0)
     assert rep.num_clusters == 3  # x == 1/3 pairs are excluded from Ghat
 
 
-def test_round_intermediate_rejects_triangle_infeasible(k3, wedges_of):
-    bad = FractionalSolution("x", 0.6, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0}, 0.0)
+def test_round_intermediate_rejects_triangle_infeasible(k3, wedges_of, solution_of):
+    bad = solution_of(k3, "x", 0.6, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0}, 0.0)
     with pytest.raises(InfeasibleSolutionError, match="closed triple"):
         round_intermediate_lp(k3, wedges_of(k3), 0.6, bad, seed=0)
 
 
-def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of):
+def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of, solution_of):
     # (0, 2) is the open end pair of path3's wedge; left out, it reads x = 1
     widx = wedges_of(path3)
-    bad = FractionalSolution("x", 0.6, {(0, 1): 0.25, (1, 2): 0.5}, 0.0)
-    ok = FractionalSolution("x", 0.6, {(0, 1): 0.5, (1, 2): 0.5}, 0.0)
+    bad = solution_of(path3, "x", 0.6, {(0, 1): 0.25, (1, 2): 0.5}, 0.0)
+    ok = solution_of(path3, "x", 0.6, {(0, 1): 0.5, (1, 2): 0.5}, 0.0)
     for rounding in (round_lambda_stc_lp, round_intermediate_lp):
         with pytest.raises(InfeasibleSolutionError, match="open-wedge"):
             rounding(path3, widx, 0.6, bad, seed=0)
         rounding(path3, widx, 0.6, ok, seed=0)
 
 
-def test_round_intermediate_requires_large_lambda(path3, wedges_of):
-    sol = FractionalSolution("x", 0.4, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}, 0.0)
+def test_round_intermediate_requires_large_lambda(path3, wedges_of, solution_of):
+    sol = solution_of(path3, "x", 0.4, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}, 0.0)
     with pytest.raises(ParameterError):
         round_intermediate_lp(path3, wedges_of(path3), 0.4, sol, seed=0)
 
@@ -551,17 +547,6 @@ def test_a_posteriori_undefined_ratio(star4):
 def test_table_style_ratio():
     # objective 4092 against lower bound 2064 reads as roughly 2.0
     assert 4092 / 2064 == pytest.approx(1.98, abs=0.005)
-
-
-def test_report_json_fields(path3, wedges_of):
-    rep = cover_flip_pivot(path3, wedges_of(path3), 0.6, seed=1)
-    doc = json.loads(report_to_json(rep))
-    assert doc["algorithm"] == "cfp"
-    assert doc["num_clusters"] == 3
-    assert doc["cluster_size_hist"] == {"1": 3}
-    assert doc["lb_provenance"] == "dual_certificate"
-    doc2 = json.loads(report_to_json(rep, include_timing=False))
-    assert doc2["elapsed_ms"] is None
 
 
 def test_assignment_text(path3):

@@ -5,13 +5,11 @@ from lamcc.errors import ParameterError, SizeCapError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     CoveringInstance,
-    FractionalSolution,
     PairVariableSpace,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
     dump_covering_instance,
-    solution_to_json,
     solve_exact,
     solve_exact_sparse,
     solve_general_exact,
@@ -118,6 +116,29 @@ def test_sparse_backend_matches_dense():
         )
 
 
+def test_sparse_backend_with_active_bound_matches_dense():
+    # at lambda 0.3 an optimum here sets some z to 1; the z <= 1 bound
+    # marginals would be missing from a row-only dual
+    for n, p, seed in ((8, 0.25, 9001), (12, 0.4, 9054), (12, 0.55, 9059)):
+        g = erdos_renyi(n, p, seed)
+        _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.3)
+        dense = solve_exact(inst)
+        sparse = solve_exact_sparse(inst)
+        assert sparse.solution.objective == pytest.approx(
+            dense.solution.objective, abs=1e-6
+        )
+        y = sparse.dual
+        load = np.zeros(inst.num_variables)
+        for col in range(3):
+            ok = inst.rows[:, col] >= 0
+            np.add.at(load, inst.rows[ok, col], y[ok])
+        assert np.all(y >= -1e-7) and np.all(load <= inst.costs + 1e-7)
+        assert sparse.dual_objective == pytest.approx(y.sum())
+        assert sparse.dual_objective == pytest.approx(
+            sparse.solution.objective, abs=1e-6
+        )
+
+
 def test_solve_general_exact_k3(k3, wedges_of):
     lp = build_intermediate_lp(k3, wedges_of(k3), 0.9)
     res = solve_general_exact(lp)
@@ -141,12 +162,21 @@ def test_solve_general_exact_cycle_matches_canonical(cycle4, wedges_of):
     )
 
 
+def test_solve_general_exact_degenerate_stall_switches_to_bland():
+    # Dantzig's rule cycles on this intermediate LP until the pivot budget
+    # runs out, unless the run of degenerate pivots triggers Bland's rule
+    g = erdos_renyi(12, 0.55, 9059)
+    res = solve_general_exact(build_intermediate_lp(g, enumerate_wedges(g), 0.75))
+    assert res.solution.objective == pytest.approx(4.875, abs=1e-7)
+    assert res.dual_objective == pytest.approx(4.875, abs=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # MWU solver
 
 
 def _toy_instance():
-    space = PairVariableSpace(3, ((0, 1), (1, 2), (0, 2)), 2)
+    space = PairVariableSpace(3, np.array([1, 5, 2], dtype=np.int64), 2)
     costs = np.array([0.4, 0.4, 0.6])
     rows = np.array([[0, 1, 2]])
     return CoveringInstance(space, 0.6, costs, rows)
@@ -206,6 +236,67 @@ def test_orientation_round_trip():
         assert back.objective == z.objective
 
 
+def _dict_flip(g, values):
+    """Reference orientation flip: one has_edge lookup per pair."""
+    return {p: (val if g.has_edge(*p) else 1.0 - val) for p, val in values.items()}
+
+
+def _loop_certify(g, xvalues, tol=1e-9):
+    """Reference canonical certification: nested loops over sub-unit pairs."""
+    xmap = {}
+    n = g.n
+    sub_unit = {}
+    for (u, v), val in xvalues.items():
+        xmap[u * n + v] = val
+        if val < 1.0 - 1e-12:
+            sub_unit.setdefault(u, []).append((v, val))
+            sub_unit.setdefault(v, []).append((u, val))
+    violations = set()
+    for j, nbrs in sub_unit.items():
+        nbrs = sorted(nbrs)
+        for a in range(len(nbrs)):
+            i, x_ij = nbrs[a]
+            for b in range(a + 1, len(nbrs)):
+                k, x_jk = nbrs[b]
+                key = i * n + k if i < k else k * n + i
+                if xmap.get(key, 1.0) > x_ij + x_jk + tol:
+                    violations.add(tuple(sorted((i, j, k))))
+    return sorted(violations)
+
+
+def _perturbed(rng, values):
+    """Drop some pairs (inactive: x = 1) and force others to 0, 1/3, 1/2 or 1."""
+    out = {}
+    for p, val in values.items():
+        r = rng.random()
+        if r >= 0.1:
+            out[p] = float(rng.choice([0.0, 1.0 / 3.0, 0.5, 1.0])) if r < 0.3 else val
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_array_flip_and_certify_match_dict_references(lam, solution_of):
+    rng = np.random.default_rng(int(lam * 100))
+    violated = 0
+    for seed in range(12):
+        g = erdos_renyi(6 + seed % 7, (0.3, 0.5)[seed % 2], 300 + seed)
+        z = solve_exact(build_lambda_stc_lp(g, enumerate_wedges(g), lam)[1]).solution
+        zvals = z.values
+        for orientation, vals in (("z", zvals), ("z", _perturbed(rng, zvals)),
+                                  ("x", _perturbed(rng, _dict_flip(g, zvals)))):
+            sol = solution_of(g, orientation, lam, vals, z.objective)
+            flipped = sol.to_x(g) if orientation == "z" else sol.to_z(g)
+            assert flipped.values == _dict_flip(g, vals)
+            assert flipped.objective == sol.objective
+            xvals = vals if orientation == "x" else flipped.values
+            expected = _loop_certify(g, xvals)
+            got = certify_canonical_feasibility(g, sol)
+            assert got.violations == expected
+            assert got.certified == (not expected)
+            violated += bool(expected)
+    assert violated > 0
+
+
 def test_lp_hierarchy_small_sample():
     for seed in range(12):
         g = erdos_renyi(7, (0.3, 0.5)[seed % 2], 800 + seed)
@@ -227,13 +318,13 @@ def test_lp_hierarchy_small_sample():
 # Canonical-feasibility certification
 
 
-def test_certify_trivial_zero(k3):
-    sol = FractionalSolution("x", 0.5, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}, 0.0)
+def test_certify_trivial_zero(k3, solution_of):
+    sol = solution_of(k3, "x", 0.5, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}, 0.0)
     assert certify_canonical_feasibility(k3, sol).certified
 
 
-def test_certify_detects_violation(path3):
-    sol = FractionalSolution("x", 0.6, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 0.0}, 0.0)
+def test_certify_detects_violation(path3, solution_of):
+    sol = solution_of(path3, "x", 0.6, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 0.0}, 0.0)
     res = certify_canonical_feasibility(path3, sol)
     assert not res.certified
     assert res.violations == [(0, 1, 2)]
@@ -277,17 +368,6 @@ def test_certified_solution_value_matches_canonical_optimum():
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def test_solution_json_shape(path3, wedges_of):
-    _, inst = build_lambda_stc_lp(path3, wedges_of(path3), 0.6)
-    res = solve_exact(inst)
-    import json
-
-    doc = json.loads(solution_to_json(res.solution, certified_canonical=True))
-    assert set(doc) == {"lambda", "orientation", "objective", "values", "certified_canonical"}
-    assert doc["orientation"] == "z"
-    assert len(doc["values"]) == 3
 
 
 def test_instance_dump_round_readable(star4, wedges_of):

@@ -8,8 +8,6 @@ from lamcc.stc import (
     StcRegime,
     cover_label,
     is_feasible,
-    labeling_from_json,
-    labeling_to_json,
     pair_cost,
     stc_objective,
     stc_regime,
@@ -187,17 +185,3 @@ def test_regime_boundary_is_strict():
 
 def test_regime_precedence_with_no_edges():
     assert stc_regime(0.5, 0) is StcRegime.MINSTC_PLUS_EQUIVALENT
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_labeling_json_round_trip(star4):
-    widx = enumerate_wedges(star4)
-    labeling, cert = cover_label(star4, widx, 0.5)
-    obj = stc_objective(star4, 0.5, labeling)
-    text = labeling_to_json(0.5, labeling, obj, cert.lower_bound)
-    lam, lab2, obj2, lb2 = labeling_from_json(text)
-    assert lam == 0.5 and lab2 == labeling
-    assert obj2 == obj and lb2 == cert.lower_bound
