@@ -40,13 +40,11 @@ from .errors import (
 )
 from .graph import Graph, WedgeIndex, enumerate_wedges, graph_stats, load_graph
 from .lp import (
-    DEFAULT_DENSE_CAP,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
     dump_covering_instance,
     solve_exact,
-    solve_exact_sparse,
     solve_general_exact,
     solve_mwu,
 )
@@ -61,6 +59,7 @@ EXIT_SIZE = 4
 
 SCHEMA_VERSION = 1
 CLUSTER_ALGS = ("cfp", "pivot", "lp-round", "lp3-round", "louvain")
+ENGINES = ("highs", "mwu")
 
 
 def main(argv=None) -> int:
@@ -130,8 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="repetitions; run r uses seed base+r")
     p.add_argument("--epsilon", type=float, default=None,
                    help="approximation parameter for the mwu LP engine")
-    p.add_argument("--engine", default="auto", choices=("auto", "dense", "sparse", "mwu"),
-                   help="LP engine for lp-round")
+    p.add_argument("--engine", default="highs", choices=ENGINES,
+                   help="covering-LP engine for lp-round: exact HiGHS or (1+epsilon) mwu")
     p.add_argument("--force", action="store_true",
                    help="run cfp outside its guaranteed lambda >= 1/2 regime")
     p.add_argument("--max-passes", type=int, default=16, help="louvain pass limit")
@@ -145,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--intermediate", action="store_true",
                    help="wedge+triangle LP instead of the covering LP")
-    p.add_argument("--engine", default="auto", choices=("auto", "dense", "sparse", "mwu"))
+    p.add_argument("--engine", default="highs", choices=ENGINES,
+                   help="exact HiGHS, or (1+epsilon) mwu for the covering LP only")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--certify", action="store_true",
                    help="also check all-triples feasibility of the solution")
@@ -155,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="solve the covering LP and certify it canonically")
     common(p)
-    p.add_argument("--engine", default="auto", choices=("auto", "dense", "sparse", "mwu"))
+    p.add_argument("--engine", default="highs", choices=ENGINES,
+                   help="covering-LP engine: exact HiGHS or (1+epsilon) mwu")
     p.add_argument("--epsilon", type=float, default=0.001)
     p.set_defaults(func=cmd_certify)
 
@@ -248,19 +249,9 @@ def _load(args, phases: _Phases) -> Graph:
 
 
 def _solve_covering(inst, engine: str, epsilon: float | None):
-    """Engine dispatch: auto prefers dense under the cap, then sparse, then mwu."""
-    if engine == "dense":
-        return solve_exact(inst)
-    if engine == "sparse":
-        return solve_exact_sparse(inst)
     if engine == "mwu":
         return solve_mwu(inst, epsilon if epsilon is not None else 0.01)
-    if inst.num_variables <= DEFAULT_DENSE_CAP and inst.num_constraints <= DEFAULT_DENSE_CAP:
-        return solve_exact(inst)
-    try:
-        return solve_exact_sparse(inst)
-    except ImportError:
-        return solve_mwu(inst, epsilon if epsilon is not None else 0.01)
+    return solve_exact(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +464,10 @@ def cmd_lp_solve(args) -> int:
     phases = _Phases(args.timings)
     g = _load(args, phases)
     widx = phases.run("wedges", lambda: enumerate_wedges(g))
-    if args.intermediate and args.engine in ("sparse", "mwu"):
+    if args.intermediate and args.engine == "mwu":
         raise ParameterError(
             "the intermediate LP is not a covering program; "
-            "only the dense exact engine solves it"
+            "only the highs engine solves it"
         )
     docs = []
     for lam in _parse_lambdas(args.lambdas):

@@ -32,7 +32,7 @@ class InfeasibleSolutionError(LamccError):
 
 
 class SimplexError(LamccError):
-    """Simplex engine failed (iteration cap, numerical trouble)."""
+    """Kept for API compatibility: nothing raises it since the dense simplex went."""
 
 
 class MwuConvergenceError(LamccError):

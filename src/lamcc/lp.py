@@ -19,12 +19,12 @@ Pairs are int64 keys u*n + v (u < v) throughout: a variable space is one
 key array and a solution is a sorted key array with an aligned value
 array, so orientation flips, lookups and certification are vectorized.
 
-Three solvers are provided: a dense simplex with a dual certificate (desk
-scale), a sparse exact backend (scipy/HiGHS) for instances beyond the
-dense cap, and a combinatorial multiplicative-weights solver that returns
-a (1+epsilon)-approximate solution certified against its own dual bound.
-Both exact engines leave out the z <= 1 bounds, which no positive-cost
-optimum exceeds, and check their dual before returning.
+Two solvers are provided: an exact one, scipy's HiGHS dual simplex loaded
+without ``scipy.optimize``, and a combinatorial multiplicative-weights
+solver that returns a (1+epsilon)-approximate solution certified against
+its own dual bound. Every bound they return has passed
+``lamcc.certificate``, which recomputes it from the program and the dual
+alone.
 
 ``certify_canonical_feasibility`` checks whether a distance solution also
 satisfies every all-triples triangle inequality; when it does, the wedge
@@ -33,21 +33,20 @@ LP value is simultaneously the canonical LP optimum.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InfeasibleSolutionError,
-    MwuConvergenceError,
-    ParameterError,
-    SizeCapError,
-)
+from .certificate import dual_bound, row_activity, verify_certificate
+from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from .graph import Graph, WedgeIndex, _neighbor_pair_chunks
-from .simplex import simplex_min
 from .stc import check_lambda
 
 __all__ = [
@@ -65,10 +64,8 @@ __all__ = [
     "solve_general_exact",
     "certify_canonical_feasibility",
     "dump_covering_instance",
-    "DEFAULT_DENSE_CAP",
 ]
 
-DEFAULT_DENSE_CAP = 5000
 FEAS_TOL = 1e-9
 
 
@@ -366,119 +363,117 @@ def _covering_solution(inst: CoveringInstance, z: np.ndarray) -> FractionalSolut
     return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z))
 
 
-def solve_exact(
-    inst: CoveringInstance, *, cap: int = DEFAULT_DENSE_CAP
+def _highs():
+    """scipy's compiled HiGHS core, loaded without importing ``scipy.optimize``.
+
+    Importing ``scipy.optimize`` (and with it ``scipy.sparse``) adds about
+    0.6 s to every process; the extension alone loads in about 0.02 s. It
+    is registered in ``sys.modules`` under its package name, so a later
+    ``import scipy.optimize`` shares this module object, and one imported
+    earlier is reused here: the extension is never loaded twice.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        import scipy
+
+        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        found = [folder / f"_core{s}" for s in importlib.machinery.EXTENSION_SUFFIXES]
+        found = [f for f in found if f.is_file()]
+        if not found:
+            raise ImportError(
+                f"scipy {scipy.__version__} has no HiGHS core in {folder}; "
+                "lamcc needs scipy>=1.15"
+            )
+        spec = importlib.util.spec_from_file_location(name, found[0])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return sys.modules[name]
+
+
+def _solve_highs(
+    space: PairVariableSpace,
+    orientation: str,
+    lam: float,
+    c: np.ndarray,
+    idx: np.ndarray,
+    sign,
+    b: float,
+    u: float,
+    c0: float = 0.0,
 ) -> SolveResult:
-    """Dense simplex solve of a covering instance, with a matching dual.
+    """min c.x + c0 s.t. A x >= b, 0 <= x <= u, by HiGHS; verified before return.
 
-    The z <= 1 bounds are omitted from the tableau: with positive costs
-    any optimum already satisfies them (clamping a variable to 1 keeps
-    every >=1 constraint satisfied and lowers cost).
-
-    Raises SizeCapError beyond ``cap`` variables or constraints; use
-    solve_exact_sparse or solve_mwu for larger instances.
+    Row i of A holds ``sign[i]`` at the columns ``idx[i]`` (-1 pads); it
+    goes to HiGHS as row-wise CSR. HiGHS runs with its defaults (dual
+    simplex after presolve) and its log off. The returned primal is
+    clipped to [0, 1], where every variable of these programs lies, and
+    its value and the dual bound pass ``verify_certificate``.
     """
-    if inst.num_variables > cap or inst.num_constraints > cap:
-        raise SizeCapError(
-            f"instance ({inst.num_variables} vars, {inst.num_constraints} "
-            f"constraints) exceeds the dense cap {cap}; "
-            "use solve_exact_sparse or solve_mwu"
-        )
-    M, N = inst.num_constraints, inst.num_variables
-    if M == 0:
-        return SolveResult(
-            _covering_solution(inst, np.zeros(N)), np.zeros(0), 0.0, "dense", 0
-        )
-    G = np.zeros((M, N))
-    for col in range(3):
-        idx = inst.rows[:, col]
-        ok = idx >= 0
-        G[np.flatnonzero(ok), idx[ok]] = 1.0
-    sol = simplex_min(inst.costs.astype(float), G, np.ones(M))
-    return SolveResult(
-        _covering_solution(inst, sol.x),
-        sol.dual,
-        float(sol.dual.sum()),
-        "dense",
-        sol.iterations,
-    )
-
-
-def solve_exact_sparse(inst: CoveringInstance) -> SolveResult:
-    """Exact covering solve through scipy's sparse HiGHS backend.
-
-    Used when an instance exceeds the dense engine's cap. As in
-    solve_exact, the z <= 1 bounds are left out (with positive costs no
-    optimum exceeds them), so the row marginals are the whole dual; that
-    dual is checked for feasibility (y >= 0, A^T y <= c) and for its gap
-    to the primal before the result is returned.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
-    M, N = inst.num_constraints, inst.num_variables
-    if M == 0:
-        return SolveResult(
-            _covering_solution(inst, np.zeros(N)), np.zeros(0), 0.0, "highs", 0
-        )
-    rows_rep = np.repeat(np.arange(M, dtype=np.int64), 3)
-    cols = inst.rows.ravel()
-    ok = cols >= 0
-    A = csr_matrix(
-        (np.ones(int(ok.sum())), (rows_rep[ok], cols[ok])), shape=(M, N)
-    )
-    res = linprog(
-        inst.costs,
-        A_ub=-A,
-        b_ub=-np.ones(M),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise InfeasibleSolutionError(f"sparse LP solve failed: {res.message}")
-    y = -np.asarray(res.ineqlin.marginals)
-    if np.any(y < -1e-7) or np.any(A.T @ y > inst.costs + 1e-7):
-        raise InfeasibleSolutionError("sparse solve returned an infeasible dual")
-    dual_obj = float(y.sum())
-    primal = float(res.fun)
-    if abs(primal - dual_obj) > 1e-6 * (1.0 + abs(primal)):
+    h = _highs()
+    M, N = idx.shape[0], c.shape[0]
+    sign = np.broadcast_to(sign, idx.shape)
+    ok = idx >= 0
+    lp = h.HighsLp()
+    lp.num_col_, lp.num_row_ = N, M
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(N)
+    lp.col_upper_ = np.full(N, u)
+    lp.row_lower_ = np.full(M, b)
+    lp.row_upper_ = np.full(M, np.inf)
+    a = lp.a_matrix_
+    a.format_ = h.MatrixFormat.kRowwise
+    a.num_col_, a.num_row_ = N, M
+    a.start_ = np.concatenate([[0], np.cumsum(ok.sum(axis=1))])
+    a.index_ = idx[ok]
+    a.value_ = sign[ok]
+    highs = h._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in (h.HighsModelStatus.kOptimal, h.HighsModelStatus.kModelEmpty):
         raise InfeasibleSolutionError(
-            f"sparse solve returned a loose certificate (gap {primal - dual_obj:.3e})"
+            f"HiGHS solve failed: {highs.modelStatusToString(status)}"
         )
+    sol = highs.getSolution()
+    x = np.clip(np.asarray(sol.col_value, dtype=float), 0.0, 1.0)
+    y = np.asarray(sol.row_dual, dtype=float)
+    dual = verify_certificate(idx, sign, b, c, u, x, y, c0)
     return SolveResult(
-        _covering_solution(inst, np.asarray(res.x)),
+        _solution(space, orientation, lam, x, float(c @ x) + c0),
         y,
-        dual_obj,
+        dual,
         "highs",
-        int(getattr(res, "nit", 0)),
+        max(highs.getInfo().simplex_iteration_count, 0),
     )
 
 
-def solve_general_exact(
-    lp: GeneralLp, *, cap: int = DEFAULT_DENSE_CAP
-) -> SolveResult:
-    """Dense simplex solve of an intermediate/canonical LP (distance form)."""
-    if lp.num_variables > cap or lp.num_constraints > cap:
-        raise SizeCapError(
-            f"LP ({lp.num_variables} vars, {lp.num_constraints} constraints) "
-            f"exceeds the dense cap {cap}"
-        )
-    M, N = lp.num_constraints, lp.num_variables
-    G = np.zeros((M + N, N))
-    for col in range(3):
-        G[np.arange(M), lp.col_idx[:, col]] += lp.col_sign[:, col]
-    G[M:, :] = -np.eye(N)  # x <= 1
-    h = np.concatenate([np.zeros(M), -np.ones(N)])
-    sol = simplex_min(lp.c.astype(float), G, h, c0=lp.c0)
-    x = np.clip(sol.x, 0.0, 1.0)
-    objective = float(lp.c @ x) + lp.c0
-    dual_objective = float(h @ sol.dual) + lp.c0
-    return SolveResult(
-        _solution(lp.space, "x", lp.lam, x, objective),
-        sol.dual[:M],
-        dual_objective,
-        "dense",
-        sol.iterations,
+def solve_exact(inst: CoveringInstance) -> SolveResult:
+    """Exact covering solve by HiGHS, with a verified dual.
+
+    The z <= 1 bounds are left out of the program: with positive costs
+    no optimum exceeds them (clamping a variable to 1 keeps every >= 1
+    row satisfied and lowers cost), so the row duals are the whole dual.
+    """
+    return _solve_highs(inst.space, "z", inst.lam, inst.costs, inst.rows, 1.0, 1.0, np.inf)
+
+
+solve_exact_sparse = solve_exact  # former name, kept for callers
+
+
+def solve_general_exact(lp: GeneralLp) -> SolveResult:
+    """Exact solve of an intermediate/canonical LP (distance form) by HiGHS.
+
+    The x <= 1 bounds stay in the program; the verified dual bound counts
+    their column duals through the reduced costs.
+    """
+    return _solve_highs(
+        lp.space, "x", lp.lam, lp.c, lp.col_idx, lp.col_sign, 0.0, 1.0, lp.c0
     )
 
 
@@ -516,9 +511,10 @@ def solve_mwu(
       can stop a few percent short of the dual optimum even when the
       primal is already within (1+epsilon), the best feasible primal is
       returned, with ``dual_objective`` recording what the run could
-      actually prove. The suite-level invariant (MWU within (1+epsilon)
-      of the exact engine across random instances) is what validates this
-      path's constants.
+      actually prove (the best dual's bound, as
+      ``lamcc.certificate.dual_bound`` checks and sums it). The
+      suite-level invariant (MWU within (1+epsilon) of the exact engine
+      across random instances) is what validates this path's constants.
 
     MwuConvergenceError is raised only when even the budget path ends with
     a certified ratio above (1+epsilon)*(1+dual_gap_allowance), i.e. the
@@ -590,7 +586,7 @@ def solve_mwu(
         z: np.ndarray, order: np.ndarray, quantum: float | None = None
     ) -> tuple[np.ndarray, float]:
         z = z.copy()
-        sums = _row_sums(inst, z)
+        sums = row_activity(inst.rows, 1.0, z)
         for j in order:
             if z[j] <= 0.0:
                 continue
@@ -715,6 +711,8 @@ def solve_mwu(
 
     z = _restore_feasibility(inst, best_z)
     primal = float(costs @ z)
+    if best_dual_vec is not None:
+        best_dual = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
     ratio = primal / best_dual if best_dual > 0 else math.inf
     if primal > (1.0 + epsilon) * (1.0 + dual_gap_allowance) * best_dual:
         raise MwuConvergenceError(
@@ -733,7 +731,7 @@ def _restore_feasibility(inst: CoveringInstance, z: np.ndarray) -> np.ndarray:
     if inst.num_constraints == 0:
         return z
     for _ in range(4):
-        sums = _row_sums(inst, z)
+        sums = row_activity(inst.rows, 1.0, z)
         smin = float(sums.min())
         if smin >= 1.0 - 1e-12:
             break
@@ -741,12 +739,6 @@ def _restore_feasibility(inst: CoveringInstance, z: np.ndarray) -> np.ndarray:
             return np.ones_like(z)
         z = np.minimum(z / smin, 1.0)
     return z
-
-
-def _row_sums(inst: CoveringInstance, z: np.ndarray) -> np.ndarray:
-    zpad = np.concatenate([z, [0.0]])
-    idx = np.where(inst.rows >= 0, inst.rows, len(z))
-    return zpad[idx].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

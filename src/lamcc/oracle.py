@@ -12,7 +12,8 @@ being clever:
   choice, so the search space is complete), with an additive bound from
   pair-disjoint uncovered wedges for pruning, plus an even dumber
   subset-enumeration twin used to cross-check it in tests;
-* the all-triples LP optimum goes through the dense simplex engine.
+* the all-triples LP optimum goes through the exact HiGHS engine, whose
+  result passes the solver-independent certificate check.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ def exact_minstc_plus(
 def exact_canonical_lp(
     g: Graph, lam: float, *, max_n: int = MAX_CANONICAL_N
 ) -> OracleResult:
-    """All-pairs, all-triples LP optimum via the dense simplex engine.
+    """All-pairs, all-triples LP optimum via the exact HiGHS engine.
 
-    enumerated_count reports simplex pivots rather than candidates.
+    enumerated_count reports HiGHS simplex iterations rather than candidates.
     """
     lam = check_lambda(lam)
     if g.n > max_n:

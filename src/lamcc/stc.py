@@ -19,11 +19,11 @@ cost, see ``lamcc.cluster``).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import dual_bound
 from .errors import InvalidLabelingError, ParameterError
 from .graph import Graph, WedgeIndex, pair_key
 
@@ -169,6 +169,10 @@ def cover_label(
     With ``minimal=True`` a greedy post-pass (canonical pair order) drops
     any labeled pair whose removal keeps every wedge covered. The dual
     certificate is unaffected (removal only lowers the objective).
+
+    Before it is returned the dual is checked apart from the loop that
+    built it (``lamcc.certificate.dual_bound``: no pair overloaded by more
+    than 1e-12); InfeasibleSolutionError is raised if it fails.
     """
     lam = check_lambda(lam)
     n = g.n
@@ -181,7 +185,8 @@ def cover_label(
     uniq, idx3_flat = np.unique(keys3.ravel(), return_inverse=True)
     idx3 = idx3_flat.reshape(-1, 3)
     is_edge = g.edge_mask(uniq)
-    residual = np.where(is_edge, 1.0 - lam, lam).tolist()
+    cost = np.where(is_edge, 1.0 - lam, lam)
+    residual = cost.tolist()
 
     a_col = idx3[:, 0].tolist()
     b_col = idx3[:, 1].tolist()
@@ -206,10 +211,13 @@ def cover_label(
     if minimal:
         lab = _drop_redundant(widx, lab, n)
 
+    y = np.asarray(y)
+    # costs are at most 1, so the 1e-12 overload allowance is relative;
+    # the bound is the fsum of y, as the covering rows have right side 1
+    lower_bound = dual_bound(idx3, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
     y_arr = np.zeros(M)
     y_arr[order] = y  # store dual values in canonical wedge positions
-    cert = DualCertificate(y_arr, math.fsum(y))
-    return lab, cert
+    return lab, DualCertificate(y_arr, lower_bound)
 
 
 def _drop_redundant(widx: WedgeIndex, lab: StcLabeling, n: int) -> StcLabeling:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,3 +46,18 @@ def _solution(g, orientation, lam, values, objective):
 @pytest.fixture
 def solution_of():
     return _solution
+
+
+def _python_child(script: str, *path_first: Path) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's lamcc."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [*map(str, path_first), str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+
+
+@pytest.fixture
+def python_child():
+    return _python_child

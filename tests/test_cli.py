@@ -3,6 +3,9 @@ import json
 import pytest
 
 from lamcc.cli import main
+from lamcc.graph import enumerate_wedges, to_edge_list_text
+from lamcc.lp import build_intermediate_lp
+from lamcc.testing import erdos_renyi
 
 
 @pytest.fixture
@@ -157,7 +160,7 @@ def test_lp_solve_and_dump(capsys, tmp_path, path_file):
     assert doc["objective"] == pytest.approx(0.4)
     assert doc["values"] == [[0, 1, 1.0], [0, 2, 0.0], [1, 2, 0.0]]
     assert doc["certified_canonical"] is True
-    assert doc["engine"] == "dense"
+    assert doc["engine"] == "highs"
     assert dump.read_text().startswith("# covering-lp v1")
 
 
@@ -169,6 +172,41 @@ def test_lp_solve_mwu_engine(capsys, path_file):
     )
     assert doc["engine"] == "mwu"
     assert doc["objective"] <= 0.4 * 1.05 + 1e-9
+
+
+def test_lp3_round_beyond_the_former_dense_cap(capsys, tmp_path):
+    # the intermediate LP here has 9488 rows; lp3-round used to stop at
+    # 5000 rows or variables with exit code 4
+    g = erdos_renyi(60, 0.3, 7)
+    assert build_intermediate_lp(g, enumerate_wedges(g), 0.75).num_constraints > 5000
+    f = tmp_path / "gnp60.txt"
+    f.write_text(to_edge_list_text(g))
+    doc = run_json(capsys, ["cluster", str(f), "--alg", "lp3-round", "--lambda", "0.75"])
+    (rec,) = doc["records"]
+    assert rec["lower_bound"] == pytest.approx(67.5)
+    assert 1.0 <= rec["ratio"] <= 3.0
+
+
+def test_lp_solve_loads_highs_without_scipy_optimize(tmp_path, python_child):
+    # a fresh process, so nothing else has imported scipy.optimize yet
+    g = erdos_renyi(12, 0.4, 9054)
+    f = tmp_path / "desk.txt"
+    f.write_text(to_edge_list_text(g))
+    script = f"""
+import sys
+from lamcc.cli import main
+from lamcc.lp import _highs
+for extra in ([], ["--intermediate"]):
+    assert main(["lp-solve", {str(f)!r}, "--lambda", "0.55,0.75", *extra,
+                 "-o", {str(tmp_path / "out.json")!r}]) == 0
+assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+from scipy.optimize._highspy import _highs_wrapper
+assert _highs_wrapper._h is _highs()
+"""
+    r = python_child(script)
+    assert r.returncode == 0, r.stderr
+    assert [d["engine"] for d in json.loads((tmp_path / "out.json").read_text())] == [
+        "highs", "highs"]
 
 
 def test_certify(capsys, k3_file):

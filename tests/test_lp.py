@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from lamcc.errors import ParameterError, SizeCapError
+from lamcc.certificate import dual_bound, verify_certificate
+from lamcc.errors import InfeasibleSolutionError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     CoveringInstance,
@@ -99,21 +103,28 @@ def test_solve_exact_dual_certificate_random():
             assert np.all(res.dual >= -1e-9)
 
 
-def test_solve_exact_size_cap(star4, wedges_of):
-    _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.5)
-    with pytest.raises(SizeCapError, match="solve_mwu"):
-        solve_exact(inst, cap=2)
+def _dense_ipm_value(inst) -> float:
+    """Covering LP optimum from a dense constraint matrix, by HiGHS' interior
+    point method: another algorithm than the dual simplex under test."""
+    A = np.zeros((inst.num_constraints, inst.num_variables))
+    for col in range(3):
+        ok = inst.rows[:, col] >= 0
+        A[np.flatnonzero(ok), inst.rows[ok, col]] = 1.0
+    ref = linprog(inst.costs, A_ub=-A, b_ub=-np.ones(inst.num_constraints),
+                  bounds=(0.0, 1.0), method="highs-ipm")
+    assert ref.status == 0
+    return float(ref.fun)
 
 
 def test_sparse_backend_matches_dense():
     for seed in range(15):
         g = erdos_renyi(10, 0.4, 50 + seed)
         _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.55)
-        dense = solve_exact(inst)
+        ref = _dense_ipm_value(inst)
         sparse = solve_exact_sparse(inst)
-        assert sparse.solution.objective == pytest.approx(
-            dense.solution.objective, abs=1e-6
-        )
+        assert sparse.solution.objective == pytest.approx(ref, abs=1e-6)
+        assert sparse.dual_objective == pytest.approx(ref, abs=1e-6)
+        assert sparse.dual_objective == math.fsum(sparse.dual)
 
 
 def test_sparse_backend_with_active_bound_matches_dense():
@@ -122,11 +133,9 @@ def test_sparse_backend_with_active_bound_matches_dense():
     for n, p, seed in ((8, 0.25, 9001), (12, 0.4, 9054), (12, 0.55, 9059)):
         g = erdos_renyi(n, p, seed)
         _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.3)
-        dense = solve_exact(inst)
+        ref = _dense_ipm_value(inst)
         sparse = solve_exact_sparse(inst)
-        assert sparse.solution.objective == pytest.approx(
-            dense.solution.objective, abs=1e-6
-        )
+        assert sparse.solution.objective == pytest.approx(ref, abs=1e-6)
         y = sparse.dual
         load = np.zeros(inst.num_variables)
         for col in range(3):
@@ -162,13 +171,68 @@ def test_solve_general_exact_cycle_matches_canonical(cycle4, wedges_of):
     )
 
 
-def test_solve_general_exact_degenerate_stall_switches_to_bland():
-    # Dantzig's rule cycles on this intermediate LP until the pivot budget
-    # runs out, unless the run of degenerate pivots triggers Bland's rule
+def test_solve_general_exact_degenerate_intermediate_value():
+    # a highly degenerate intermediate LP (a simplex with Dantzig's rule
+    # alone cycles on it)
     g = erdos_renyi(12, 0.55, 9059)
     res = solve_general_exact(build_intermediate_lp(g, enumerate_wedges(g), 0.75))
     assert res.solution.objective == pytest.approx(4.875, abs=1e-7)
     assert res.dual_objective == pytest.approx(4.875, abs=1e-7)
+
+
+def test_verify_certificate_rejects_perturbed_primal_or_dual(star4, path3, wedges_of):
+    # covering LP of the star: x = 1/2 on the edges, y = 1/4 per wedge
+    _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.5)
+    res = solve_exact(inst)
+    cover = (inst.rows, 1.0, 1.0, inst.costs, np.inf)
+    z = res.solution.at(inst.space.keys)
+    # distance-form intermediate LP of the path, whose x <= 1 bounds bind
+    lp = build_intermediate_lp(path3, wedges_of(path3), 0.6)
+    gres = solve_general_exact(lp)
+    dist = (lp.col_idx, lp.col_sign, 0.0, lp.c, 1.0)
+    x = gres.solution.at(lp.space.keys)
+    for args, primal, dual, c0 in ((cover, z, res.dual, 0.0), (dist, x, gres.dual, lp.c0)):
+        bound = verify_certificate(*args, primal, dual, c0)
+        assert bound == pytest.approx(float(args[3] @ primal) + c0, abs=1e-12)
+        for j in range(primal.shape[0]):
+            for step in (-1e-5, 1e-5):
+                bad = primal.copy()
+                bad[j] += step
+                if 0.0 <= bad[j] <= args[4]:
+                    with pytest.raises(InfeasibleSolutionError):
+                        verify_certificate(*args, bad, dual, c0)
+        for i in range(dual.shape[0]):
+            for step in (-1e-5, 1e-5):
+                bad = dual.copy()
+                bad[i] += step
+                with pytest.raises(InfeasibleSolutionError):
+                    verify_certificate(*args, primal, bad, c0)
+
+
+def test_exact_solve_of_an_infeasible_program_raises():
+    # a row padded to no variable at all reads 0 >= 1
+    inst = _toy_instance()
+    rows = np.array([[0, 1, 2], [-1, -1, -1]])
+    bad = CoveringInstance(inst.space, inst.lam, inst.costs, rows)
+    with pytest.raises(InfeasibleSolutionError, match="HiGHS solve failed: Infeasible"):
+        solve_exact(bad)
+
+
+def test_highs_loader_names_the_scipy_floor(tmp_path, python_child):
+    # a scipy without optimize/_highspy/_core (as before 1.15)
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
+    r = python_child("from lamcc.lp import _highs\n_highs()", tmp_path)
+    assert r.returncode != 0
+    assert "ImportError" in r.stderr and "scipy>=1.15" in r.stderr
+
+
+def test_dual_bound_rejects_an_overloaded_cover_dual(star4, wedges_of):
+    _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.5)
+    y = np.full(3, 0.25)
+    assert dual_bound(inst.rows, 1.0, 1.0, inst.costs, np.inf, y) == 0.75
+    with pytest.raises(InfeasibleSolutionError, match="overloads"):
+        dual_bound(inst.rows, 1.0, 1.0, inst.costs, np.inf, y + 1e-11, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +260,8 @@ def test_mwu_star(star4, wedges_of):
     _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.5)
     res = solve_mwu(inst, 0.01)
     assert 0.75 - 1e-9 <= res.solution.objective <= 0.75 * 1.01 + 1e-9
+    # the reported bound is the checked fsum of the dual
+    assert res.dual_objective == math.fsum(res.dual) <= res.solution.objective
 
 
 def test_mwu_epsilon_validation():
