@@ -234,6 +234,11 @@ def _values_doc(sol) -> list[list]:
     return [list(t) for t in zip(u.tolist(), v.tolist(), sol.vals.tolist())]
 
 
+def _pairs_doc(keys, n: int) -> list[list[int]]:
+    """[u, v] lists of sorted pair keys, in the same (lexicographic) order."""
+    return np.stack(np.divmod(keys, n), axis=1).tolist()
+
+
 def _parse_lambdas(spec: str) -> list[float]:
     try:
         lams = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -303,8 +308,8 @@ def cmd_label(args) -> int:
         docs.append({
             "schema_version": SCHEMA_VERSION,
             "lambda": lam,
-            "weak": sorted([list(p) for p in lab.weak]),
-            "miss": sorted([list(p) for p in lab.missing]),
+            "weak": _pairs_doc(lab.weak_keys, lab.n),
+            "miss": _pairs_doc(lab.missing_keys, lab.n),
             "objective": stc_objective(g, lam, lab),
             "lower_bound": cert.lower_bound,
             "regime": stc_regime(lam, g.m).value,
@@ -542,8 +547,8 @@ def cmd_exact(args) -> int:
             widx = phases.run("wedges", lambda: enumerate_wedges(g))
             r = phases.run("enumerate", lambda: exact_lambda_stc(g, widx, lam))
             witness = {
-                "weak": sorted([list(p) for p in r.witness.weak]),
-                "miss": sorted([list(p) for p in r.witness.missing]),
+                "weak": _pairs_doc(r.witness.weak_keys, r.witness.n),
+                "miss": _pairs_doc(r.witness.missing_keys, r.witness.n),
             }
         else:
             r = phases.run("solve", lambda: exact_canonical_lp(g, lam))

@@ -28,7 +28,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -258,11 +257,7 @@ def pivot_deterministic(
 
 def derived_graph_from_labeling(g: Graph, lab: StcLabeling) -> Graph:
     """Delete weak edges, insert missing pairs."""
-    flipped = lab.weak | lab.missing
-    uv = np.fromiter(
-        chain.from_iterable(flipped), dtype=np.int64, count=2 * len(flipped)
-    )
-    return g.toggled(uv[0::2] * g.n + uv[1::2])
+    return g.toggled(lab.labeled_keys())
 
 
 def cover_flip_pivot(

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, SizeCapError
 
 __all__ = [
     "Graph",
@@ -38,6 +38,10 @@ __all__ = [
     "count_wedges_and_triangles",
     "graph_stats",
 ]
+
+
+# the largest n with n*n - 1 (the largest pair key) within int64
+MAX_KEYED_VERTICES = 3_037_000_499
 
 
 def pair_key(n: int, u: int, v: int) -> int:
@@ -90,7 +94,15 @@ class Graph:
 
     @classmethod
     def from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
-        """Build a graph from the sorted, unique pair keys of its edges."""
+        """Build a graph from the sorted, unique pair keys of its edges.
+
+        Raises SizeCapError when n > MAX_KEYED_VERTICES, where u*n + v would
+        wrap int64.
+        """
+        if n > MAX_KEYED_VERTICES:
+            raise SizeCapError(
+                f"pair keys u*n + v overflow int64 above n={MAX_KEYED_VERTICES}, got {n}"
+            )
         keys = np.array(keys, dtype=np.int64)
         both = np.concatenate([keys, (keys % n) * n + keys // n])
         both.sort()
@@ -370,14 +382,17 @@ class WedgeIndex:
         Columns are (center, lo), (center, hi), (lo, hi): the two edges
         followed by the open end pair, each encoded with pair_key.
         """
+        return np.stack(self.wedge_pair_key_columns(), axis=1)
+
+    def wedge_pair_key_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three columns of ``wedge_pair_keys`` as separate arrays."""
         n = self.n
-        c = self.wedge_center.astype(np.int64)
-        a = self.wedge_lo.astype(np.int64)
-        b = self.wedge_hi.astype(np.int64)
+        c = self.wedge_center.astype(np.int64, copy=False)
+        a = self.wedge_lo.astype(np.int64, copy=False)
+        b = self.wedge_hi.astype(np.int64, copy=False)
         e1 = np.minimum(c, a) * n + np.maximum(c, a)
         e2 = np.minimum(c, b) * n + np.maximum(c, b)
-        e3 = a * n + b
-        return np.stack([e1, e2, e3], axis=1)
+        return e1, e2, a * n + b
 
 
 def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cluster import Clustering
 from .errors import SizeCapError
 from .graph import Graph, WedgeIndex
@@ -130,11 +132,11 @@ def _active_instance(g: Graph, widx: WedgeIndex, lam: float):
 
 def _labeling_of(space, mask: int) -> StcLabeling:
     """The labeling of the variables whose bits are set in ``mask``."""
-    weak, missing = [], []
-    for i, key in enumerate(space.keys.tolist()):
-        if (mask >> i) & 1:
-            (weak if i < space.edge_count else missing).append(divmod(key, space.n))
-    return StcLabeling(frozenset(weak), frozenset(missing))
+    chosen = np.array([(mask >> i) & 1 for i in range(space.size)], dtype=bool)
+    ec = space.edge_count  # edges first, then non-edges, each part sorted
+    return StcLabeling(
+        space.n, space.keys[:ec][chosen[:ec]], space.keys[ec:][chosen[ec:]]
+    )
 
 
 def exact_lambda_stc(

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certificate import dual_bound
 from .errors import InvalidLabelingError, ParameterError
-from .graph import Graph, WedgeIndex, pair_key
+from .graph import Graph, WedgeIndex
 
 __all__ = [
     "check_lambda",
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 RESIDUAL_ZERO_TOL = 1e-12
+_BLOCK = 512  # wedges per dead-wedge skip in cover_label
 
 
 def check_lambda(lam: float) -> float:
@@ -60,22 +62,76 @@ def pair_cost(lam: float, is_edge: bool) -> float:
     return 1.0 - lam if is_edge else lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StcLabeling:
-    """A (weak edges, missing pairs) labeling. Pairs are stored (u, v), u < v."""
+    """A (weak edges, missing pairs) labeling of a graph on ``n`` vertices.
 
-    weak: frozenset[tuple[int, int]]
-    missing: frozenset[tuple[int, int]]
+    ``weak_keys`` and ``missing_keys`` are sorted, unique int64 pair keys
+    u*n + v (u < v). ``weak`` and ``missing`` are frozenset views of the
+    same pairs as (u, v) tuples, built on first use. Two labelings are
+    equal when their n and keys are.
+    """
 
-    @staticmethod
-    def normalize(pairs) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
+    n: int
+    weak_keys: np.ndarray
+    missing_keys: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.weak_keys, self.missing_keys):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_pairs(cls, n: int, weak=(), missing=()) -> "StcLabeling":
+        """Build from (u, v) pairs in any order and orientation."""
+        return cls(n, _keys_of(n, weak, "weak"), _keys_of(n, missing, "missing"))
+
+    @cached_property
+    def weak(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs_of(self.n, self.weak_keys))
+
+    @cached_property
+    def missing(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs_of(self.n, self.missing_keys))
 
     def cost(self, lam: float) -> float:
-        return (1.0 - lam) * len(self.weak) + lam * len(self.missing)
+        return (1.0 - lam) * len(self.weak_keys) + lam * len(self.missing_keys)
+
+    def labeled_keys(self) -> np.ndarray:
+        """Sorted, unique keys of every labeled pair, weak or missing."""
+        # a sort is about 30x faster than np.union1d at 1e5 keys
+        keys = np.concatenate([self.weak_keys, self.missing_keys])
+        keys.sort()
+        first = np.ones(keys.shape[0], dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return keys[first]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StcLabeling):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.weak_keys, other.weak_keys)
+            and np.array_equal(self.missing_keys, other.missing_keys)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.weak_keys.tobytes(), self.missing_keys.tobytes()))
 
 
-EMPTY_LABELING = StcLabeling(frozenset(), frozenset())
+def _keys_of(n: int, pairs, kind: str) -> np.ndarray:
+    uv = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((uv < 0) | (uv >= n)).any(axis=1))
+    if bad.shape[0]:
+        u, v = uv[bad[0]].tolist()
+        raise InvalidLabelingError(f"{kind} pair ({u},{v}) is not a vertex pair")
+    uv.sort(axis=1)
+    return np.unique(uv[:, 0] * n + uv[:, 1])
+
+
+def _pairs_of(n: int, keys: np.ndarray):
+    """The (u, v) tuples of sorted pair keys, in key order."""
+    u, v = np.divmod(keys, n)
+    return zip(u.tolist(), v.tolist())
 
 
 @dataclass(frozen=True)
@@ -119,14 +175,22 @@ def stc_regime(lam: float, m: int) -> StcRegime:
 
 
 def _validate_labeling(g: Graph, lab: StcLabeling) -> None:
-    for u, v in lab.weak:
-        if not g.has_edge(u, v):
-            raise InvalidLabelingError(f"weak pair ({u},{v}) is not an edge")
-    for u, v in lab.missing:
-        if g.has_edge(u, v):
+    """Raise InvalidLabelingError naming the smallest offending pair, if any."""
+    n = g.n
+    if lab.n != n:
+        raise InvalidLabelingError(f"labeling of {lab.n} vertices on a graph of {n}")
+    bad = lab.weak_keys[~g.edge_mask(lab.weak_keys)]
+    if bad.shape[0]:
+        u, v = divmod(int(bad[0]), n)
+        raise InvalidLabelingError(f"weak pair ({u},{v}) is not an edge")
+    mk = lab.missing_keys
+    is_edge = g.edge_mask(mk)
+    bad = np.flatnonzero(is_edge | (mk // n == mk % n) | (mk < 0) | (mk >= n * n))
+    if bad.shape[0]:
+        u, v = divmod(int(mk[bad[0]]), n)
+        if is_edge[bad[0]]:
             raise InvalidLabelingError(f"missing pair ({u},{v}) is an edge")
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v:
-            raise InvalidLabelingError(f"missing pair ({u},{v}) is not a vertex pair")
+        raise InvalidLabelingError(f"missing pair ({u},{v}) is not a vertex pair")
 
 
 def stc_objective(g: Graph, lam: float, lab: StcLabeling) -> float:
@@ -140,13 +204,7 @@ def is_feasible(g: Graph, widx: WedgeIndex, lab: StcLabeling) -> bool:
     """True iff every open wedge is covered by the labeling."""
     if widx.wedge_count == 0:
         return True
-    n = g.n
-    labeled = {pair_key(n, u, v) for u, v in lab.weak}
-    labeled |= {pair_key(n, u, v) for u, v in lab.missing}
-    if not labeled:
-        return False
-    keys = widx.wedge_pair_keys()
-    covered = np.isin(keys, np.fromiter(labeled, dtype=np.int64, count=len(labeled)))
+    covered = np.isin(widx.wedge_pair_keys(), lab.labeled_keys())
     return bool(covered.any(axis=1).all())
 
 
@@ -166,6 +224,15 @@ def cover_label(
     stored residuals, so one subtraction per wedge is exact and the others
     only accumulate representation error.
 
+    Wedges whose pairs include one at residual exactly 0.0 are skipped,
+    in blocks of ``_BLOCK`` wedges, with the same result as running them:
+    a residual r only ever loses an m <= r, and r - m never rounds below
+    0.0, so residuals stay >= 0; the pair that attains the minimum drops
+    to exactly 0.0 (x - x == 0.0); and a wedge touching a 0.0 pair has
+    minimum 0.0, so it changes no residual and gets y_w = 0. Pairs that
+    reach 0.0 are recorded by the loop and marked dead at the next block.
+    Residuals merely within the 1e-12 tolerance are never skipped.
+
     With ``minimal=True`` a greedy post-pass (canonical pair order) drops
     any labeled pair whose removal keeps every wedge covered. The dual
     certificate is unaffected (removal only lowers the objective).
@@ -175,73 +242,115 @@ def cover_label(
     than 1e-12); InfeasibleSolutionError is raised if it fails.
     """
     lam = check_lambda(lam)
-    n = g.n
     M = widx.wedge_count
-    order = np.arange(M)
+    cols = widx.wedge_pair_key_columns()
+    order = None
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(M)
+        cols = [col[order] for col in cols]
 
-    keys3 = widx.wedge_pair_keys()[order]
-    uniq, idx3_flat = np.unique(keys3.ravel(), return_inverse=True)
-    idx3 = idx3_flat.reshape(-1, 3)
-    is_edge = g.edge_mask(uniq)
-    cost = np.where(is_edge, 1.0 - lam, lam)
-    residual = cost.tolist()
+    # pair index: edges 0..m-1 in key order, then the wedge end pairs
+    # (never edges) in key order, offset by m
+    ek = g.edge_keys()
+    m = ek.shape[0]
+    ends, end_idx = np.unique(cols[2], return_inverse=True)
+    idx3 = np.empty((M, 3), dtype=np.int64)
+    idx3[:, 0] = np.searchsorted(ek, cols[0])
+    idx3[:, 1] = np.searchsorted(ek, cols[1])
+    idx3[:, 2] = end_idx + m
+    del cols, end_idx
+    a, b, c = idx3.T
+    cost = np.full(m + ends.shape[0], lam)
+    cost[:m] = 1.0 - lam
+    residual = [1.0 - lam] * m + [lam] * ends.shape[0]
 
-    a_col = idx3[:, 0].tolist()
-    b_col = idx3[:, 1].tolist()
-    c_col = idx3[:, 2].tolist()
-    y = [0.0] * M
-    for w in range(M):
-        ia, ib, ic = a_col[w], b_col[w], c_col[w]
-        m_ = min(residual[ia], residual[ib], residual[ic])
-        if m_ > 0.0:
-            residual[ia] -= m_
-            residual[ib] -= m_
-            residual[ic] -= m_
-            y[w] = m_
+    dead = np.zeros(cost.shape[0], dtype=bool)
+    zeroed: list[int] = []
+    pos_w: list[int] = []
+    pos_y: list[float] = []
+    for s in range(0, M, _BLOCK):
+        dead[zeroed] = True
+        zeroed.clear()
+        e = s + _BLOCK
+        live = np.flatnonzero(~(dead[a[s:e]] | dead[b[s:e]] | dead[c[s:e]])) + s
+        rows = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
+        for w, ia, ib, ic in rows:
+            ra, rb, rc = residual[ia], residual[ib], residual[ic]
+            m_ = ra if ra < rb else rb
+            if rc < m_:
+                m_ = rc
+            if m_ > 0.0:
+                residual[ia] = ra - m_
+                residual[ib] = rb - m_
+                residual[ic] = rc - m_
+                pos_w.append(w)
+                pos_y.append(m_)
+                if ra == m_:
+                    zeroed.append(ia)
+                if rb == m_:
+                    zeroed.append(ib)
+                if rc == m_:
+                    zeroed.append(ic)
+    y = np.zeros(M)
+    y[pos_w] = pos_y
 
-    res = np.asarray(residual)
-    zero = np.abs(res) <= RESIDUAL_ZERO_TOL
-    weak_keys = uniq[zero & is_edge]
-    miss_keys = uniq[zero & ~is_edge]
-    weak = frozenset((int(k) // n, int(k) % n) for k in weak_keys)
-    missing = frozenset((int(k) // n, int(k) % n) for k in miss_keys)
-    lab = StcLabeling(weak, missing)
+    # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
+    touched = np.zeros(m, dtype=bool)
+    touched[a] = True
+    touched[b] = True
+    zero = np.asarray(residual) <= RESIDUAL_ZERO_TOL
+    lab = StcLabeling(g.n, ek[zero[:m] & touched], ends[zero[m:]])
     if minimal:
-        lab = _drop_redundant(widx, lab, n)
+        lab = _drop_redundant(widx, lab)
 
-    y = np.asarray(y)
     # costs are at most 1, so the 1e-12 overload allowance is relative;
     # the bound is the fsum of y, as the covering rows have right side 1
     lower_bound = dual_bound(idx3, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
-    y_arr = np.zeros(M)
-    y_arr[order] = y  # store dual values in canonical wedge positions
-    return lab, DualCertificate(y_arr, lower_bound)
+    if order is not None:
+        y_canon = np.empty(M)
+        y_canon[order] = y  # store dual values in canonical wedge positions
+        y = y_canon
+    return lab, DualCertificate(y, lower_bound)
 
 
-def _drop_redundant(widx: WedgeIndex, lab: StcLabeling, n: int) -> StcLabeling:
-    """Greedy minimality pass: remove labeled pairs that are never the sole cover."""
-    labeled = sorted(lab.weak | lab.missing)
-    label_keys = {pair_key(n, u, v) for u, v in labeled}
-    keys3 = widx.wedge_pair_keys()
-    # wedge -> its labeled pairs; pair -> wedges it covers
+def _drop_redundant(widx: WedgeIndex, lab: StcLabeling) -> StcLabeling:
+    """Greedy minimality pass: remove labeled pairs that are never the sole cover.
+
+    Pairs are visited in key order; a pair is dropped iff every wedge it
+    lies on still has at least two labeled pairs at that moment. A pair
+    that is the sole cover of some wedge can never drop (that wedge's
+    count stays 1), so only the other pairs enter the sequential loop.
+    """
+    labeled = lab.labeled_keys()
+    L = labeled.shape[0]
+    if not L:
+        return lab
+    # incidences (wedge, labeled pair), column by column
+    w_parts, pair_parts = [], []
     cover_count = np.zeros(widx.wedge_count, dtype=np.int64)
-    pair_to_wedges: dict[int, list[int]] = {}
-    for w in range(widx.wedge_count):
-        for k in keys3[w]:
-            k = int(k)
-            if k in label_keys:
-                cover_count[w] += 1
-                pair_to_wedges.setdefault(k, []).append(w)
-    kept_weak = set(lab.weak)
-    kept_missing = set(lab.missing)
-    for u, v in labeled:
-        k = pair_key(n, u, v)
-        ws = pair_to_wedges.get(k, [])
-        if all(cover_count[w] >= 2 for w in ws):
-            for w in ws:
-                cover_count[w] -= 1
-            kept_weak.discard((u, v))
-            kept_missing.discard((u, v))
-    return StcLabeling(frozenset(kept_weak), frozenset(kept_missing))
+    for col in widx.wedge_pair_key_columns():
+        pos = np.searchsorted(labeled, col)
+        hit = labeled[np.minimum(pos, L - 1)] == col
+        cover_count += hit
+        w_parts.append(np.flatnonzero(hit))
+        pair_parts.append(pos[hit])
+    w = np.concatenate(w_parts)
+    pair = np.concatenate(pair_parts)
+    by_pair = np.argsort(pair, kind="stable")
+    wedges_of = w[by_pair]  # pair i covers wedges_of[start[i]:start[i + 1]]
+    start = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair, minlength=L), out=start[1:])
+    sole = np.zeros(L, dtype=bool)
+    sole[pair[cover_count[w] == 1]] = True
+    dropped = []
+    for i in np.flatnonzero(~sole).tolist():
+        ws = wedges_of[start[i]:start[i + 1]]
+        if np.all(cover_count[ws] >= 2):
+            cover_count[ws] -= 1
+            dropped.append(i)
+    gone = labeled[dropped]
+    return StcLabeling(
+        lab.n,
+        np.setdiff1d(lab.weak_keys, gone, assume_unique=True),
+        np.setdiff1d(lab.missing_keys, gone, assume_unique=True),
+    )

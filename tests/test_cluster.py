@@ -30,10 +30,6 @@ from lamcc.stc import StcLabeling, cover_label, stc_objective
 from lamcc.testing import erdos_renyi
 
 
-def lab(weak=(), missing=()):
-    return StcLabeling(StcLabeling.normalize(weak), StcLabeling.normalize(missing))
-
-
 def _keys(g, pairs):
     return np.array(sorted(u * g.n + v for u, v in pairs), dtype=np.int64)
 
@@ -41,7 +37,7 @@ def _keys(g, pairs):
 def _set_toggle(g, flipped):
     """Reference derived graph: neighbor sets of g with each (u, v) pair toggled."""
     adj = [set(map(int, g.neighbors(v))) for v in range(g.n)]
-    for u, v in StcLabeling.normalize(flipped):
+    for u, v in {(min(p), max(p)) for p in flipped}:
         adj[u] ^= {v}
         adj[v] ^= {u}
     return [tuple(sorted(s)) for s in adj]
@@ -391,7 +387,7 @@ def test_flip_bound_holds_for_any_feasible_labeling():
         g = erdos_renyi(8, 0.5, 130 + seed)
         widx = enumerate_wedges(g)
         for lam in (0.5, 0.8):
-            all_weak = lab(weak=list(g.edges()))  # trivially feasible
+            all_weak = StcLabeling.from_pairs(g.n, weak=g.edges())  # trivially feasible
             optimal = exact_lambda_stc(g, widx, lam).witness
             for labeling in (all_weak, optimal):
                 cost = stc_objective(g, lam, labeling)

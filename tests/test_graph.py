@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lamcc.errors import EdgeListParseError
+from lamcc.errors import EdgeListParseError, SizeCapError
 from lamcc.graph import (
+    MAX_KEYED_VERTICES,
     Graph,
     Wedge,
     count_wedges_and_triangles,
@@ -239,3 +240,10 @@ def test_wedge_pair_keys_layout(star4):
     n = star4.n
     # first wedge (0; 1, 2): pairs (0,1), (0,2), (1,2)
     assert list(keys[0]) == [0 * n + 1, 0 * n + 2, 1 * n + 2]
+
+
+def test_from_keys_refuses_n_whose_pair_keys_overflow_int64():
+    # the largest key n*n - 1 must fit int64; the check allocates nothing
+    assert MAX_KEYED_VERTICES**2 - 1 <= 2**63 - 1 < (MAX_KEYED_VERTICES + 1) ** 2 - 1
+    with pytest.raises(SizeCapError, match="overflow int64"):
+        Graph.from_keys(MAX_KEYED_VERTICES + 1, np.zeros(0, dtype=np.int64))

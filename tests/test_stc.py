@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
+from lamcc import stc
+from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
-from lamcc.graph import enumerate_wedges, pair_key
+from lamcc.graph import Graph, enumerate_wedges, pair_key
 from lamcc.oracle import exact_lambda_stc
 from lamcc.stc import (
+    RESIDUAL_ZERO_TOL,
     StcLabeling,
     StcRegime,
     cover_label,
@@ -14,11 +18,8 @@ from lamcc.stc import (
 )
 from lamcc.testing import erdos_renyi
 
-LAB_EMPTY = StcLabeling(frozenset(), frozenset())
-
-
-def lab(weak=(), missing=()):
-    return StcLabeling(StcLabeling.normalize(weak), StcLabeling.normalize(missing))
+def lab(g, weak=(), missing=()):
+    return StcLabeling.from_pairs(g.n, weak, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -26,23 +27,23 @@ def lab(weak=(), missing=()):
 
 
 def test_objective_examples(path3, k3, star4):
-    assert stc_objective(k3, 0.7, LAB_EMPTY) == 0.0
-    assert stc_objective(path3, 0.6, lab(weak=[(0, 1)])) == pytest.approx(0.4)
-    full = lab(weak=[(0, 1), (0, 2)], missing=[(1, 2)])
+    assert stc_objective(k3, 0.7, lab(k3)) == 0.0
+    assert stc_objective(path3, 0.6, lab(path3, weak=[(0, 1)])) == pytest.approx(0.4)
+    full = lab(star4, weak=[(0, 1), (0, 2)], missing=[(1, 2)])
     assert stc_objective(star4, 0.5, full) == pytest.approx(1.5)
 
 
 def test_objective_rejects_mislabeled_pairs(path3):
     with pytest.raises(InvalidLabelingError):
-        stc_objective(path3, 0.5, lab(weak=[(0, 2)]))  # not an edge
+        stc_objective(path3, 0.5, lab(path3, weak=[(0, 2)]))  # not an edge
     with pytest.raises(InvalidLabelingError):
-        stc_objective(path3, 0.5, lab(missing=[(0, 1)]))  # an edge
+        stc_objective(path3, 0.5, lab(path3, missing=[(0, 1)]))  # an edge
 
 
 def test_lambda_validation(path3):
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ParameterError):
-            stc_objective(path3, bad, LAB_EMPTY)
+            stc_objective(path3, bad, lab(path3))
 
 
 def test_pair_cost():
@@ -52,15 +53,15 @@ def test_pair_cost():
 
 def test_feasibility_examples(path3, star4):
     wp = enumerate_wedges(path3)
-    assert not is_feasible(path3, wp, LAB_EMPTY)
-    assert is_feasible(path3, wp, lab(missing=[(0, 2)]))
+    assert not is_feasible(path3, wp, lab(path3))
+    assert is_feasible(path3, wp, lab(path3, missing=[(0, 2)]))
     ws = enumerate_wedges(star4)
-    assert is_feasible(star4, ws, lab(weak=[(0, 1), (0, 2)]))
-    assert not is_feasible(star4, ws, lab(weak=[(0, 1)]))
+    assert is_feasible(star4, ws, lab(star4, weak=[(0, 1), (0, 2)]))
+    assert not is_feasible(star4, ws, lab(star4, weak=[(0, 1)]))
 
 
 def test_feasibility_no_wedges_always_true(k3):
-    assert is_feasible(k3, enumerate_wedges(k3), LAB_EMPTY)
+    assert is_feasible(k3, enumerate_wedges(k3), lab(k3))
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_feasibility_no_wedges_always_true(k3):
 
 def test_cover_label_k3(k3):
     labeling, cert = cover_label(k3, enumerate_wedges(k3), 0.4)
-    assert labeling == LAB_EMPTY
+    assert labeling == lab(k3)
     assert cert.lower_bound == 0.0
 
 
@@ -164,6 +165,232 @@ def test_minstc_equivalent_regime_places_no_missing_pairs():
         assert stc_regime(lam, g.m) is StcRegime.MINSTC_EQUIVALENT
         labeling, _ = cover_label(g, enumerate_wedges(g), lam)
         assert labeling.missing == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# The cover loop and the minimality pass against their plain references
+
+EQUALITY_LAMBDAS = (1e-9, 0.3, 0.5, 0.55, 0.75, 1.0 - 1e-9)
+
+
+def _reference_cover_label(g, widx, lam, shuffle_seed=None):
+    """The cover loop without the dead-wedge skip: every wedge, in order.
+
+    Returns (weak pairs, missing pairs, wedge_values, lower_bound).
+    """
+    n, M = g.n, widx.wedge_count
+    order = np.arange(M)
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(M)
+    keys3 = widx.wedge_pair_keys()[order]
+    uniq, idx3_flat = np.unique(keys3.ravel(), return_inverse=True)
+    idx3 = idx3_flat.reshape(-1, 3)
+    is_edge = g.edge_mask(uniq)
+    cost = np.where(is_edge, 1.0 - lam, lam)
+    residual = cost.tolist()
+    y = [0.0] * M
+    for w, (ia, ib, ic) in enumerate(idx3.tolist()):
+        m_ = min(residual[ia], residual[ib], residual[ic])
+        if m_ > 0.0:
+            residual[ia] -= m_
+            residual[ib] -= m_
+            residual[ic] -= m_
+            y[w] = m_
+    zero = np.abs(np.asarray(residual)) <= RESIDUAL_ZERO_TOL
+    weak = {(int(k) // n, int(k) % n) for k in uniq[zero & is_edge]}
+    missing = {(int(k) // n, int(k) % n) for k in uniq[zero & ~is_edge]}
+    y = np.asarray(y, dtype=float)
+    lower_bound = dual_bound(idx3, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
+    y_canon = np.zeros(M)
+    y_canon[order] = y
+    return weak, missing, y_canon, lower_bound
+
+
+def _reference_drop_redundant(widx, weak, missing, n):
+    """The minimality pass as a double loop over wedges and pairs."""
+    labeled = sorted(set(weak) | set(missing))
+    label_keys = {pair_key(n, u, v) for u, v in labeled}
+    keys3 = widx.wedge_pair_keys()
+    cover_count = [0] * widx.wedge_count
+    pair_to_wedges: dict[int, list[int]] = {}
+    for w in range(widx.wedge_count):
+        for k in keys3[w].tolist():
+            if k in label_keys:
+                cover_count[w] += 1
+                pair_to_wedges.setdefault(k, []).append(w)
+    kept_weak, kept_missing = set(weak), set(missing)
+    for u, v in labeled:
+        ws = pair_to_wedges.get(pair_key(n, u, v), [])
+        if all(cover_count[w] >= 2 for w in ws):
+            for w in ws:
+                cover_count[w] -= 1
+            kept_weak.discard((u, v))
+            kept_missing.discard((u, v))
+    return kept_weak, kept_missing
+
+
+def _assert_cover_matches_reference(g, lam, shuffle_seed=None):
+    widx = enumerate_wedges(g)
+    labeling, cert = cover_label(g, widx, lam, shuffle_seed=shuffle_seed)
+    weak, missing, y, lower_bound = _reference_cover_label(g, widx, lam, shuffle_seed)
+    assert labeling.weak == weak and labeling.missing == missing
+    assert np.array_equal(cert.wedge_values, y)
+    assert cert.lower_bound == lower_bound
+    slim, slim_cert = cover_label(g, widx, lam, shuffle_seed=shuffle_seed, minimal=True)
+    assert (slim.weak, slim.missing) == _reference_drop_redundant(widx, weak, missing, g.n)
+    assert slim_cert.lower_bound == lower_bound
+
+
+def _overlapping_cliques(seed, authors=70, papers=45):
+    """A small collaboration-shaped graph: papers are cliques of 2-7 authors."""
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, 6, authors)
+    edges = []
+    for _ in range(papers):
+        lead = int(rng.integers(authors))
+        pool = np.flatnonzero(group == group[lead]) if rng.random() < 0.7 else np.arange(authors)
+        team = {lead, *rng.choice(pool, size=min(int(rng.integers(1, 7)), pool.shape[0])).tolist()}
+        team = sorted(team)
+        edges += [(u, v) for i, u in enumerate(team) for v in team[i + 1:]]
+    return Graph.from_edges(authors, edges)
+
+
+@pytest.mark.parametrize("lam", EQUALITY_LAMBDAS)
+@pytest.mark.parametrize("shuffle_seed", [None, 11])
+def test_cover_label_equals_reference_on_random_graphs(lam, shuffle_seed):
+    for seed in range(6):
+        g = erdos_renyi(5 + 3 * seed, (0.2, 0.4, 0.6)[seed % 3], 700 + seed)
+        _assert_cover_matches_reference(g, lam, shuffle_seed)
+
+
+@pytest.mark.parametrize("lam", EQUALITY_LAMBDAS)
+@pytest.mark.parametrize("shuffle_seed", [None, 12])
+def test_cover_label_equals_reference_across_many_blocks(lam, shuffle_seed):
+    g = erdos_renyi(200, 0.1, 41)
+    assert enumerate_wedges(g).wedge_count > 20 * stc._BLOCK
+    _assert_cover_matches_reference(g, lam, shuffle_seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_cover_label_equals_reference_at_small_blocks(monkeypatch, block, lam):
+    monkeypatch.setattr(stc, "_BLOCK", block)
+    for shuffle_seed in (None, 13):
+        _assert_cover_matches_reference(erdos_renyi(40, 0.2, 43), lam, shuffle_seed)
+        _assert_cover_matches_reference(_overlapping_cliques(44), lam, shuffle_seed)
+
+
+@pytest.mark.parametrize("lam", EQUALITY_LAMBDAS)
+def test_cover_label_equals_reference_on_overlapping_cliques(lam):
+    for seed in range(3):
+        g = _overlapping_cliques(seed)
+        assert enumerate_wedges(g).triangle_count > 0
+        for shuffle_seed in (None, 14):
+            _assert_cover_matches_reference(g, lam, shuffle_seed)
+
+
+@pytest.mark.parametrize("lam", EQUALITY_LAMBDAS)
+def test_cover_label_on_an_edgeless_graph(lam):
+    g = Graph.from_edges(5, [])
+    _assert_cover_matches_reference(g, lam)
+    labeling, cert = cover_label(g, enumerate_wedges(g), lam)
+    assert labeling == lab(g) and cert.wedge_values.shape == (0,)
+    assert cert.lower_bound == 0.0
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1.0 - 1e-13])
+def test_cover_label_equals_reference_with_costs_inside_the_zero_tolerance(lam):
+    # a pair whose cost is already within RESIDUAL_ZERO_TOL is labeled iff
+    # it lies on a wedge; the triangle's edges lie on none
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 5)])
+    _assert_cover_matches_reference(g, lam)
+    labeling, _ = cover_label(g, enumerate_wedges(g), lam)
+    assert not labeling.weak & {(0, 1), (1, 2), (0, 2)}
+    for seed in range(4):
+        _assert_cover_matches_reference(erdos_renyi(12, 0.3, 900 + seed), lam, seed or None)
+
+
+def test_cover_label_equals_reference_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 24))
+        vertex = st.integers(0, n - 1)
+        return Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=120)))
+
+    lams = st.sampled_from(EQUALITY_LAMBDAS) | st.floats(
+        1e-9, 1.0 - 1e-9, exclude_min=True, exclude_max=True
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        graphs(), lams, st.none() | st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 512])
+    )
+    def check(g, lam, shuffle_seed, block):
+        monkeypatch.setattr(stc, "_BLOCK", block)
+        _assert_cover_matches_reference(g, lam, shuffle_seed)
+
+    check()
+
+
+def test_drop_redundant_equals_double_loop():
+    rng = np.random.default_rng(45)
+    for seed in range(8):
+        g = erdos_renyi(9 + 2 * seed, 0.35, 800 + seed) if seed % 2 else _overlapping_cliques(seed)
+        widx = enumerate_wedges(g)
+        keys3 = widx.wedge_pair_keys()
+        edges = g.edge_keys()
+        ends = np.unique(keys3[:, 2])
+        labelings = [
+            cover_label(g, widx, 0.6)[0],
+            StcLabeling(g.n, edges, ends),  # every edge weak and every end missing
+            StcLabeling(g.n, edges[rng.random(edges.shape[0]) < 0.7],
+                        ends[rng.random(ends.shape[0]) < 0.5]),
+        ]
+        for labeling in labelings:
+            slim = stc._drop_redundant(widx, labeling)
+            expect = _reference_drop_redundant(widx, labeling.weak, labeling.missing, g.n)
+            assert (slim.weak, slim.missing) == expect
+
+
+# ---------------------------------------------------------------------------
+# StcLabeling as pair-key arrays
+
+
+def test_labeling_from_pairs_normalizes_and_views_match_keys():
+    a = StcLabeling.from_pairs(5, weak=[(3, 1), (0, 2), (1, 3)], missing={(4, 0)})
+    assert a.weak_keys.tolist() == [pair_key(5, 0, 2), pair_key(5, 1, 3)]
+    assert a.missing_keys.tolist() == [pair_key(5, 0, 4)]
+    assert a.weak == frozenset({(0, 2), (1, 3)}) and a.missing == frozenset({(0, 4)})
+    b = StcLabeling(5, np.array([2, 8]), np.array([4]))
+    assert a == b and hash(a) == hash(b)
+    assert a != StcLabeling.from_pairs(6, weak=[(0, 2), (1, 3)], missing=[(0, 4)])
+    assert a != StcLabeling.from_pairs(5, weak=[(0, 2)], missing=[(0, 4)])
+    assert not a.weak_keys.flags.writeable
+    assert a.cost(0.25) == 0.75 * 2 + 0.25
+    assert a.labeled_keys().tolist() == [2, 4, 8]
+    assert StcLabeling(5, np.array([2, 8]), np.array([2])).labeled_keys().tolist() == [2, 8]
+    assert StcLabeling.from_pairs(5).labeled_keys().shape == (0,)
+
+
+def test_labeling_from_pairs_rejects_pairs_outside_the_vertex_set():
+    with pytest.raises(InvalidLabelingError, match=r"weak pair \(0,3\)"):
+        StcLabeling.from_pairs(3, weak=[(0, 3)])
+    with pytest.raises(InvalidLabelingError, match=r"missing pair \(-1,2\)"):
+        StcLabeling.from_pairs(3, missing=[(-1, 2)])
+
+
+def test_validation_names_the_smallest_offending_pair(star4):
+    with pytest.raises(InvalidLabelingError, match=r"weak pair \(1,2\) is not an edge"):
+        stc_objective(star4, 0.5, lab(star4, weak=[(2, 3), (0, 1), (1, 2)]))
+    with pytest.raises(InvalidLabelingError, match=r"missing pair \(0,2\) is an edge"):
+        stc_objective(star4, 0.5, lab(star4, missing=[(2, 3), (0, 3), (0, 2)]))
+    with pytest.raises(InvalidLabelingError, match=r"missing pair \(1,1\) is not a vertex pair"):
+        stc_objective(star4, 0.5, lab(star4, missing=[(2, 3), (1, 1), (1, 3)]))
+    with pytest.raises(InvalidLabelingError, match="labeling of 5 vertices"):
+        stc_objective(star4, 0.5, StcLabeling.from_pairs(5))
 
 
 # ---------------------------------------------------------------------------
