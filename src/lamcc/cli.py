@@ -319,10 +319,8 @@ def cmd_label(args) -> int:
 
 
 def _record(report, include_timing: bool) -> dict:
-    sizes = [len(c) for c in report.clustering.clusters]
-    hist: dict[str, int] = {}
-    for s in sizes:
-        hist[str(s)] = hist.get(str(s), 0) + 1
+    # how many clusters have each size, without building the member tuples
+    hist = np.bincount(np.bincount(report.clustering.assignment))
     return {
         "record": "run",
         "algorithm": report.algorithm,
@@ -334,7 +332,7 @@ def _record(report, include_timing: bool) -> dict:
         "ratio": report.ratio,
         "num_clusters": report.num_clusters,
         "elapsed_ms": report.elapsed_ms if include_timing else None,
-        "cluster_size_hist": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
+        "cluster_size_hist": {str(s): int(c) for s, c in enumerate(hist) if c},
     }
 
 

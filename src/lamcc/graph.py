@@ -19,6 +19,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import ne
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -53,6 +55,18 @@ def pair_key(n: int, u: int, v: int) -> int:
 
 def decode_pair_key(n: int, key: int) -> tuple[int, int]:
     return key // n, key % n
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted unique values of an int64 key array: a sort and a neighbour compare.
+
+    Gives what ``np.unique`` gives; numpy 2.x answers ``np.unique`` with a
+    hash-based path that is several times slower on pair keys.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 class Graph:
@@ -90,7 +104,7 @@ class Graph:
             u, v = uv[bad[0]].tolist()
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         uv.sort(axis=1)
-        return cls.from_keys(n, np.unique(uv[:, 0] * n + uv[:, 1]))
+        return cls.from_keys(n, _sorted_unique(uv[:, 0] * n + uv[:, 1]))
 
     @classmethod
     def from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
@@ -207,45 +221,78 @@ def parse_edge_list(
     appearance on a retained edge (so output ids are stable for a fixed
     input file, and serialize/parse round-trips are exact).
 
+    The text is parsed in bulk, not line by line, with line-by-line
+    semantics: lines end at "\\n" only (a lone "\\r" does not end one),
+    Python's ``int`` decides which tokens are integers (``+3``, ``1_000``
+    and negative ids are accepted), and file ids of any size work, ids
+    beyond int64 included, because only the remapped ids become arrays.
+
     Raises:
-        EdgeListParseError: malformed line (with its 1-based number) or
-            input containing no edge lines at all.
+        EdgeListParseError: malformed line (with its 1-based number; the
+            first one when there are several) or input containing no edge
+            lines at all.
     """
-    remap: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    saw_data = False
-    for lineno, raw in enumerate(_iter_text_lines(source), start=1):
-        line = raw.strip()
-        if not line or any(line.startswith(p) for p in comment_prefixes):
-            continue
-        saw_data = True
-        tokens = line.split(delimiter) if delimiter else line.split()
-        tokens = [t for t in tokens if t]
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                f"expected two integer tokens, got {len(tokens)}", lineno
-            )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(
-                f"non-integer token in {tokens!r}", lineno
-            ) from None
-        if one_indexed:
-            if u < 1 or v < 1:
-                raise EdgeListParseError(
-                    f"token < 1 in one-indexed input: {line!r}", lineno
-                )
-            u, v = u - 1, v - 1
-        if u == v:
-            continue
-        for t in (u, v):
-            if t not in remap:
-                remap[t] = len(remap)
-        edges.append((remap[u], remap[v]))
-    if not saw_data:
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        raw = source.split("\n")
+    else:
+        raw = list(_iter_text_lines(source))
+    stripped = list(map(str.strip, raw))
+    prefixes = tuple(comment_prefixes)
+    linenos = [
+        i for i, s in enumerate(stripped, start=1) if s and not s.startswith(prefixes)
+    ]
+    if not linenos:
         raise EdgeListParseError("empty input: no edge lines found")
-    return Graph.from_edges(len(remap), edges)
+    lines = [stripped[i - 1] for i in linenos]
+    if delimiter:
+        tokens = [[t for t in s.split(delimiter) if t] for s in lines]
+    else:
+        tokens = list(map(str.split, lines))
+    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    # lines[:ok] are well formed; lines[ok], if any, is the first line with
+    # the wrong token count or a non-integer token
+    bad = np.flatnonzero(counts != 2)
+    ok = int(bad[0]) if bad.shape[0] else len(lines)
+    try:
+        vals = list(map(int, chain.from_iterable(tokens[:ok])))
+    except ValueError:
+        ok = next(k for k in range(ok) if not _all_int(tokens[k]))
+        vals = list(map(int, chain.from_iterable(tokens[:ok])))
+    us, vs = vals[0::2], vals[1::2]
+    if one_indexed:
+        if vals and min(vals) < 1:
+            k = next(k for k in range(ok) if us[k] < 1 or vs[k] < 1)
+            raise EdgeListParseError(
+                f"token < 1 in one-indexed input: {lines[k]!r}", linenos[k]
+            )
+        us = [u - 1 for u in us]
+        vs = [v - 1 for v in vs]
+    if ok < len(lines):
+        if counts[ok] != 2:
+            raise EdgeListParseError(
+                f"expected two integer tokens, got {int(counts[ok])}", linenos[ok]
+            )
+        raise EdgeListParseError(f"non-integer token in {tokens[ok]!r}", linenos[ok])
+    keep = list(map(ne, us, vs))
+    if not all(keep):
+        us, vs = list(compress(us, keep)), list(compress(vs, keep))
+    # dict.fromkeys keeps first-appearance order in one pass over the ids
+    seen = dict.fromkeys(chain.from_iterable(zip(us, vs)))
+    remap = dict(zip(seen, range(len(seen))))
+    n = len(remap)
+    u = np.fromiter(map(remap.__getitem__, us), dtype=np.int64, count=len(us))
+    v = np.fromiter(map(remap.__getitem__, vs), dtype=np.int64, count=len(vs))
+    return Graph.from_keys(n, _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v)))
+
+
+def _all_int(tokens: list[str]) -> bool:
+    try:
+        list(map(int, tokens))
+    except ValueError:
+        return False
+    return True
 
 
 def parse_matrix_market(source: str | bytes | IO) -> Graph:
@@ -426,6 +473,12 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     center is classified open/closed with one binary search against the
     edge set. A triangle is seen from its three corners; only the
     occurrence whose center is the smallest vertex is kept.
+
+    The canonical order (center, then lo, then hi) comes from one stable
+    sort on the center: all neighbor pairs of a center come from a single
+    chunk, centers ascend inside a chunk, and a center's pairs come out of
+    ``triu_indices`` over its sorted neighbor list, so they are already in
+    (lo, hi) order. Triangles (center < lo < hi) follow by the same argument.
     """
     w_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     t_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -443,7 +496,7 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
             b = np.concatenate([p[2] for p in parts])
         else:
             c = a = b = np.zeros(0, dtype=empty_dtype)
-        order = np.lexsort((b, a, c))
+        order = np.argsort(c, kind="stable")
         return c[order], a[order], b[order]
 
     wc, wa, wb = _gather(w_parts)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .certificate import dual_bound, row_activity, verify_certificate
 from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
-from .graph import Graph, WedgeIndex, _neighbor_pair_chunks
+from .graph import Graph, WedgeIndex, _neighbor_pair_chunks, _sorted_unique
 from .stc import check_lambda
 
 __all__ = [
@@ -242,7 +242,7 @@ class SolveResult:
 
 def _active_space(g: Graph, widx: WedgeIndex) -> PairVariableSpace:
     edge_keys = g.edge_keys()
-    end_keys = np.unique(
+    end_keys = _sorted_unique(
         widx.wedge_lo.astype(np.int64) * g.n + widx.wedge_hi.astype(np.int64)
     )
     return PairVariableSpace(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificate import dual_bound
 from .errors import InvalidLabelingError, ParameterError
-from .graph import Graph, WedgeIndex
+from .graph import Graph, WedgeIndex, _sorted_unique
 
 __all__ = [
     "check_lambda",
@@ -99,11 +99,7 @@ class StcLabeling:
     def labeled_keys(self) -> np.ndarray:
         """Sorted, unique keys of every labeled pair, weak or missing."""
         # a sort is about 30x faster than np.union1d at 1e5 keys
-        keys = np.concatenate([self.weak_keys, self.missing_keys])
-        keys.sort()
-        first = np.ones(keys.shape[0], dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        return keys[first]
+        return _sorted_unique(np.concatenate([self.weak_keys, self.missing_keys]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StcLabeling):
@@ -125,7 +121,7 @@ def _keys_of(n: int, pairs, kind: str) -> np.ndarray:
         u, v = uv[bad[0]].tolist()
         raise InvalidLabelingError(f"{kind} pair ({u},{v}) is not a vertex pair")
     uv.sort(axis=1)
-    return np.unique(uv[:, 0] * n + uv[:, 1])
+    return _sorted_unique(uv[:, 0] * n + uv[:, 1])
 
 
 def _pairs_of(n: int, keys: np.ndarray):

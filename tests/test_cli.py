@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
-from lamcc.cli import main
+from lamcc.cli import _record, main
+from lamcc.cluster import Clustering, RunReport
 from lamcc.graph import enumerate_wedges, to_edge_list_text
 from lamcc.lp import build_intermediate_lp
 from lamcc.testing import erdos_renyi
@@ -126,6 +128,18 @@ def test_cluster_assignment_out(tmp_path, capsys, path_file):
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3 and all(len(l.split()) == 2 for l in lines)
+
+
+@pytest.mark.parametrize(
+    "labels", [[], [0], [3, 3, 1, 3, 2, 1, 9, 9, 9, 9, *range(20, 32)]]
+)
+def test_cluster_size_hist_counts_the_member_lists(labels):
+    c = Clustering.from_assignment(labels)
+    rep = RunReport("pivot", 0.5, 0, c, 0.0, None, None, None, 0.0)
+    want = Counter(len(members) for members in c.clusters)
+    got = _record(rep, include_timing=False)["cluster_size_hist"]
+    assert list(got.items()) == [(str(s), want[s]) for s in sorted(want)]
+    assert all(type(v) is int for v in got.values())
 
 
 def test_byte_identical_reports(tmp_path, capsys, path_file):
