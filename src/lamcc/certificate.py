@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleSolutionError
 
-__all__ = ["dual_bound", "row_activity", "verify_certificate"]
+__all__ = ["check_primal", "dual_bound", "row_activity", "verify_certificate"]
 
 DUAL_TOL = 1e-7
 PRIMAL_TOL = 1e-9
@@ -64,13 +64,11 @@ def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL)
     return math.fsum(np.concatenate([by, boxed, [c0]]).tolist())
 
 
-def verify_certificate(idx, sign, b, c, u, x, y, c0: float = 0.0) -> float:
-    """Check a primal x and a row dual y of the program above; return the bound.
+def check_primal(idx, sign, b, u, x) -> None:
+    """Check that x satisfies 0 <= x <= u exactly and every row within 1e-9.
 
-    x must satisfy 0 <= x <= u and every row within 1e-9, y must pass
-    ``dual_bound``, and the primal value c.x + c0 must lie within
-    1e-6 (1 + |primal|) of the dual bound (both taken with ``math.fsum``).
-    Raises InfeasibleSolutionError otherwise.
+    ``sign``, ``b`` and ``u`` may be scalars. Raises InfeasibleSolutionError
+    otherwise.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > u):
@@ -78,6 +76,18 @@ def verify_certificate(idx, sign, b, c, u, x, y, c0: float = 0.0) -> float:
     short = b - row_activity(idx, sign, x)
     if short.size and float(short.max()) > PRIMAL_TOL:
         raise InfeasibleSolutionError(f"primal violates a row by {float(short.max()):.3e}")
+
+
+def verify_certificate(idx, sign, b, c, u, x, y, c0: float = 0.0) -> float:
+    """Check a primal x and a row dual y of the program above; return the bound.
+
+    x must pass ``check_primal``, y must pass ``dual_bound``, and the
+    primal value c.x + c0 must lie within 1e-6 (1 + |primal|) of the dual
+    bound (both taken with ``math.fsum``). Raises InfeasibleSolutionError
+    otherwise.
+    """
+    x = np.asarray(x, dtype=float)
+    check_primal(idx, sign, b, u, x)
     primal = math.fsum(np.append(np.asarray(c, dtype=float) * x, c0).tolist())
     dual = dual_bound(idx, sign, b, c, u, y, c0)
     if abs(primal - dual) > GAP_TOL * (1.0 + abs(primal)):

@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--seeds", type=int, default=1, metavar="N",
                    help="repetitions; run r uses seed base+r")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=float, default=0.01,
                    help="approximation parameter for the mwu LP engine")
     p.add_argument("--engine", default="highs", choices=ENGINES,
                    help="covering-LP engine for lp-round: exact HiGHS or (1+epsilon) mwu")
@@ -253,9 +253,9 @@ def _load(args, phases: _Phases) -> Graph:
     return phases.run("parse", lambda: load_graph(args.input, args.format))
 
 
-def _solve_covering(inst, engine: str, epsilon: float | None):
+def _solve_covering(inst, engine: str, epsilon: float):
     if engine == "mwu":
-        return solve_mwu(inst, epsilon if epsilon is not None else 0.01)
+        return solve_mwu(inst, epsilon)
     return solve_exact(inst)
 
 

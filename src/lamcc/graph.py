@@ -53,8 +53,10 @@ def pair_key(n: int, u: int, v: int) -> int:
     return u * n + v
 
 
-def decode_pair_key(n: int, key: int) -> tuple[int, int]:
-    return key // n, key % n
+def _key_pairs(n: int, keys: np.ndarray):
+    """The (u, v) tuples of an array of pair keys, in array order."""
+    u, v = np.divmod(keys, n)
+    return zip(u.tolist(), v.tolist())
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:

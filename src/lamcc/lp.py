@@ -44,9 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import dual_bound, row_activity, verify_certificate
+from .certificate import check_primal, dual_bound, row_activity, verify_certificate
 from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
-from .graph import Graph, WedgeIndex, _neighbor_pair_chunks, _sorted_unique
+from .graph import Graph, WedgeIndex, _key_pairs, _neighbor_pair_chunks, _sorted_unique
 from .stc import check_lambda
 
 __all__ = [
@@ -94,7 +94,7 @@ class PairVariableSpace:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The (u, v) pair of each variable, in variable order; built per call."""
-        return tuple(_decode(self.n, self.keys))
+        return tuple(_key_pairs(self.n, self.keys))
 
     def is_edge_mask(self) -> np.ndarray:
         mask = np.zeros(self.size, dtype=bool)
@@ -108,11 +108,6 @@ class PairVariableSpace:
         if np.any(pos >= skeys.shape[0]) or np.any(skeys[pos] != query):
             raise KeyError("query contains an inactive pair")
         return order[pos]
-
-
-def _decode(n: int, keys: np.ndarray) -> list[tuple[int, int]]:
-    u, v = np.divmod(keys, n)
-    return list(zip(u.tolist(), v.tolist()))
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,7 @@ class FractionalSolution:
     @property
     def values(self) -> dict[tuple[int, int], float]:
         """``{(u, v): value}`` over the active pairs; built per call."""
-        return dict(zip(_decode(self.n, self.keys), self.vals.tolist()))
+        return dict(zip(_key_pairs(self.n, self.keys), self.vals.tolist()))
 
     def at(self, query: np.ndarray) -> np.ndarray:
         """Value at each queried pair key; inactive pairs read x = 1 (z = 0)."""
@@ -359,7 +354,6 @@ def _solution(
 
 
 def _covering_solution(inst: CoveringInstance, z: np.ndarray) -> FractionalSolution:
-    z = np.clip(z, 0.0, 1.0)
     return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z))
 
 
@@ -481,45 +475,30 @@ def solve_general_exact(lp: GeneralLp) -> SolveResult:
 # Multiplicative-weights solver
 
 
-def solve_mwu(
-    inst: CoveringInstance,
-    epsilon: float,
-    *,
-    budget_constant: float = 24.0,
-    decay: float | None = None,
-    dual_gap_allowance: float = 0.10,
-) -> SolveResult:
-    """Combinatorial (1+epsilon)-approximate covering solve.
+MWU_BUDGET_CONSTANT = 24.0  # iteration budget ceil(24 ln(M+2) / epsilon^2)
+MWU_ETA_START = 0.3  # first decay rate of the constraint potentials
+
+
+def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
+    """Combinatorial (1+epsilon)-approximate covering solve, certified or raised.
 
     The engine keeps a potential per constraint, repeatedly increments the
     most cost-effective variable under the current potentials, and decays
-    the potentials of the constraints that variable covers (geometric
-    step). The accumulated counts become a feasible point by uniform
-    scaling against the least-covered constraint; a greedy tightening pass
-    then removes the overshoot that scaling creates.
+    the potentials of the constraints that variable covers by a factor
+    1 - eta. Every few iterations it turns the potentials into a feasible
+    dual by greedy ascent (re-ascending the best dual so far and shrunk
+    copies of it too), and the average play into a feasible primal by
+    uniform scaling and greedy tightening. When the ratio of the two stops
+    improving, eta halves down to max(epsilon/4, 1e-3) and the averaging
+    window starts afresh.
 
-    Two stopping paths exist:
-
-    * certificate: the potentials yield a feasible dual whose value lower
-      bounds the optimum; as soon as best primal <= (1+epsilon) * best
-      dual the approximation is proved in-run and the solver returns.
-    * budget: the iteration budget ceil(budget_constant * ln(M+2) /
-      epsilon^2) is the update method's sufficient iteration count, and
-      the decay rate anneals toward epsilon as progress stalls. If the
-      budget ends (or progress fixes) before the certificate closes,
-      which happens for small epsilon because the greedily-ascended dual
-      can stop a few percent short of the dual optimum even when the
-      primal is already within (1+epsilon), the best feasible primal is
-      returned, with ``dual_objective`` recording what the run could
-      actually prove (the best dual's bound, as
-      ``lamcc.certificate.dual_bound`` checks and sums it). The
-      suite-level invariant (MWU within (1+epsilon) of the exact engine
-      across random instances) is what validates this path's constants.
-
-    MwuConvergenceError is raised only when even the budget path ends with
-    a certified ratio above (1+epsilon)*(1+dual_gap_allowance), i.e. the
-    run genuinely failed rather than merely failing to prove itself; the
-    error carries the best feasible iterate and its certified ratio.
+    A result is returned only once it is certified: its primal passes
+    ``lamcc.certificate.check_primal`` and its value is at most
+    (1+epsilon) times ``dual_objective``, the bound of the returned dual
+    as ``lamcc.certificate.dual_bound`` checks and sums it. If the
+    iteration budget ceil(24 ln(M+2) / epsilon^2) ends first,
+    MwuConvergenceError is raised with the best feasible iterate and its
+    certified ratio (primal / dual bound).
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -529,7 +508,7 @@ def solve_mwu(
             _covering_solution(inst, np.zeros(N)), np.zeros(0), 0.0, "mwu", 0
         )
     costs = inst.costs.astype(float)
-    budget = int(math.ceil(budget_constant * math.log(M + 2) / epsilon**2))
+    budget = int(math.ceil(MWU_BUDGET_CONSTANT * math.log(M + 2) / epsilon**2))
 
     # COO of the constraint matrix and a column -> rows index
     row_ids = np.repeat(np.arange(M, dtype=np.int64), 3)
@@ -545,15 +524,11 @@ def solve_mwu(
     best_dual_vec: np.ndarray | None = None
     best_primal = float(costs.sum())
     best_z = np.ones(N)
-    iterations = 0
 
-    eta_start = decay if decay is not None else 0.3
     eta_floor = max(epsilon / 4.0, 1e-3)
-    eta = eta_start
-    restarts = 0
+    eta = MWU_ETA_START
     check = 16
     stalled_checks = 0
-    floor_stalls = 0
     last_ratio = math.inf
 
     w = np.ones(M)
@@ -591,6 +566,9 @@ def solve_mwu(
             if z[j] <= 0.0:
                 continue
             rs = sorted_rows[col_ptr[j]:col_ptr[j + 1]]
+            if rs.shape[0] == 0:  # in no row: nothing needs it
+                z[j] = 0.0
+                continue
             red = min(float(z[j]), float((sums[rs] - 1.0).min()))
             if quantum is not None:
                 red = math.floor(red / quantum + 1e-12) * quantum
@@ -621,10 +599,7 @@ def solve_mwu(
             cands.append(_reduce(zg, np.argsort(-costs * zg), quantum=1.0 / denom))
         return min(cands, key=lambda c: c[1])
 
-    t = 0
-    while t < budget:
-        t += 1
-        iterations = t
+    for t in range(1, budget + 1):
         j = int(np.argmax(bang))
         counts[j] += 1.0
         rs = sorted_rows[col_ptr[j]:col_ptr[j + 1]]
@@ -675,70 +650,35 @@ def solve_mwu(
             ratio = best_primal / best_dual if best_dual > 0 else math.inf
             # only a material improvement counts as progress, otherwise
             # micro-movements of the dual would postpone annealing forever
-            improved = ratio < last_ratio * (1.0 - epsilon / 8.0)
-            if not improved:
-                stalled_checks += 1
-                if stalled_checks >= 8:
-                    stalled_checks = 0
-                    if eta > eta_floor:
-                        eta = max(eta / 2.0, eta_floor)
-                        # fresh averaging window for the new rate; the
-                        # old window's burn-in would bias the average play
-                        counts = np.zeros(N)
-                        coverage = np.zeros(M)
-                    else:
-                        floor_stalls += 1
-                        if floor_stalls >= 2:
-                            # fixed point: restart the dynamics on a fresh
-                            # trajectory, keeping the best results so far
-                            restarts += 1
-                            eta = max(eta_start / (2.0 ** restarts), eta_floor)
-                            w = np.ones(M)
-                            w_sum = float(M)
-                            load = np.bincount(
-                                col_ids, weights=w[row_ids], minlength=N
-                            )
-                            bang = load / costs
-                            counts = np.zeros(N)
-                            coverage = np.zeros(M)
-                            floor_stalls = 0
-                            check = 16
-            else:
+            if ratio < last_ratio * (1.0 - epsilon / 8.0):
                 stalled_checks = 0
-                floor_stalls = 0
                 last_ratio = ratio
+            else:
+                stalled_checks += 1
+                if stalled_checks >= 8 and eta > eta_floor:
+                    stalled_checks = 0
+                    eta = max(eta / 2.0, eta_floor)
+                    # fresh averaging window for the new rate; the
+                    # old window's burn-in would bias the average play
+                    counts = np.zeros(N)
+                    coverage = np.zeros(M)
             check = min(int(check * 1.3) + 1, 256)
 
-    z = _restore_feasibility(inst, best_z)
-    primal = float(costs @ z)
+    z = np.clip(best_z, 0.0, 1.0)
+    check_primal(inst.rows, 1.0, 1.0, 1.0, z)
+    solution = _covering_solution(inst, z)
+    bound = 0.0
     if best_dual_vec is not None:
-        best_dual = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
-    ratio = primal / best_dual if best_dual > 0 else math.inf
-    if primal > (1.0 + epsilon) * (1.0 + dual_gap_allowance) * best_dual:
+        bound = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
+    if not solution.objective <= (1.0 + epsilon) * bound:
+        ratio = solution.objective / bound if bound > 0 else math.inf
         raise MwuConvergenceError(
             f"no (1+{epsilon:g}) certificate within {budget} iterations "
             f"(certified ratio {ratio:.4f})",
-            best_solution=_covering_solution(inst, z),
+            best_solution=solution,
             certified_ratio=ratio,
         )
-    return SolveResult(
-        _covering_solution(inst, z), best_dual_vec, best_dual, "mwu", iterations
-    )
-
-
-def _restore_feasibility(inst: CoveringInstance, z: np.ndarray) -> np.ndarray:
-    """Uniformly upscale so every row sums to >= 1, then clamp to [0, 1]."""
-    if inst.num_constraints == 0:
-        return z
-    for _ in range(4):
-        sums = row_activity(inst.rows, 1.0, z)
-        smin = float(sums.min())
-        if smin >= 1.0 - 1e-12:
-            break
-        if smin <= 0:
-            return np.ones_like(z)
-        z = np.minimum(z / smin, 1.0)
-    return z
+    return SolveResult(solution, best_dual_vec, bound, "mwu", t)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .certificate import dual_bound
 from .errors import InvalidLabelingError, ParameterError
-from .graph import Graph, WedgeIndex, _sorted_unique
+from .graph import Graph, WedgeIndex, _key_pairs, _sorted_unique
 
 __all__ = [
     "check_lambda",
@@ -87,11 +87,11 @@ class StcLabeling:
 
     @cached_property
     def weak(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_pairs_of(self.n, self.weak_keys))
+        return frozenset(_key_pairs(self.n, self.weak_keys))
 
     @cached_property
     def missing(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_pairs_of(self.n, self.missing_keys))
+        return frozenset(_key_pairs(self.n, self.missing_keys))
 
     def cost(self, lam: float) -> float:
         return (1.0 - lam) * len(self.weak_keys) + lam * len(self.missing_keys)
@@ -122,12 +122,6 @@ def _keys_of(n: int, pairs, kind: str) -> np.ndarray:
         raise InvalidLabelingError(f"{kind} pair ({u},{v}) is not a vertex pair")
     uv.sort(axis=1)
     return _sorted_unique(uv[:, 0] * n + uv[:, 1])
-
-
-def _pairs_of(n: int, keys: np.ndarray):
-    """The (u, v) tuples of sorted pair keys, in key order."""
-    u, v = np.divmod(keys, n)
-    return zip(u.tolist(), v.tolist())
 
 
 @dataclass(frozen=True)

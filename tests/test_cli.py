@@ -188,6 +188,20 @@ def test_lp_solve_mwu_engine(capsys, path_file):
     assert doc["objective"] <= 0.4 * 1.05 + 1e-9
 
 
+@pytest.mark.parametrize("command", [
+    ["certify"],
+    ["lp-solve", "--epsilon", "0.001"],
+])
+def test_mwu_engine_with_an_edge_in_no_open_wedge(capsys, tmp_path, command):
+    # the edge 4-5 lies only in triangles, so no covering row holds it
+    f = tmp_path / "tri.txt"
+    f.write_text("0 3\n2 4\n2 5\n3 4\n3 5\n3 6\n4 5\n")
+    doc = run_json(
+        capsys, [command[0], str(f), "--lambda", "0.5", "--engine", "mwu", *command[1:]]
+    )
+    assert doc["engine"] == "mwu"
+
+
 def test_lp3_round_beyond_the_former_dense_cap(capsys, tmp_path):
     # the intermediate LP here has 9488 rows; lp3-round used to stop at
     # 5000 rows or variables with exit code 4

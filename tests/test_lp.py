@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lamcc.certificate import dual_bound, verify_certificate
-from lamcc.errors import InfeasibleSolutionError, ParameterError
+from lamcc.certificate import check_primal, dual_bound, verify_certificate
+from lamcc.errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     CoveringInstance,
@@ -285,6 +285,40 @@ def test_mwu_quality_and_feasibility(eps):
             assert z[[i for i in row if i >= 0]].sum() >= 1 - 1e-9
         # dual bound is a true lower bound
         assert res.dual_objective <= exact_obj + 1e-9
+        # and the result is certified against it
+        assert res.solution.objective <= (1 + eps) * res.dual_objective
+        assert res.dual_objective == dual_bound(
+            inst.rows, 1.0, 1.0, inst.costs, np.inf, res.dual
+        )
+
+
+def test_mwu_variable_in_no_row():
+    # the edge (4, 5) lies only in triangles, so no open wedge covers it;
+    # tightening used to take a minimum over its empty row set
+    g = erdos_renyi(7, 0.2, 4165)
+    _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.5)
+    res = solve_mwu(inst, 0.001)
+    z = np.array([res.solution.values[p] for p in inst.space.pairs])
+    check_primal(inst.rows, 1.0, 1.0, 1.0, z)
+    assert res.solution.objective <= 1.001 * res.dual_objective
+    assert res.solution.objective == pytest.approx(solve_exact(inst).solution.objective)
+
+
+def test_mwu_raises_when_its_dual_does_not_certify(monkeypatch):
+    import lamcc.lp
+
+    def deflated(*args, **kwargs):
+        return dual_bound(*args, **kwargs) / 1.05
+
+    monkeypatch.setattr(lamcc.lp, "dual_bound", deflated)
+    g = erdos_renyi(10, 0.4, 4003)
+    _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.75)
+    with pytest.raises(MwuConvergenceError) as err:
+        solve_mwu(inst, 0.1)
+    assert err.value.certified_ratio > 1.1
+    check_primal(inst.rows, 1.0, 1.0, 1.0, np.array(
+        [err.value.best_solution.values[p] for p in inst.space.pairs]
+    ))
 
 
 # ---------------------------------------------------------------------------
