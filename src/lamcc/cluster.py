@@ -287,18 +287,27 @@ def cover_flip_pivot(
     t0 = time.perf_counter()
     if labeling is None or certificate is None:
         labeling, certificate = cover_label(g, widx, lam)
-    gh = derived_graph_from_labeling(g, labeling)
-    clustering = pivot(gh, seed)
+    return _pivot_run(
+        "cfp", g, lam, seed, labeling.labeled_keys(),
+        certificate.lower_bound, "dual_certificate", t0,
+    )
+
+
+def _pivot_run(
+    algorithm: str, g: Graph, lam: float, seed: int,
+    flip: np.ndarray, lb: float, provenance: str, t0: float,
+) -> RunReport:
+    """Pivot on g with the pairs ``flip`` toggled; report the run begun at t0."""
+    clustering = pivot(g.toggled(flip), seed)
     objective = lambda_cc_objective(g, lam, clustering)
-    lb = certificate.lower_bound
     return RunReport(
-        "cfp",
+        algorithm,
         lam,
         seed,
         clustering,
         objective,
         lb,
-        "dual_certificate",
+        provenance,
         _ratio(objective, lb),
         (time.perf_counter() - t0) * 1000.0,
     )
@@ -371,19 +380,8 @@ def round_lambda_stc_lp(
     thr = stc_rounding_threshold(lam)
     is_edge = g.edge_mask(x.keys)
     flip = is_edge & (x.vals >= thr) if lam >= 0.5 else ~is_edge & (x.vals < thr)
-    clustering = pivot(g.toggled(x.keys[flip]), seed)
-    objective = lambda_cc_objective(g, lam, clustering)
-    lb = sol.objective
-    return RunReport(
-        "lp-round",
-        lam,
-        seed,
-        clustering,
-        objective,
-        lb,
-        "lp_value",
-        _ratio(objective, lb),
-        (time.perf_counter() - t0) * 1000.0,
+    return _pivot_run(
+        "lp-round", g, lam, seed, x.keys[flip], sol.objective, "lp_value", t0
     )
 
 
@@ -407,19 +405,8 @@ def round_intermediate_lp(
     _check_wedge_feasibility(widx, x)
     _check_triangle_feasibility(widx, x)
     flip = g.edge_mask(x.keys) != (x.vals < 1.0 / 3.0)
-    clustering = pivot(g.toggled(x.keys[flip]), seed)
-    objective = lambda_cc_objective(g, lam, clustering)
-    lb = sol.objective
-    return RunReport(
-        "lp3-round",
-        lam,
-        seed,
-        clustering,
-        objective,
-        lb,
-        "lp_value",
-        _ratio(objective, lb),
-        (time.perf_counter() - t0) * 1000.0,
+    return _pivot_run(
+        "lp3-round", g, lam, seed, x.keys[flip], sol.objective, "lp_value", t0
     )
 
 

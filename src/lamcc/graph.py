@@ -444,6 +444,40 @@ class WedgeIndex:
         return e1, e2, a * n + b
 
 
+def _covering_layout(g: Graph, widx: WedgeIndex) -> tuple[np.ndarray, int, np.ndarray]:
+    """Variables and rows of the wedge covering program: (keys, edge_count, rows).
+
+    The variables are the pairs ``keys``: the edge_count edges in key
+    order, then the wedge end pairs (never edges) in key order. Row w of
+    the (wedge_count, 3) int64 ``rows`` holds the variables of wedge w's
+    pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
+    cover a wedge, so every labeling and LP over wedges lives on them.
+    """
+    e1, e2, ends = widx.wedge_pair_key_columns()
+    edge_keys = g.edge_keys()
+    m = int(edge_keys.shape[0])
+    end_keys, end_idx = np.unique(ends, return_inverse=True)
+    rows = np.empty((widx.wedge_count, 3), dtype=np.int64)
+    rows[:, 0] = np.searchsorted(edge_keys, e1)
+    rows[:, 1] = np.searchsorted(edge_keys, e2)
+    rows[:, 2] = end_idx + m
+    return np.concatenate([edge_keys, end_keys]), m, rows
+
+
+def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column -> rows CSR of a (M, 3) index array whose -1 entries pad.
+
+    Variable j lies on rows ``row_of[ptr[j]:ptr[j + 1]]``, in ascending
+    row order.
+    """
+    row_ids = np.repeat(np.arange(rows.shape[0], dtype=np.int64), 3)
+    col_ids = rows.ravel()
+    keep = col_ids >= 0
+    row_ids, col_ids = row_ids[keep], col_ids[keep]
+    order = np.argsort(col_ids, kind="stable")
+    return row_ids[order], np.searchsorted(col_ids[order], np.arange(N + 1))
+
+
 def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):
     """Yield (center, lo, hi) id arrays covering every sorted neighbor pair.
 

@@ -46,7 +46,14 @@ import numpy as np
 
 from .certificate import check_primal, dual_bound, row_activity, verify_certificate
 from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
-from .graph import Graph, WedgeIndex, _key_pairs, _neighbor_pair_chunks, _sorted_unique
+from .graph import (
+    Graph,
+    WedgeIndex,
+    _covering_layout,
+    _key_pairs,
+    _neighbor_pair_chunks,
+    _rows_by_column,
+)
 from .stc import check_lambda
 
 __all__ = [
@@ -149,7 +156,6 @@ class GeneralLp:
     c0: float
     col_idx: np.ndarray  # (M, 3) variable indices
     col_sign: np.ndarray  # (M, 3) +1/-1 coefficients
-    kind: str
 
     @property
     def num_variables(self) -> int:
@@ -235,16 +241,6 @@ class SolveResult:
 # Builders
 
 
-def _active_space(g: Graph, widx: WedgeIndex) -> PairVariableSpace:
-    edge_keys = g.edge_keys()
-    end_keys = _sorted_unique(
-        widx.wedge_lo.astype(np.int64) * g.n + widx.wedge_hi.astype(np.int64)
-    )
-    return PairVariableSpace(
-        g.n, np.concatenate([edge_keys, end_keys]), int(edge_keys.shape[0])
-    )
-
-
 def _triangle_rows(
     space: PairVariableSpace, i: np.ndarray, j: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
@@ -271,39 +267,25 @@ def build_lambda_stc_lp(
 ) -> tuple[PairVariableSpace, CoveringInstance]:
     """Covering LP in labeling orientation: one constraint per open wedge."""
     lam = check_lambda(lam)
-    space = _active_space(g, widx)
+    keys, m, rows = _covering_layout(g, widx)
+    space = PairVariableSpace(g.n, keys, m)
     costs = np.where(space.is_edge_mask(), 1.0 - lam, lam)
-    if widx.wedge_count:
-        rows = space.indices_of_keys(
-            widx.wedge_pair_keys().ravel()
-        ).reshape(-1, 3).astype(np.int64)
-    else:
-        rows = np.zeros((0, 3), dtype=np.int64)
     return space, CoveringInstance(space, lam, costs, rows)
 
 
 def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
-    space = _active_space(g, widx)
-    idx_rows: list[np.ndarray] = []
-    if widx.wedge_count:
-        idx_rows.append(
-            space.indices_of_keys(widx.wedge_pair_keys().ravel()).reshape(-1, 3)
-        )
-    if widx.triangle_count:
-        tri = _triangle_rows(
-            space, *(t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
-        )
-        # all center-j rows, then all center-i rows, then all center-k rows
-        idx_rows.append(tri.transpose(1, 0, 2).reshape(-1, 3))
-    if idx_rows:
-        col_idx = np.concatenate(idx_rows, axis=0)
-    else:
-        col_idx = np.zeros((0, 3), dtype=np.int64)
+    keys, m, rows = _covering_layout(g, widx)
+    space = PairVariableSpace(g.n, keys, m)
+    tri = _triangle_rows(
+        space, *(t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
+    )
+    # the wedge rows, then all center-j, all center-i and all center-k rows
+    col_idx = np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
     col_sign = np.tile(np.array([1.0, 1.0, -1.0]), (col_idx.shape[0], 1))
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, col_sign, "intermediate")
+    return GeneralLp(space, lam, c, c0, col_idx, col_sign)
 
 
 def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
@@ -327,7 +309,7 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     col_idx = _triangle_rows(space, ijk[:, 0], ijk[:, 1], ijk[:, 2]).reshape(-1, 3)
     col_sign = np.tile(np.array([1.0, 1.0, -1.0]), (col_idx.shape[0], 1))
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, col_sign, "canonical")
+    return GeneralLp(space, lam, c, c0, col_idx, col_sign)
 
 
 def _distance_costs(space: PairVariableSpace, lam: float) -> tuple[np.ndarray, float]:
@@ -348,9 +330,14 @@ def _solution(
     v: np.ndarray,
     objective: float,
 ) -> FractionalSolution:
-    """The solution whose variable-order values are ``v``, in key order."""
+    """The solution whose variable-order values are ``v``, in key order.
+
+    Adding 0.0 turns a signed zero from a solver or a grid snap into 0.0.
+    """
     skeys, order = space._sorted_keys
-    return FractionalSolution(orientation, lam, space.n, skeys, v[order], objective)
+    return FractionalSolution(
+        orientation, lam, space.n, skeys, v[order] + 0.0, objective
+    )
 
 
 def _covering_solution(inst: CoveringInstance, z: np.ndarray) -> FractionalSolution:
@@ -510,14 +497,11 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     costs = inst.costs.astype(float)
     budget = int(math.ceil(MWU_BUDGET_CONSTANT * math.log(M + 2) / epsilon**2))
 
-    # COO of the constraint matrix and a column -> rows index
-    row_ids = np.repeat(np.arange(M, dtype=np.int64), 3)
-    col_ids = inst.rows.ravel()
-    keep = col_ids >= 0
-    row_ids, col_ids = row_ids[keep], col_ids[keep]
-    order = np.argsort(col_ids, kind="stable")
-    sorted_rows = row_ids[order]
-    col_ptr = np.searchsorted(col_ids[order], np.arange(N + 1))
+    # the constraint matrix as a column -> rows index, and as COO in the
+    # same order; each bincount over it adds a column's rows in ascending
+    # order, as it would over the rows in row order
+    row_ids, col_ptr = _rows_by_column(inst.rows, N)
+    col_ids = np.repeat(np.arange(N), np.diff(col_ptr))
     rows_arr = inst.rows
 
     best_dual = 0.0
@@ -565,7 +549,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         for j in order:
             if z[j] <= 0.0:
                 continue
-            rs = sorted_rows[col_ptr[j]:col_ptr[j + 1]]
+            rs = row_ids[col_ptr[j]:col_ptr[j + 1]]
             if rs.shape[0] == 0:  # in no row: nothing needs it
                 z[j] = 0.0
                 continue
@@ -602,7 +586,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     for t in range(1, budget + 1):
         j = int(np.argmax(bang))
         counts[j] += 1.0
-        rs = sorted_rows[col_ptr[j]:col_ptr[j + 1]]
+        rs = row_ids[col_ptr[j]:col_ptr[j + 1]]
         old = w[rs]
         delta = -eta * old
         w[rs] = old + delta

@@ -26,7 +26,7 @@ from .cluster import Clustering
 from .errors import SizeCapError
 from .graph import Graph, WedgeIndex
 from .lp import build_canonical_lp, build_lambda_stc_lp, solve_general_exact
-from .stc import StcLabeling, check_lambda
+from .stc import StcLabeling, _labeling_of_mask, check_lambda
 
 __all__ = [
     "OracleResult",
@@ -133,10 +133,7 @@ def _active_instance(g: Graph, widx: WedgeIndex, lam: float):
 def _labeling_of(space, mask: int) -> StcLabeling:
     """The labeling of the variables whose bits are set in ``mask``."""
     chosen = np.array([(mask >> i) & 1 for i in range(space.size)], dtype=bool)
-    ec = space.edge_count  # edges first, then non-edges, each part sorted
-    return StcLabeling(
-        space.n, space.keys[:ec][chosen[:ec]], space.keys[ec:][chosen[ec:]]
-    )
+    return _labeling_of_mask(space.n, space.keys, space.edge_count, chosen)
 
 
 def exact_lambda_stc(

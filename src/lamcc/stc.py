@@ -26,7 +26,14 @@ import numpy as np
 
 from .certificate import dual_bound
 from .errors import InvalidLabelingError, ParameterError
-from .graph import Graph, WedgeIndex, _key_pairs, _sorted_unique
+from .graph import (
+    Graph,
+    WedgeIndex,
+    _covering_layout,
+    _key_pairs,
+    _rows_by_column,
+    _sorted_unique,
+)
 
 __all__ = [
     "check_lambda",
@@ -232,29 +239,17 @@ def cover_label(
     than 1e-12); InfeasibleSolutionError is raised if it fails.
     """
     lam = check_lambda(lam)
-    M = widx.wedge_count
-    cols = widx.wedge_pair_key_columns()
-    order = None
+    keys, m, rows = _covering_layout(g, widx)
+    M, N = rows.shape[0], keys.shape[0]
+    a, b, c = rows.T
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(M)
-        cols = [col[order] for col in cols]
-
-    # pair index: edges 0..m-1 in key order, then the wedge end pairs
-    # (never edges) in key order, offset by m
-    ek = g.edge_keys()
-    m = ek.shape[0]
-    ends, end_idx = np.unique(cols[2], return_inverse=True)
-    idx3 = np.empty((M, 3), dtype=np.int64)
-    idx3[:, 0] = np.searchsorted(ek, cols[0])
-    idx3[:, 1] = np.searchsorted(ek, cols[1])
-    idx3[:, 2] = end_idx + m
-    del cols, end_idx
-    a, b, c = idx3.T
-    cost = np.full(m + ends.shape[0], lam)
+        a, b, c = rows[order].T
+    cost = np.full(N, lam)
     cost[:m] = 1.0 - lam
-    residual = [1.0 - lam] * m + [lam] * ends.shape[0]
+    residual = [1.0 - lam] * m + [lam] * (N - m)
 
-    dead = np.zeros(cost.shape[0], dtype=bool)
+    dead = np.zeros(N, dtype=bool)
     zeroed: list[int] = []
     pos_w: list[int] = []
     pos_y: list[float] = []
@@ -263,8 +258,8 @@ def cover_label(
         zeroed.clear()
         e = s + _BLOCK
         live = np.flatnonzero(~(dead[a[s:e]] | dead[b[s:e]] | dead[c[s:e]])) + s
-        rows = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
-        for w, ia, ib, ic in rows:
+        todo = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
+        for w, ia, ib, ic in todo:
             ra, rb, rc = residual[ia], residual[ib], residual[ic]
             m_ = ra if ra < rb else rb
             if rc < m_:
@@ -282,65 +277,60 @@ def cover_label(
                 if rc == m_:
                     zeroed.append(ic)
     y = np.zeros(M)
-    y[pos_w] = pos_y
+    if shuffle_seed is None:
+        y[pos_w] = pos_y
+    else:  # store dual values in canonical wedge positions
+        y[order[pos_w]] = pos_y
 
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
     touched = np.zeros(m, dtype=bool)
     touched[a] = True
     touched[b] = True
-    zero = np.asarray(residual) <= RESIDUAL_ZERO_TOL
-    lab = StcLabeling(g.n, ek[zero[:m] & touched], ends[zero[m:]])
+    labeled = np.asarray(residual) <= RESIDUAL_ZERO_TOL
+    labeled[:m] &= touched
     if minimal:
-        lab = _drop_redundant(widx, lab)
+        labeled = _drop_redundant(keys, rows, labeled)
+    lab = _labeling_of_mask(g.n, keys, m, labeled)
 
     # costs are at most 1, so the 1e-12 overload allowance is relative;
     # the bound is the fsum of y, as the covering rows have right side 1
-    lower_bound = dual_bound(idx3, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
-    if order is not None:
-        y_canon = np.empty(M)
-        y_canon[order] = y  # store dual values in canonical wedge positions
-        y = y_canon
+    lower_bound = dual_bound(rows, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
     return lab, DualCertificate(y, lower_bound)
 
 
-def _drop_redundant(widx: WedgeIndex, lab: StcLabeling) -> StcLabeling:
-    """Greedy minimality pass: remove labeled pairs that are never the sole cover.
+def _labeling_of_mask(n: int, keys: np.ndarray, edge_count: int, mask) -> StcLabeling:
+    """The labeling of the covering variables ``keys[mask]``.
 
-    Pairs are visited in key order; a pair is dropped iff every wedge it
-    lies on still has at least two labeled pairs at that moment. A pair
-    that is the sole cover of some wedge can never drop (that wedge's
-    count stays 1), so only the other pairs enter the sequential loop.
+    ``keys`` lists the edges first (``edge_count`` of them), so the
+    chosen edges are weak and the other chosen pairs missing.
     """
-    labeled = lab.labeled_keys()
-    L = labeled.shape[0]
-    if not L:
-        return lab
-    # incidences (wedge, labeled pair), column by column
-    w_parts, pair_parts = [], []
-    cover_count = np.zeros(widx.wedge_count, dtype=np.int64)
-    for col in widx.wedge_pair_key_columns():
-        pos = np.searchsorted(labeled, col)
-        hit = labeled[np.minimum(pos, L - 1)] == col
-        cover_count += hit
-        w_parts.append(np.flatnonzero(hit))
-        pair_parts.append(pos[hit])
-    w = np.concatenate(w_parts)
-    pair = np.concatenate(pair_parts)
-    by_pair = np.argsort(pair, kind="stable")
-    wedges_of = w[by_pair]  # pair i covers wedges_of[start[i]:start[i + 1]]
-    start = np.zeros(L + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair, minlength=L), out=start[1:])
-    sole = np.zeros(L, dtype=bool)
-    sole[pair[cover_count[w] == 1]] = True
-    dropped = []
-    for i in np.flatnonzero(~sole).tolist():
-        ws = wedges_of[start[i]:start[i + 1]]
+    e = edge_count
+    return StcLabeling(n, keys[:e][mask[:e]], keys[e:][mask[e:]])
+
+
+def _drop_redundant(
+    keys: np.ndarray, rows: np.ndarray, labeled: np.ndarray
+) -> np.ndarray:
+    """Greedy minimality pass over the labeled variables of a covering program.
+
+    ``keys`` and ``rows`` are the program's variables and wedge rows
+    (``lamcc.graph._covering_layout``, in any row order) and ``labeled``
+    marks a feasible labeling. Labeled variables are visited in key order;
+    one is dropped iff every row it lies on still has at least two labeled
+    variables at that moment. A variable that is the sole cover of some
+    row can never drop (that row's count stays 1), so only the others
+    enter the sequential loop. Returns the reduced mask.
+    """
+    labeled = labeled.copy()
+    hit = labeled[rows]
+    cover_count = hit.sum(axis=1)
+    sole = np.zeros(labeled.shape[0], dtype=bool)
+    sole[rows[hit & (cover_count == 1)[:, None]]] = True
+    cand = np.flatnonzero(labeled & ~sole)
+    row_of, ptr = _rows_by_column(rows, labeled.shape[0])
+    for i in cand[np.argsort(keys[cand])].tolist():
+        ws = row_of[ptr[i]:ptr[i + 1]]
         if np.all(cover_count[ws] >= 2):
             cover_count[ws] -= 1
-            dropped.append(i)
-    gone = labeled[dropped]
-    return StcLabeling(
-        lab.n,
-        np.setdiff1d(lab.weak_keys, gone, assume_unique=True),
-        np.setdiff1d(lab.missing_keys, gone, assume_unique=True),
-    )
+            labeled[i] = False
+    return labeled

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -200,6 +201,52 @@ def test_mwu_engine_with_an_edge_in_no_open_wedge(capsys, tmp_path, command):
         capsys, [command[0], str(f), "--lambda", "0.5", "--engine", "mwu", *command[1:]]
     )
     assert doc["engine"] == "mwu"
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--intermediate"],
+    ["--engine", "mwu", "--epsilon", "0.001"],
+])
+def test_lp_solve_prints_no_signed_zero(capsys, tmp_path, extra):
+    # each engine left a -0.0 here: HiGHS at 0.3, intermediate at 0.5,
+    # and the MWU grid snap at both
+    f = tmp_path / "tri.txt"
+    f.write_text("0 3\n2 4\n2 5\n3 4\n3 5\n3 6\n4 5\n")
+    assert main(["lp-solve", str(f), "--lambda", "0.3,0.5", *extra]) == 0
+    assert not re.search(r"-0\.0\b", capsys.readouterr().out)
+
+
+EDGE_CASE_INPUTS = {
+    "self-loops-only": "1 1\n2 2\n",
+    "single-edge": "0 1\n",
+    "disconnected": "0 1\n2 3\n4 5\n5 6\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_CASE_INPUTS.values(), ids=EDGE_CASE_INPUTS)
+@pytest.mark.parametrize("command", [
+    ["label", "--minimal"],
+    ["cluster", "--alg", "cfp"],
+    ["cluster", "--alg", "lp-round", "--engine", "mwu"],
+    ["cluster", "--alg", "lp3-round"],
+    ["certify"],
+    ["lp-solve", "--intermediate", "--certify"],
+])
+def test_edge_case_inputs_report_a_bound(capsys, tmp_path, text, command):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    doc = run_json(capsys, [command[0], str(f), "--lambda", "0.55,0.75", *command[1:]])
+    if command[0] == "cluster":
+        pairs = [(r["lower_bound"], r["objective"]) for r in doc["records"]]
+    elif command[0] == "label":
+        pairs = [(d["lower_bound"], d["objective"]) for d in doc]
+    elif command[0] == "certify":
+        pairs = [(0.0, d["lp_value"]) for d in doc if d["certified"]]
+    else:
+        pairs = [(d["dual_bound"], d["objective"]) for d in doc if d["certified_canonical"]]
+    assert len(pairs) == 2
+    assert all(bound <= objective + 1e-9 for bound, objective in pairs)
 
 
 def test_lp3_round_beyond_the_former_dense_cap(capsys, tmp_path):

@@ -9,6 +9,7 @@ from lamcc.graph import (
     MAX_KEYED_VERTICES,
     Graph,
     Wedge,
+    _covering_layout,
     count_wedges_and_triangles,
     enumerate_wedges,
     graph_stats,
@@ -200,6 +201,21 @@ def test_counting_pass_agrees_with_materialized_index():
         g = erdos_renyi(15, 0.3, 400 + seed)
         idx = enumerate_wedges(g)
         assert count_wedges_and_triangles(g) == (idx.wedge_count, idx.triangle_count)
+
+
+@pytest.mark.parametrize("g", [
+    parse_edge_list("1 1\n2 2\n"),  # self-loops only: n = 0
+    parse_edge_list("0 1\n"),
+    parse_edge_list("0 1\n2 3\n4 5\n5 6\n"),  # disconnected, one open wedge
+    erdos_renyi(15, 0.3, 401),
+], ids=["self-loops-only", "single-edge", "disconnected", "gnp"])
+def test_covering_layout_rows_are_the_wedge_pairs(g):
+    widx = enumerate_wedges(g)
+    keys, m, rows = _covering_layout(g, widx)
+    assert rows.dtype == np.int64 and rows.shape == (widx.wedge_count, 3)
+    assert np.array_equal(keys[:m], g.edge_keys())
+    assert np.all(np.diff(keys[m:]) > 0) and not g.edge_mask(keys[m:]).any()
+    assert np.array_equal(keys[rows], widx.wedge_pair_keys().reshape(-1, 3))
 
 
 def test_empty_graph_has_empty_index():

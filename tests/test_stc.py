@@ -4,7 +4,7 @@ import pytest
 from lamcc import stc
 from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
-from lamcc.graph import Graph, enumerate_wedges, pair_key
+from lamcc.graph import Graph, _covering_layout, enumerate_wedges, pair_key
 from lamcc.oracle import exact_lambda_stc
 from lamcc.stc import (
     RESIDUAL_ZERO_TOL,
@@ -349,8 +349,10 @@ def test_drop_redundant_equals_double_loop():
             StcLabeling(g.n, edges[rng.random(edges.shape[0]) < 0.7],
                         ends[rng.random(ends.shape[0]) < 0.5]),
         ]
+        keys, m, rows = _covering_layout(g, widx)
         for labeling in labelings:
-            slim = stc._drop_redundant(widx, labeling)
+            labeled = np.isin(keys, labeling.labeled_keys())
+            slim = stc._labeling_of_mask(g.n, keys, m, stc._drop_redundant(keys, rows, labeled))
             expect = _reference_drop_redundant(widx, labeling.weak, labeling.missing, g.n)
             assert (slim.weak, slim.missing) == expect
 
