@@ -99,6 +99,7 @@ class RunReport:
     lb_provenance: str | None
     ratio: float | None
     elapsed_ms: float
+    pivot_ms: float | None = None  # the part of elapsed_ms spent in pivot
 
     @property
     def num_clusters(self) -> int:
@@ -140,37 +141,76 @@ def lambda_cc_objective(g: Graph, lam: float, c: Clustering) -> float:
 # Pivot
 
 
+def _index_draws(seed: int):
+    """``draw(size)``: what ``default_rng(seed).integers(size)`` returns on
+    that call, for 1 <= size <= 2**32, by the rule in ``pivot``'s docstring."""
+    # a fresh generator holds no buffered half word, so its raw 64-bit
+    # outputs are the 32-bit stream from the start
+    bits = np.random.default_rng(seed).bit_generator
+    words: list[int] = []
+    w = 0
+
+    def draw(size: int) -> int:
+        nonlocal words, w
+        if size == 1:
+            return 0
+        while True:
+            if w == len(words):
+                # a word per remaining vertex, in chunks of at most 8192;
+                # as '<u4' a '<u8' array reads low word, then high word
+                raw = bits.random_raw(min((size + 1) // 2, 4096))
+                words, w = raw.astype("<u8", copy=False).view("<u4").tolist(), 0
+            m = words[w] * size
+            w += 1
+            low = m & 0xFFFFFFFF
+            if low >= size or low >= (0x100000000 - size) % size:
+                return m >> 32
+
+    return draw
+
+
 def pivot(gh: Graph, seed: int) -> Clustering:
     """Random-pivot clustering of a graph.
 
-    Repeatedly draws a uniformly random unclustered vertex (PCG64 stream,
-    index into the alive list) and clusters it with its unclustered
-    neighbors; members leave the alive list by swap-removal in sorted
-    order, which pins the draw sequence for a given seed.
+    Repeatedly draws a uniformly random unclustered vertex and clusters it
+    with its unclustered neighbors; members leave the alive list by
+    swap-removal in sorted order, which pins the draw sequence for a given
+    seed.
+
+    The pivot is ``alive[i]``, where ``i`` is what
+    ``np.random.default_rng(seed).integers(len(alive))`` returns on that
+    call. For a size up to 2**32 (pair keys cap every graph's n below it),
+    that call takes one word ``x`` of PCG64's 32-bit stream, the low then
+    the high half of each 64-bit output, and returns ``x * size >> 32``
+    (Lemire's method), taking another word while the low 32 bits of
+    ``x * size`` fall below ``(2**32 - size) % size``; a size of 1 takes
+    no word. ``_index_draws`` runs the same integer arithmetic on 64-bit
+    outputs drawn in bulk, so it consumes the same words in the same order
+    and returns the same indices, without a numpy call per cluster.
     """
     n = gh.n
     indptr, indices = gh.indptr.tolist(), gh.indices.tolist()
-    rng = np.random.default_rng(seed)
+    draw = _index_draws(seed)
     assignment = [-1] * n
     alive = list(range(n))
     pos = list(range(n))
+    size = n
     cid = 0
-
-    def _remove(v: int) -> None:
-        i = pos[v]
-        last = alive[-1]
-        alive[i] = last
-        pos[last] = i
-        alive.pop()
-
-    while alive:
-        k = alive[int(rng.integers(len(alive)))]
-        members = [k] + [
-            u for u in indices[indptr[k]:indptr[k + 1]] if assignment[u] < 0
-        ]
-        for v in sorted(members):
+    while size:
+        k = alive[draw(size)]
+        lo, hi = indptr[k], indptr[k + 1]
+        if lo == hi:
+            members = (k,)
+        else:
+            members = [u for u in indices[lo:hi] if assignment[u] < 0]
+            members.append(k)
+            members.sort()
+        for v in members:  # swap-remove v from alive[:size]
             assignment[v] = cid
-            _remove(v)
+            size -= 1
+            i, last = pos[v], alive[size]
+            alive[i] = last
+            pos[last] = i
         cid += 1
     return Clustering(tuple(assignment))
 
@@ -298,7 +338,10 @@ def _pivot_run(
     flip: np.ndarray, lb: float, provenance: str, t0: float,
 ) -> RunReport:
     """Pivot on g with the pairs ``flip`` toggled; report the run begun at t0."""
-    clustering = pivot(g.toggled(flip), seed)
+    gh = g.toggled(flip)
+    t1 = time.perf_counter()
+    clustering = pivot(gh, seed)
+    t2 = time.perf_counter()
     objective = lambda_cc_objective(g, lam, clustering)
     return RunReport(
         algorithm,
@@ -310,6 +353,7 @@ def _pivot_run(
         provenance,
         _ratio(objective, lb),
         (time.perf_counter() - t0) * 1000.0,
+        (t2 - t1) * 1000.0,
     )
 
 

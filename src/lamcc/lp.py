@@ -148,14 +148,18 @@ class CoveringInstance:
 
 @dataclass(frozen=True)
 class GeneralLp:
-    """min c.x + c0 subject to signed three-term rows >= 0 and 0 <= x <= 1."""
+    """min c.x + c0 subject to signed three-term rows >= 0 and 0 <= x <= 1.
+
+    Row (a, b, c) of ``col_idx`` reads x[a] + x[b] - x[c] >= 0, so
+    ``col_sign`` is one read-only (3,) array ``[1, 1, -1]`` for every row.
+    """
 
     space: PairVariableSpace
     lam: float
     c: np.ndarray
     c0: float
     col_idx: np.ndarray  # (M, 3) variable indices
-    col_sign: np.ndarray  # (M, 3) +1/-1 coefficients
+    col_sign: np.ndarray  # (3,) coefficients, the same in every row
 
     @property
     def num_variables(self) -> int:
@@ -241,6 +245,10 @@ class SolveResult:
 # Builders
 
 
+_TRIANGLE_SIGN = np.array([1.0, 1.0, -1.0])
+_TRIANGLE_SIGN.setflags(write=False)
+
+
 def _triangle_rows(
     space: PairVariableSpace, i: np.ndarray, j: np.ndarray, k: np.ndarray
 ) -> np.ndarray:
@@ -283,9 +291,8 @@ def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     )
     # the wedge rows, then all center-j, all center-i and all center-k rows
     col_idx = np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
-    col_sign = np.tile(np.array([1.0, 1.0, -1.0]), (col_idx.shape[0], 1))
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, col_sign)
+    return GeneralLp(space, lam, c, c0, col_idx, _TRIANGLE_SIGN)
 
 
 def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
@@ -307,9 +314,8 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     ijk = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
     # the three rotations of each triple in turn
     col_idx = _triangle_rows(space, ijk[:, 0], ijk[:, 1], ijk[:, 2]).reshape(-1, 3)
-    col_sign = np.tile(np.array([1.0, 1.0, -1.0]), (col_idx.shape[0], 1))
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, col_sign)
+    return GeneralLp(space, lam, c, c0, col_idx, _TRIANGLE_SIGN)
 
 
 def _distance_costs(space: PairVariableSpace, lam: float) -> tuple[np.ndarray, float]:

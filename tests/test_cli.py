@@ -370,3 +370,22 @@ def test_timings_go_to_stderr(capsys, path_file):
     assert rc == 0
     assert "[phase] parse" in captured.err
     json.loads(captured.out)  # stdout stays pure JSON
+
+
+@pytest.mark.parametrize("alg", ["cfp", "pivot", "lp-round", "lp3-round", "louvain"])
+def test_cluster_timings_print_pivot_once_per_lambda(capsys, c4_file, alg):
+    argv = ["cluster", c4_file, "--alg", alg, "--lambda", "0.6,0.8", "--seeds", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--timings"]) == 0
+    timed = capsys.readouterr()
+    assert plain.err == ""
+    pivot_lines = [l for l in timed.err.splitlines() if l.startswith("[phase] pivot: ")]
+    assert len(pivot_lines) == (0 if alg == "louvain" else 2)
+    # the reports differ only in the wall-clock fields --timings fills in
+    doc = json.loads(timed.out)
+    for rec in doc["records"]:
+        rec["elapsed_ms"] = None
+    for agg in doc["aggregates"]:
+        agg["elapsed_ms"] = dict.fromkeys(agg["elapsed_ms"])
+    assert doc == json.loads(plain.out)

@@ -4,6 +4,7 @@ import pytest
 import lamcc.cluster
 from lamcc.cluster import (
     Clustering,
+    _index_draws,
     a_posteriori_ratio,
     assignment_text,
     cover_flip_pivot,
@@ -62,10 +63,14 @@ def _list_pivot(adj, seed):
     return Clustering(tuple(assignment))
 
 
+def _adjacency(g):
+    return [tuple(g.neighbors(v).tolist()) for v in range(g.n)]
+
+
 def _assert_matches_reference(gh, g, flipped):
     ref = _set_toggle(g, flipped)
     assert isinstance(gh, Graph) and gh.n == g.n
-    assert [tuple(gh.neighbors(v).tolist()) for v in range(g.n)] == ref
+    assert _adjacency(gh) == ref
     assert gh == Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in ref[u]])
     for seed in range(3):
         assert pivot(gh, seed) == _list_pivot(ref, seed)
@@ -158,6 +163,74 @@ def test_pivot_path_center_first(path3):
             assert pivot(path3, seed).num_clusters == 1
             return
     pytest.fail("no seed drew the center first")
+
+
+def test_index_draws_match_generator_integers():
+    # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their
+    # words, and a size of 1 takes none; small sizes exhaust each bulk
+    # draw quickly, so the refill path runs too
+    sizes = [1, 2, 2**31 + 1, 3 * 2**30, 1, 1, 7, 12006, 2**32 - 1, 2**32, 3, 1, 5000] * 40
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        draw = _index_draws(seed)
+        assert [draw(size) for size in sizes] == [int(rng.integers(size)) for size in sizes]
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(0, []),
+    Graph.from_edges(1, []),
+    Graph.from_edges(9, []),
+    Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+], ids=["empty", "single", "edgeless", "complete"])
+def test_pivot_matches_reference_on_extreme_graphs(g):
+    for seed in range(8):
+        assert pivot(g, seed) == _list_pivot(_adjacency(g), seed)
+
+
+def _clique_union(n, teams, seed):
+    """A collaboration-shaped graph: ``teams`` cliques of 2-7 random vertices."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for _ in range(teams):
+        team = sorted(set(rng.choice(n, size=int(rng.integers(2, 8))).tolist()))
+        edges += [(u, v) for i, u in enumerate(team) for v in team[i + 1:]]
+    return Graph.from_edges(n, edges)
+
+
+def test_pivot_matches_reference_on_mid_size_derived_graphs(monkeypatch):
+    seen = _spy_pivot(monkeypatch)
+    for gseed, lam in ((71, 0.55), (72, 0.75), (73, 0.3)):
+        g = _clique_union(300, 150, gseed)
+        widx = enumerate_wedges(g)
+        labeling, _ = cover_label(g, widx, lam)
+        graphs = [derived_graph_from_labeling(g, labeling)]
+        x = solve_exact(build_lambda_stc_lp(g, widx, lam)[1]).solution.to_x(g)
+        round_lambda_stc_lp(g, widx, lam, x, 0)
+        graphs.append(seen.pop())
+        for gh in graphs:
+            ref = _adjacency(gh)
+            for seed in range(24):
+                assert pivot(gh, seed) == _list_pivot(ref, seed)
+
+
+def test_pivot_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(0, 40))
+        if n == 0:
+            return Graph.from_edges(0, [])
+        vertex = st.integers(0, n - 1)
+        return Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=200)))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(graphs(), st.integers(0, 2**64 - 1))
+    def check(g, seed):
+        assert pivot(g, seed) == _list_pivot(_adjacency(g), seed)
+
+    check()
 
 
 def test_pivot_is_deterministic_per_seed():

@@ -10,6 +10,7 @@ from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     CoveringInstance,
     PairVariableSpace,
+    build_canonical_lp,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
@@ -61,6 +62,10 @@ def test_intermediate_lp_counts(path3, k3, cycle4, wedges_of):
     assert lp.num_variables == 3 and lp.num_constraints == 1
     lp = build_intermediate_lp(cycle4, wedges_of(cycle4), 0.5)
     assert lp.num_variables == 6 and lp.num_constraints == 4
+    # every row is x_a + x_b - x_c >= 0: one broadcast, read-only sign
+    for lp in (lp, build_canonical_lp(cycle4, 0.5)):
+        assert lp.col_sign.tolist() == [1.0, 1.0, -1.0]
+        assert not lp.col_sign.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,7 @@ def test_labeling_from_pairs_normalizes_and_views_match_keys():
     assert not a.weak_keys.flags.writeable
     assert a.cost(0.25) == 0.75 * 2 + 0.25
     assert a.labeled_keys().tolist() == [2, 4, 8]
+    assert a.labeled_keys() is a.labeled_keys() and not a.labeled_keys().flags.writeable
     assert StcLabeling(5, np.array([2, 8]), np.array([2])).labeled_keys().tolist() == [2, 8]
     assert StcLabeling.from_pairs(5).labeled_keys().shape == (0,)
 
