@@ -205,6 +205,10 @@ def _atomic_write(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -294,6 +298,8 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_label(args) -> int:
+    if args.shuffle_seed is not None and args.shuffle_seed < 0:
+        raise ParameterError("--shuffle-seed must be >= 0")
     phases = _Phases(args.timings)
     g = _load(args, phases)
     widx = phases.run("wedges", lambda: enumerate_wedges(g))
@@ -364,6 +370,8 @@ def _aggregate(lam: float, reports, include_timing: bool) -> dict:
 def cmd_cluster(args) -> int:
     if args.seeds < 1:
         raise ParameterError("--seeds must be >= 1")
+    if args.seed < 0:
+        raise ParameterError("--seed must be >= 0")
     lams = _parse_lambdas(args.lambdas)
     if args.alg == "lp3-round" and any(l < 0.5 for l in lams):
         raise ParameterError("lp3-round requires lambda >= 1/2")

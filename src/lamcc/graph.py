@@ -325,6 +325,8 @@ def parse_matrix_market(source: str | bytes | IO) -> Graph:
     body = "".join(lines)
     if not body.strip():
         raise EdgeListParseError("empty input: no entries found")
+    # blank lines in place of the header keep error line numbers the file's
+    body = "\n" * lineno + body
     return parse_edge_list(body, comment_prefixes=("%",), one_indexed=True)
 
 

@@ -478,10 +478,11 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     The engine keeps a potential per constraint, repeatedly increments the
     most cost-effective variable under the current potentials, and decays
     the potentials of the constraints that variable covers by a factor
-    1 - eta. Every few iterations it turns the potentials into a feasible
-    dual by greedy ascent (re-ascending the best dual so far and shrunk
-    copies of it too), and the average play into a feasible primal by
-    uniform scaling and greedy tightening. When the ratio of the two stops
+    1 - eta. The potentials are rescaled to a maximum of 1 and every
+    variable's load is recomputed exactly after each step. Every few
+    iterations it turns the potentials into a feasible dual by one greedy
+    ascent, and the average play into a feasible primal by uniform
+    scaling and greedy tightening. When the ratio of the two stops
     improving, eta halves down to max(epsilon/4, 1e-3) and the averaging
     window starts afresh.
 
@@ -508,10 +509,9 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     # order, as it would over the rows in row order
     row_ids, col_ptr = _rows_by_column(inst.rows, N)
     col_ids = np.repeat(np.arange(N), np.diff(col_ptr))
-    rows_arr = inst.rows
 
     best_dual = 0.0
-    best_dual_vec: np.ndarray | None = None
+    best_dual_vec = np.zeros(M)
     best_primal = float(costs.sum())
     best_z = np.ones(N)
 
@@ -522,9 +522,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     last_ratio = math.inf
 
     w = np.ones(M)
-    w_sum = float(M)
-    load = np.bincount(col_ids, weights=w[row_ids], minlength=N)
-    bang = load / costs
+    bang = np.bincount(col_ids, weights=w[row_ids], minlength=N) / costs
     counts = np.zeros(N)
     coverage = np.zeros(M)
 
@@ -539,7 +537,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
             ly *= factor
         slack = costs - ly
         for r in np.argsort(-y):
-            js = rows_arr[r]
+            js = inst.rows[r]
             js = js[js >= 0]
             inc = float(slack[js].min())
             if inc > 0:
@@ -580,10 +578,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         if smin <= 0:
             return None
         z0 = np.minimum(counts / smin, 1.0)
-        cands = [
-            _reduce(z0, np.argsort(-costs * z0)),
-            _reduce(z0, np.argsort(-z0)),
-        ]
+        cands = [_reduce(z0, np.argsort(-costs * z0))]
         for denom in (2.0, 3.0):
             zg = np.minimum(np.ceil(z0 * denom - 1e-12) / denom, 1.0)
             cands.append(_reduce(zg, np.argsort(-costs * zg), quantum=1.0 / denom))
@@ -593,43 +588,15 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         j = int(np.argmax(bang))
         counts[j] += 1.0
         rs = row_ids[col_ptr[j]:col_ptr[j + 1]]
-        old = w[rs]
-        delta = -eta * old
-        w[rs] = old + delta
-        w_sum += float(delta.sum())
+        w[rs] *= 1.0 - eta
+        w /= w.max()
         coverage[rs] += 1.0
-        touched = rows_arr[rs].ravel()
-        ok = touched >= 0
-        np.add.at(load, touched[ok], np.repeat(delta, 3)[ok])
-        bang[touched[ok]] = load[touched[ok]] / costs[touched[ok]]
-
-        if w_sum < 1e-30:  # renormalize to dodge underflow
-            w /= w_sum
-            w_sum = 1.0
-            load = np.bincount(col_ids, weights=w[row_ids], minlength=N)
-            bang = load / costs
+        bang = np.bincount(col_ids, weights=w[row_ids], minlength=N) / costs
 
         if t % check == 0 or t == budget:
-            # refresh the incrementally-maintained sums: the absolute
-            # drift they pick up while the weights decay is what would
-            # otherwise corrupt the dual candidates
-            w_sum = float(w.sum())
-            load = np.bincount(col_ids, weights=w[row_ids], minlength=N)
-            bang = load / costs
-            tm = float(bang.max())
-            dual_starts = []
-            if tm > 0:
-                dual_starts.append(w / tm)
-            if best_dual_vec is not None:
-                # re-ascending the incumbent and shrunk copies of it can
-                # escape the maximal point greedy ascent stops at
-                dual_starts.append(best_dual_vec)
-                dual_starts.append(best_dual_vec * 0.9)
-                dual_starts.append(best_dual_vec * 0.75)
-            for y0 in dual_starts:
-                y, d = _ascend(y0)
-                if d > best_dual:
-                    best_dual, best_dual_vec = d, y
+            y, d = _ascend(w / float(bang.max()))
+            if d > best_dual:
+                best_dual, best_dual_vec = d, y
             scaled = _polished_primal()
             if scaled is not None:
                 z, p = scaled
@@ -657,9 +624,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     z = np.clip(best_z, 0.0, 1.0)
     check_primal(inst.rows, 1.0, 1.0, 1.0, z)
     solution = _covering_solution(inst, z)
-    bound = 0.0
-    if best_dual_vec is not None:
-        bound = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
+    bound = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
     if not solution.objective <= (1.0 + epsilon) * bound:
         ratio = solution.objective / bound if bound > 0 else math.inf
         raise MwuConvergenceError(
@@ -729,7 +694,7 @@ def dump_covering_instance(inst: CoveringInstance) -> str:
     """
     out = ["# covering-lp v1"]
     out.append(f"# vars {inst.num_variables} constraints {inst.num_constraints}")
-    for i, cost in enumerate(inst.costs):
+    for i, cost in enumerate(inst.costs.tolist()):
         out.append(f"# cost {i} {cost!r}")
     for row in inst.rows:
         out.append(" ".join(str(int(i)) for i in row if i >= 0))

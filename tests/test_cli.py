@@ -1,10 +1,12 @@
 import json
+import os
 import re
+import stat
 from collections import Counter
 
 import pytest
 
-from lamcc.cli import _record, main
+from lamcc.cli import CLUSTER_ALGS, _record, main
 from lamcc.cluster import Clustering, RunReport
 from lamcc.graph import enumerate_wedges, to_edge_list_text
 from lamcc.lp import build_intermediate_lp
@@ -329,6 +331,20 @@ def test_exit_code_parameter_regime(capsys, path_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["cluster", "--alg", alg], "--seed") for alg in CLUSTER_ALGS]
+    + [(["label"], "--shuffle-seed")],
+    ids=[*CLUSTER_ALGS, "label"],
+)
+def test_exit_code_negative_seed(capsys, path_file, command, flag):
+    argv = [command[0], path_file, *command[1:], "--lambda", "0.75", flag, "-1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be >= 0\n"
+    assert captured.out == ""
+
+
 def test_exit_code_size_cap(capsys, tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("".join(f"{i} {i+1}\n" for i in range(14)))
@@ -344,6 +360,23 @@ def test_output_written_atomically(tmp_path, capsys, path_file):
     assert json.loads(target.read_text())["n"] == 3
     leftovers = [p for p in target.parent.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_output_files_follow_the_umask(tmp_path, capsys, path_file, umask):
+    outs = [tmp_path / "stats.json", tmp_path / "assign.txt", tmp_path / "inst.txt"]
+    old = os.umask(umask)
+    try:
+        assert main(["stats", path_file, "-o", str(outs[0])]) == 0
+        assert main(["cluster", path_file, "--alg", "pivot", "--lambda", "0.75",
+                     "--assignment-out", str(outs[1])]) == 0
+        assert main(["lp-solve", path_file, "--lambda", "0.75",
+                     "--dump-instance", str(outs[2])]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for out in outs:
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_no_output_file_on_failure(tmp_path, capsys):

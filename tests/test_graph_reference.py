@@ -250,8 +250,13 @@ def test_matrix_market_parses_its_body_with_the_bulk_parser():
         "2 1\n% between\n3 2\n3 3\n", comment_prefixes=("%",), one_indexed=True
     )
     assert (g.n, g.m) == (3, 2)
-    with pytest.raises(EdgeListParseError, match="line 3: token < 1"):
+    # errors carry the file's line numbers, header and comments included
+    with pytest.raises(EdgeListParseError, match="line 6: token < 1"):
         parse_matrix_market(text.replace("3 2\n", "0 2\n"))
+    with pytest.raises(EdgeListParseError, match="line 4: non-integer token"):
+        parse_matrix_market(text.replace("2 1\n", "2 x\n"))
+    with pytest.raises(EdgeListParseError, match="line 7: expected two integer tokens"):
+        parse_matrix_market(text.replace("3 3\n", "3 3 3\n"))
 
 
 def test_parse_equals_reference_property():
