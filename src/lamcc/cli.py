@@ -475,14 +475,14 @@ def _reports_csv(records, aggregates) -> str:
 
 
 def cmd_lp_solve(args) -> int:
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
-    widx = phases.run("wedges", lambda: enumerate_wedges(g))
     if args.intermediate and args.engine == "mwu":
         raise ParameterError(
             "the intermediate LP is not a covering program; "
             "only the highs engine solves it"
         )
+    phases = _Phases(args.timings)
+    g = _load(args, phases)
+    widx = phases.run("wedges", lambda: enumerate_wedges(g))
     docs = []
     for lam in _parse_lambdas(args.lambdas):
         if args.intermediate:

@@ -54,7 +54,7 @@ from .graph import (
     _neighbor_pair_chunks,
     _rows_by_column,
 )
-from .stc import check_lambda
+from .stc import _local_ratio, _reduce, check_lambda
 
 __all__ = [
     "PairVariableSpace",
@@ -480,9 +480,10 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     the potentials of the constraints that variable covers by a factor
     1 - eta. The potentials are rescaled to a maximum of 1 and every
     variable's load is recomputed exactly after each step. Every few
-    iterations it turns the potentials into a feasible dual by one greedy
-    ascent, and the average play into a feasible primal by uniform
-    scaling and greedy tightening. When the ratio of the two stops
+    iterations it scales the potentials into a feasible dual and ascends
+    it by the labeling's local-ratio pass, rows by decreasing potential,
+    and turns the average play into a feasible primal by uniform scaling
+    and the minimality pass's greedy reduction. When the ratio stops
     improving, eta halves down to max(epsilon/4, 1e-3) and the averaging
     window starts afresh.
 
@@ -497,6 +498,8 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     M, N = inst.num_constraints, inst.num_variables
+    if np.any(np.all(inst.rows < 0, axis=1)):
+        raise InfeasibleSolutionError("a covering row has no variable and reads 0 >= 1")
     if M == 0:
         return SolveResult(
             _covering_solution(inst, np.zeros(N)), np.zeros(0), 0.0, "mwu", 0
@@ -521,48 +524,29 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     stalled_checks = 0
     last_ratio = math.inf
 
+    def load(v: np.ndarray) -> np.ndarray:  # A^T v
+        return np.bincount(col_ids, weights=v[row_ids], minlength=N)
+
     w = np.ones(M)
-    bang = np.bincount(col_ids, weights=w[row_ids], minlength=N) / costs
+    bang = load(w) / costs
     counts = np.zeros(N)
-    coverage = np.zeros(M)
 
     def _ascend(y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Greedy dual ascent from a feasible (or downscaled) start."""
-        y = y.copy()
-        ly = np.bincount(col_ids, weights=y[row_ids], minlength=N)
+        """Local-ratio pass from y scaled into the dual, rows by decreasing y
+        (numpy's unstable default sort: its tie order fixes the result)."""
+        ly = load(y)
         over = ly > costs
         if over.any():
             factor = float((costs[over] / ly[over]).min())
-            y *= factor
+            y = y * factor
             ly *= factor
-        slack = costs - ly
-        for r in np.argsort(-y):
-            js = inst.rows[r]
-            js = js[js >= 0]
-            inc = float(slack[js].min())
-            if inc > 0:
-                y[r] += inc
-                slack[js] -= inc
+        order = np.argsort(-y)
+        pos, vals, _ = _local_ratio(inst.rows, costs - ly, order)
+        y[order[pos]] += vals
         return y, float(y.sum())
 
-    def _reduce(
-        z: np.ndarray, order: np.ndarray, quantum: float | None = None
-    ) -> tuple[np.ndarray, float]:
-        z = z.copy()
-        sums = row_activity(inst.rows, 1.0, z)
-        for j in order:
-            if z[j] <= 0.0:
-                continue
-            rs = row_ids[col_ptr[j]:col_ptr[j + 1]]
-            if rs.shape[0] == 0:  # in no row: nothing needs it
-                z[j] = 0.0
-                continue
-            red = min(float(z[j]), float((sums[rs] - 1.0).min()))
-            if quantum is not None:
-                red = math.floor(red / quantum + 1e-12) * quantum
-            if red > 0:
-                z[j] -= red
-                sums[rs] -= red
+    def _tighten(z: np.ndarray, quantum: float | None = None) -> tuple[np.ndarray, float]:
+        z = _reduce(inst.rows, row_ids, col_ptr, z, np.argsort(-costs * z), quantum)
         return z, float(costs @ z)
 
     def _polished_primal() -> tuple[np.ndarray, float] | None:
@@ -574,14 +558,14 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         onto a grid (feasibility-preserving) and reducing in grid steps
         can.
         """
-        smin = coverage.min()
+        smin = row_activity(inst.rows, 1.0, counts).min()
         if smin <= 0:
             return None
         z0 = np.minimum(counts / smin, 1.0)
-        cands = [_reduce(z0, np.argsort(-costs * z0))]
+        cands = [_tighten(z0)]
         for denom in (2.0, 3.0):
             zg = np.minimum(np.ceil(z0 * denom - 1e-12) / denom, 1.0)
-            cands.append(_reduce(zg, np.argsort(-costs * zg), quantum=1.0 / denom))
+            cands.append(_tighten(zg, quantum=1.0 / denom))
         return min(cands, key=lambda c: c[1])
 
     for t in range(1, budget + 1):
@@ -590,8 +574,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         rs = row_ids[col_ptr[j]:col_ptr[j + 1]]
         w[rs] *= 1.0 - eta
         w /= w.max()
-        coverage[rs] += 1.0
-        bang = np.bincount(col_ids, weights=w[row_ids], minlength=N) / costs
+        bang = load(w) / costs
 
         if t % check == 0 or t == budget:
             y, d = _ascend(w / float(bang.max()))
@@ -618,7 +601,6 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
                     # fresh averaging window for the new rate; the
                     # old window's burn-in would bias the average play
                     counts = np.zeros(N)
-                    coverage = np.zeros(M)
             check = min(int(check * 1.3) + 1, 256)
 
     z = np.clip(best_z, 0.0, 1.0)

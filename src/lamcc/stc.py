@@ -19,12 +19,13 @@ cost, see ``lamcc.cluster``).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .certificate import dual_bound
+from .certificate import dual_bound, row_activity
 from .errors import InvalidLabelingError, ParameterError
 from .graph import (
     Graph,
@@ -227,18 +228,9 @@ def cover_label(
     shuffle of it, for experimentation). The zero test on residuals uses a
     1e-12 tolerance: the subtracted minimum is always one of the three
     stored residuals, so one subtraction per wedge is exact and the others
-    only accumulate representation error.
+    only accumulate representation error. The pass is ``_local_ratio``.
 
-    Wedges whose pairs include one at residual exactly 0.0 are skipped,
-    in blocks of ``_BLOCK`` wedges, with the same result as running them:
-    a residual r only ever loses an m <= r, and r - m never rounds below
-    0.0, so residuals stay >= 0; the pair that attains the minimum drops
-    to exactly 0.0 (x - x == 0.0); and a wedge touching a 0.0 pair has
-    minimum 0.0, so it changes no residual and gets y_w = 0. Pairs that
-    reach 0.0 are recorded by the loop and marked dead at the next block.
-    Residuals merely within the 1e-12 tolerance are never skipped.
-
-    With ``minimal=True`` a greedy post-pass (canonical pair order) drops
+    With ``minimal=True`` the greedy ``_reduce`` (canonical pair order) drops
     any labeled pair whose removal keeps every wedge covered. The dual
     certificate is unaffected (removal only lowers the objective).
 
@@ -249,55 +241,26 @@ def cover_label(
     lam = check_lambda(lam)
     keys, m, rows = _covering_layout(g, widx)
     M, N = rows.shape[0], keys.shape[0]
-    a, b, c = rows.T
+    order = None
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(M)
-        a, b, c = rows[order].T
     cost = np.full(N, lam)
     cost[:m] = 1.0 - lam
-    residual = [1.0 - lam] * m + [lam] * (N - m)
-
-    dead = np.zeros(N, dtype=bool)
-    zeroed: list[int] = []
-    pos_w: list[int] = []
-    pos_y: list[float] = []
-    for s in range(0, M, _BLOCK):
-        dead[zeroed] = True
-        zeroed.clear()
-        e = s + _BLOCK
-        live = np.flatnonzero(~(dead[a[s:e]] | dead[b[s:e]] | dead[c[s:e]])) + s
-        todo = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
-        for w, ia, ib, ic in todo:
-            ra, rb, rc = residual[ia], residual[ib], residual[ic]
-            m_ = ra if ra < rb else rb
-            if rc < m_:
-                m_ = rc
-            if m_ > 0.0:
-                residual[ia] = ra - m_
-                residual[ib] = rb - m_
-                residual[ic] = rc - m_
-                pos_w.append(w)
-                pos_y.append(m_)
-                if ra == m_:
-                    zeroed.append(ia)
-                if rb == m_:
-                    zeroed.append(ib)
-                if rc == m_:
-                    zeroed.append(ic)
+    pos, vals, residual = _local_ratio(rows, cost, order)
     y = np.zeros(M)
-    if shuffle_seed is None:
-        y[pos_w] = pos_y
-    else:  # store dual values in canonical wedge positions
-        y[order[pos_w]] = pos_y
+    y[pos if order is None else order[pos]] = vals  # canonical wedge positions
 
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
     touched = np.zeros(m, dtype=bool)
-    touched[a] = True
-    touched[b] = True
-    labeled = np.asarray(residual) <= RESIDUAL_ZERO_TOL
+    touched[rows[:, 0]] = True
+    touched[rows[:, 1]] = True
+    labeled = residual <= RESIDUAL_ZERO_TOL
     labeled[:m] &= touched
     if minimal:
-        labeled = _drop_redundant(keys, rows, labeled)
+        cand = np.flatnonzero(labeled)
+        z = _reduce(rows, *_rows_by_column(rows, N), labeled.astype(float),
+                    cand[np.argsort(keys[cand])])
+        labeled = z > 0.0
     lab = _labeling_of_mask(g.n, keys, m, labeled)
 
     # costs are at most 1, so the 1e-12 overload allowance is relative;
@@ -316,29 +279,84 @@ def _labeling_of_mask(n: int, keys: np.ndarray, edge_count: int, mask) -> StcLab
     return StcLabeling(n, keys[:e][mask[:e]], keys[e:][mask[e:]])
 
 
-def _drop_redundant(
-    keys: np.ndarray, rows: np.ndarray, labeled: np.ndarray
-) -> np.ndarray:
-    """Greedy minimality pass over the labeled variables of a covering program.
+def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | None = None):
+    """One sequential local-ratio pass over covering rows (Bar-Yehuda & Even).
 
-    ``keys`` and ``rows`` are the program's variables and wedge rows
-    (``lamcc.graph._covering_layout``, in any row order) and ``labeled``
-    marks a feasible labeling. Labeled variables are visited in key order;
-    one is dropped iff every row it lies on still has at least two labeled
-    variables at that moment. A variable that is the sole cover of some
-    row can never drop (that row's count stays 1), so only the others
-    enter the sequential loop. Returns the reduced mask.
+    ``rows`` is (M, 3) int64 with -1 pads, ``residual`` one start value per
+    variable. Each row, in ``order`` (default: row order), takes the least
+    residual m of its variables and, if m > 0, subtracts m from each of
+    them. Returns the visit positions where m > 0, those m, and the final
+    residuals.
+
+    Rows touching a residual <= 0.0 are skipped, ``_BLOCK`` rows at a time,
+    with the same result as visiting them: their minimum is <= 0.0, so they
+    change nothing. A residual r only ever loses an m <= r, and r - m never
+    rounds below 0.0, so residuals never rise; the one that attains m drops
+    to exactly 0.0 (x - x == 0.0), is recorded, and is marked dead at the
+    next block. Pads read a +inf slot, so they never bind nor die; a row of
+    pads alone would take m = inf, and callers reject it.
     """
-    labeled = labeled.copy()
-    hit = labeled[rows]
-    cover_count = hit.sum(axis=1)
-    sole = np.zeros(labeled.shape[0], dtype=bool)
-    sole[rows[hit & (cover_count == 1)[:, None]]] = True
-    cand = np.flatnonzero(labeled & ~sole)
-    row_of, ptr = _rows_by_column(rows, labeled.shape[0])
-    for i in cand[np.argsort(keys[cand])].tolist():
-        ws = row_of[ptr[i]:ptr[i + 1]]
-        if np.all(cover_count[ws] >= 2):
-            cover_count[ws] -= 1
-            labeled[i] = False
-    return labeled
+    res = np.append(residual, np.inf)
+    dead = res <= 0.0
+    # one float object per run of equal values (0.0 and -0.0 may share one):
+    # the loop reads residuals by pointer, and a few shared objects stay in
+    # cache where a million do not
+    start = np.flatnonzero(np.append(True, res[1:] != res[:-1]))
+    run = np.array(res[start].tolist(), dtype=object)
+    res = np.repeat(run, np.diff(start, append=res.shape[0])).tolist()
+    a, b, c = (rows if order is None else rows[order]).T
+    zeroed, pos, vals = [], [], []
+    for s in range(0, a.shape[0], _BLOCK):
+        dead[zeroed] = True
+        zeroed.clear()
+        e = s + _BLOCK
+        live = np.flatnonzero(~(dead[a[s:e]] | dead[b[s:e]] | dead[c[s:e]])) + s
+        todo = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
+        for w, ia, ib, ic in todo:
+            ra, rb, rc = res[ia], res[ib], res[ic]
+            m_ = ra if ra < rb else rb
+            if rc < m_:
+                m_ = rc
+            if m_ > 0.0:
+                res[ia] = ra - m_
+                res[ib] = rb - m_
+                res[ic] = rc - m_
+                pos.append(w)
+                vals.append(m_)
+                if ra == m_:
+                    zeroed.append(ia)
+                if rb == m_:
+                    zeroed.append(ib)
+                if rc == m_:
+                    zeroed.append(ic)
+    return np.array(pos, dtype=np.int64), np.array(vals), np.array(res)[:-1]
+
+
+def _reduce(rows, row_of, ptr, z, order, quantum=None) -> np.ndarray:
+    """Greedy reduction of a feasible point z of a covering program; returns a copy.
+
+    ``row_of``/``ptr`` index the rows (-1 pads) by variable
+    (``lamcc.graph._rows_by_column``). Each variable of ``order``, visited
+    once, lowers by min(z_j, least row sum - 1 over its rows), rounded down
+    to a multiple of ``quantum`` if given; one on no row drops to 0. A
+    variable at z <= 0 or on a row whose sum is <= 1 at the start is
+    skipped, as sums only fall. On a 0/1 point the sums are exact counts,
+    so this is the minimality pass: a labeled variable drops iff every row
+    it lies on keeps another.
+    """
+    z = z.copy()
+    sums = row_activity(rows, 1.0, z)
+    tight = np.zeros(z.shape[0] + 1, dtype=bool)
+    tight[rows[sums <= 1.0]] = True
+    for j in order[(z[order] > 0.0) & ~tight[order]].tolist():
+        rs = row_of[ptr[j]:ptr[j + 1]]
+        if rs.shape[0] == 0:  # in no row: nothing needs it
+            z[j] = 0.0
+            continue
+        red = min(float(z[j]), float((sums[rs] - 1.0).min()))
+        if quantum is not None:
+            red = math.floor(red / quantum + 1e-12) * quantum
+        if red > 0:
+            z[j] -= red
+            sums[rs] -= red
+    return z

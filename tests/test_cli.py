@@ -331,6 +331,20 @@ def test_exit_code_parameter_regime(capsys, path_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["real-path", "missing-path"])
+def test_exit_code_intermediate_mwu_rejected_before_reading(capsys, path_file, exists):
+    # the rejection does not depend on the graph, so it comes before the parse
+    path = path_file if exists else path_file + ".missing"
+    argv = ["lp-solve", path, "--lambda", "0.6", "--intermediate", "--engine", "mwu"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the intermediate LP is not a covering program; "
+        "only the highs engine solves it\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [(["cluster", "--alg", alg], "--seed") for alg in CLUSTER_ALGS]

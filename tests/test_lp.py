@@ -221,6 +221,8 @@ def test_exact_solve_of_an_infeasible_program_raises():
     bad = CoveringInstance(inst.space, inst.lam, inst.costs, rows)
     with pytest.raises(InfeasibleSolutionError, match="HiGHS solve failed: Infeasible"):
         solve_exact(bad)
+    with pytest.raises(InfeasibleSolutionError, match="row has no variable"):
+        solve_mwu(bad, 0.1)
 
 
 def test_highs_loader_names_the_scipy_floor(tmp_path, python_child):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from lamcc import stc
 from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
-from lamcc.graph import Graph, _covering_layout, enumerate_wedges, pair_key
+from lamcc.graph import Graph, _covering_layout, _rows_by_column, enumerate_wedges, pair_key
 from lamcc.oracle import exact_lambda_stc
 from lamcc.stc import (
     RESIDUAL_ZERO_TOL,
@@ -350,11 +352,120 @@ def test_drop_redundant_equals_double_loop():
                         ends[rng.random(ends.shape[0]) < 0.5]),
         ]
         keys, m, rows = _covering_layout(g, widx)
+        row_of, ptr = _rows_by_column(rows, keys.shape[0])
         for labeling in labelings:
             labeled = np.isin(keys, labeling.labeled_keys())
-            slim = stc._labeling_of_mask(g.n, keys, m, stc._drop_redundant(keys, rows, labeled))
+            cand = np.flatnonzero(labeled)
+            z = stc._reduce(rows, row_of, ptr, labeled.astype(float),
+                            cand[np.argsort(keys[cand])])
+            slim = stc._labeling_of_mask(g.n, keys, m, z > 0.0)
             expect = _reference_drop_redundant(widx, labeling.weak, labeling.missing, g.n)
             assert (slim.weak, slim.missing) == expect
+
+
+# ---------------------------------------------------------------------------
+# The shared local-ratio pass and greedy reduction on generic covering programs
+
+
+def _reference_local_ratio(rows, residual, order):
+    """The local-ratio pass as a plain loop: every row, no skip, pads dropped."""
+    res = list(residual)
+    pos, vals = [], []
+    for p, r in enumerate(order):
+        js = [j for j in rows[r] if j >= 0]
+        m_ = min(res[j] for j in js)
+        if m_ > 0.0:
+            for j in js:
+                res[j] -= m_
+            pos.append(p)
+            vals.append(m_)
+    return pos, vals, res
+
+
+def _reference_reduce(rows, z, order, quantum):
+    """The greedy reduction as a plain loop: every variable of order, no filter."""
+    z = list(z)
+    sums = [sum(z[j] if j >= 0 else 0.0 for j in row) for row in rows]
+    for j in order:
+        if z[j] <= 0.0:
+            continue
+        rs = [r for r, row in enumerate(rows) if j in row]
+        if not rs:
+            z[j] = 0.0
+            continue
+        red = min(z[j], min(sums[r] - 1.0 for r in rs))
+        if quantum is not None:
+            red = math.floor(red / quantum + 1e-12) * quantum
+        if red > 0:
+            z[j] -= red
+            for r in rs:
+                sums[r] -= red
+    return z
+
+
+def _covering_programs(st, values):
+    """(rows, start values, row order, variable order) of a covering program.
+
+    Rows hold one to three distinct variables, padded with -1 anywhere in
+    the row; the last variable lies on no row.
+    """
+
+    @st.composite
+    def programs(draw):
+        n = draw(st.integers(1, 10))
+        row = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+        rows = [draw(st.permutations(r + [-1] * (3 - len(r))))
+                for r in draw(st.lists(row, max_size=40))]
+        start = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+        row_order = draw(st.permutations(range(len(rows))))
+        var_order = draw(st.permutations(range(n + 1)))
+        return np.array(rows, dtype=np.int64).reshape(-1, 3), start, row_order, var_order
+
+    return programs()
+
+
+def test_local_ratio_equals_plain_loop_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # exact zeros and small negatives start dead; the rest are costs
+    residuals = st.sampled_from([0.0, -0.0, -1e-17, -1e-3, 0.25, 0.5]) | st.floats(
+        1e-6, 2.0
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        _covering_programs(st, residuals), st.booleans(), st.sampled_from([1, 3, 512])
+    )
+    def check(program, shuffled, block):
+        rows, residual, row_order, _ = program
+        monkeypatch.setattr(stc, "_BLOCK", block)
+        order = np.array(row_order, dtype=np.int64) if shuffled else None
+        visit = row_order if shuffled else range(rows.shape[0])
+        pos, vals, res = stc._local_ratio(rows, np.array(residual), order)
+        ref_pos, ref_vals, ref_res = _reference_local_ratio(rows.tolist(), residual, visit)
+        assert pos.tolist() == ref_pos and vals.tolist() == ref_vals
+        assert res.tolist() == ref_res
+
+    check()
+
+
+def test_reduce_equals_plain_loop_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # grid points make rows tight at the start and steps land on the grid
+    values = st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]) | st.floats(0.0, 1.0)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        _covering_programs(st, values), st.sampled_from([None, 1 / 2, 1 / 3])
+    )
+    def check(program, quantum):
+        rows, z, _, order = program
+        row_of, ptr = _rows_by_column(rows, len(z))
+        got = stc._reduce(rows, row_of, ptr, np.array(z), np.array(order), quantum)
+        assert got.tolist() == _reference_reduce(rows.tolist(), z, order, quantum)
+
+    check()
 
 
 # ---------------------------------------------------------------------------
