@@ -1,10 +1,13 @@
 """Command-line surface: ingestion, algorithm runs, certification, reports.
 
 Exit codes are stable: 0 success, 2 unreadable/malformed input, 3 invalid
-parameters, 4 size-cap exceeded, 1 anything else. Output files are written
-atomically (temp file + rename), and JSON reports are byte-identical for
-identical configurations: wall-clock fields stay null unless --timings
-is given, which also prints per-phase timer lines to stderr.
+parameters, 4 size-cap exceeded, 1 anything else. Every subcommand checks
+its parameters (the lambda list first) before it reads the input, reads the
+graph and enumerates its wedges once, and builds one document per lambda.
+Output files are written atomically (temp file + rename), and JSON reports
+are byte-identical for identical configurations: wall-clock fields stay
+null unless --timings is given, which also prints per-phase timer lines to
+stderr.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ import numpy as np
 
 from . import __version__
 from .cluster import (
-    RunReport,
+    _check_max_passes,
+    _pivot_run,
     assignment_text,
     cover_flip_pivot,
-    lambda_cc_objective,
     lambda_louvain,
-    pivot,
     round_intermediate_lp,
     round_lambda_stc_lp,
 )
@@ -38,8 +40,9 @@ from .errors import (
     ParameterError,
     SizeCapError,
 )
-from .graph import Graph, WedgeIndex, enumerate_wedges, graph_stats, load_graph
+from .graph import enumerate_wedges, graph_stats, load_graph
 from .lp import (
+    _check_epsilon,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
@@ -48,7 +51,7 @@ from .lp import (
     solve_general_exact,
     solve_mwu,
 )
-from .oracle import exact_canonical_lp, exact_lambda_cc, exact_lambda_stc
+from .oracle import exact_canonical_lp, exact_lambda_cc_sweep, exact_lambda_stc
 from .stc import check_lambda, cover_label, stc_objective, stc_regime
 
 EXIT_OK = 0
@@ -253,14 +256,31 @@ def _parse_lambdas(spec: str) -> list[float]:
     return [check_lambda(l) for l in lams]
 
 
-def _load(args, phases: _Phases) -> Graph:
-    return phases.run("parse", lambda: load_graph(args.input, args.format))
+def _read(path, fmt: str, timings: bool, wedges: bool = False):
+    """Parse the graph and, when asked, enumerate its wedges, each once."""
+    phases = _Phases(timings)
+    g = phases.run("parse", lambda: load_graph(path, fmt))
+    widx = phases.run("wedges", lambda: enumerate_wedges(g)) if wedges else None
+    return phases, g, widx
 
 
-def _solve_covering(inst, engine: str, epsilon: float):
-    if engine == "mwu":
-        return solve_mwu(inst, epsilon)
-    return solve_exact(inst)
+def _emit_documents(args, docs: list[dict]) -> int:
+    """Write one document as itself, and several (one per lambda) as a list."""
+    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
+    return EXIT_OK
+
+
+def _solve_lp(args, g, widx, lam, phases, *, intermediate=False, dump=None):
+    """Build and solve the covering LP (or the intermediate LP) at one lambda."""
+    if intermediate:
+        lp = phases.run("build-lp", lambda: build_intermediate_lp(g, widx, lam))
+        return phases.run("solve", lambda: solve_general_exact(lp))
+    _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
+    if dump:
+        _atomic_write(_resolve_output(dump), dump_covering_instance(inst))
+    if args.engine == "mwu":
+        return phases.run("solve", lambda: solve_mwu(inst, args.epsilon))
+    return phases.run("solve", lambda: solve_exact(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +288,10 @@ def _solve_covering(inst, engine: str, epsilon: float):
 
 
 def cmd_stats(args) -> int:
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
+    phases, g, _ = _read(args.input, args.format, args.timings)
     stats = phases.run("wedges", lambda: graph_stats(g))
     doc = {"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem, **stats}
-    _emit(args, _dump_json(doc))
-    return EXIT_OK
+    return _emit_documents(args, [doc])
 
 
 def cmd_constraints(args) -> int:
@@ -282,7 +300,7 @@ def cmd_constraints(args) -> int:
     failed = False
     for inp in args.inputs:
         try:
-            g = load_graph(inp)
+            _, g, _ = _read(inp, "auto", False)
             s = graph_stats(g)
         except (LamccError, OSError) as e:
             print(f"error: {inp}: {e}", file=sys.stderr)
@@ -298,13 +316,12 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_label(args) -> int:
+    lams = _parse_lambdas(args.lambdas)
     if args.shuffle_seed is not None and args.shuffle_seed < 0:
         raise ParameterError("--shuffle-seed must be >= 0")
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
-    widx = phases.run("wedges", lambda: enumerate_wedges(g))
+    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
     docs = []
-    for lam in _parse_lambdas(args.lambdas):
+    for lam in lams:
         lab, cert = phases.run(
             "label",
             lambda: cover_label(
@@ -320,8 +337,7 @@ def cmd_label(args) -> int:
             "lower_bound": cert.lower_bound,
             "regime": stc_regime(lam, g.m).value,
         })
-    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
-    return EXIT_OK
+    return _emit_documents(args, docs)
 
 
 def _record(report, include_timing: bool) -> dict:
@@ -367,68 +383,54 @@ def _aggregate(lam: float, reports, include_timing: bool) -> dict:
     }
 
 
+def _seed_run(args, g, widx, lam, phases):
+    """Do the seed-independent work of one lambda; return the run for one seed."""
+    if args.alg == "cfp":
+        lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
+        return lambda seed: cover_flip_pivot(
+            g, widx, lam, seed, force=args.force, labeling=lab, certificate=cert
+        )
+    if args.alg == "pivot":
+        return lambda seed: _pivot_run(
+            "pivot", g, lam, seed, np.empty(0, np.int64), None, None,
+            time.perf_counter(),
+        )
+    if args.alg == "louvain":
+        return lambda seed: lambda_louvain(
+            g, lam, seed, args.max_passes, multilevel=args.multilevel
+        )
+    res = _solve_lp(args, g, widx, lam, phases, intermediate=args.alg == "lp3-round")
+    if args.alg == "lp-round":
+        xsol = res.solution.to_x(g)
+        return lambda seed: round_lambda_stc_lp(g, widx, lam, xsol, seed)
+    return lambda seed: round_intermediate_lp(g, widx, lam, res.solution, seed)
+
+
 def cmd_cluster(args) -> int:
+    lams = _parse_lambdas(args.lambdas)
     if args.seeds < 1:
         raise ParameterError("--seeds must be >= 1")
     if args.seed < 0:
         raise ParameterError("--seed must be >= 0")
-    lams = _parse_lambdas(args.lambdas)
     if args.alg == "lp3-round" and any(l < 0.5 for l in lams):
         raise ParameterError("lp3-round requires lambda >= 1/2")
     if args.alg == "cfp" and not args.force and any(l < 0.5 for l in lams):
         raise ParameterError(
             "cfp's guarantee requires lambda >= 1/2 (use --force to run anyway)"
         )
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
-    widx: WedgeIndex | None = None
-    if args.alg in ("cfp", "lp-round", "lp3-round"):
-        widx = phases.run("wedges", lambda: enumerate_wedges(g))
+    if args.alg == "lp-round" and args.engine == "mwu":
+        _check_epsilon(args.epsilon)
+    if args.alg == "louvain":
+        _check_max_passes(args.max_passes)
+    wedges = args.alg in ("cfp", "lp-round", "lp3-round")
+    phases, g, widx = _read(args.input, args.format, args.timings, wedges)
 
     records: list[dict] = []
     aggregates: list[dict] = []
     best = None
     for lam in lams:
-        reports = []
-        if args.alg == "cfp":
-            lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
-            for r in range(args.seeds):
-                rep = cover_flip_pivot(
-                    g, widx, lam, args.seed + r, force=args.force,
-                    labeling=lab, certificate=cert,
-                )
-                reports.append(rep)
-        elif args.alg == "pivot":
-            for r in range(args.seeds):
-                t0 = time.perf_counter()
-                c = pivot(g, args.seed + r)
-                t1 = time.perf_counter()
-                obj = lambda_cc_objective(g, lam, c)
-                reports.append(RunReport(
-                    "pivot", lam, args.seed + r, c, obj, None, None, None,
-                    (time.perf_counter() - t0) * 1000.0, (t1 - t0) * 1000.0,
-                ))
-        elif args.alg == "lp-round":
-            _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
-            res = phases.run(
-                "solve", lambda: _solve_covering(inst, args.engine, args.epsilon)
-            )
-            xsol = res.solution.to_x(g)
-            for r in range(args.seeds):
-                reports.append(round_lambda_stc_lp(g, widx, lam, xsol, args.seed + r))
-        elif args.alg == "lp3-round":
-            lp = phases.run("build-lp", lambda: build_intermediate_lp(g, widx, lam))
-            res = phases.run("solve", lambda: solve_general_exact(lp))
-            for r in range(args.seeds):
-                reports.append(
-                    round_intermediate_lp(g, widx, lam, res.solution, args.seed + r)
-                )
-        elif args.alg == "louvain":
-            for r in range(args.seeds):
-                reports.append(lambda_louvain(
-                    g, lam, args.seed + r, args.max_passes,
-                    multilevel=args.multilevel,
-                ))
+        run = _seed_run(args, g, widx, lam, phases)
+        reports = [run(args.seed + r) for r in range(args.seeds)]
         if args.alg != "louvain":
             phases.add("pivot", sum(rep.pivot_ms for rep in reports) / 1000.0)
         for rep in reports:
@@ -475,28 +477,21 @@ def _reports_csv(records, aggregates) -> str:
 
 
 def cmd_lp_solve(args) -> int:
+    lams = _parse_lambdas(args.lambdas)
     if args.intermediate and args.engine == "mwu":
         raise ParameterError(
             "the intermediate LP is not a covering program; "
             "only the highs engine solves it"
         )
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
-    widx = phases.run("wedges", lambda: enumerate_wedges(g))
+    if args.engine == "mwu":
+        _check_epsilon(args.epsilon)
+    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
     docs = []
-    for lam in _parse_lambdas(args.lambdas):
-        if args.intermediate:
-            lp = phases.run("build-lp", lambda: build_intermediate_lp(g, widx, lam))
-            res = phases.run("solve", lambda: solve_general_exact(lp))
-        else:
-            _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
-            if args.dump_instance:
-                _atomic_write(
-                    _resolve_output(args.dump_instance), dump_covering_instance(inst)
-                )
-            res = phases.run(
-                "solve", lambda: _solve_covering(inst, args.engine, args.epsilon)
-            )
+    for lam in lams:
+        res = _solve_lp(
+            args, g, widx, lam, phases,
+            intermediate=args.intermediate, dump=args.dump_instance,
+        )
         certified = None
         if args.certify:
             cres = phases.run(
@@ -515,18 +510,17 @@ def cmd_lp_solve(args) -> int:
             "engine": res.engine,
             "dual_bound": res.dual_objective,
         })
-    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
-    return EXIT_OK
+    return _emit_documents(args, docs)
 
 
 def cmd_certify(args) -> int:
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
-    widx = phases.run("wedges", lambda: enumerate_wedges(g))
+    lams = _parse_lambdas(args.lambdas)
+    if args.engine == "mwu":
+        _check_epsilon(args.epsilon)
+    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
     docs = []
-    for lam in _parse_lambdas(args.lambdas):
-        _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
-        res = phases.run("solve", lambda: _solve_covering(inst, args.engine, args.epsilon))
+    for lam in lams:
+        res = _solve_lp(args, g, widx, lam, phases)
         cres = phases.run(
             "certify", lambda: certify_canonical_feasibility(g, res.solution.to_x(g))
         )
@@ -540,20 +534,22 @@ def cmd_certify(args) -> int:
             "engine": res.engine,
             "epsilon": args.epsilon if res.engine == "mwu" else None,
         })
-    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
-    return EXIT_OK
+    return _emit_documents(args, docs)
 
 
 def cmd_exact(args) -> int:
-    phases = _Phases(args.timings)
-    g = _load(args, phases)
+    lams = _parse_lambdas(args.lambdas)
+    wedges = args.problem == "stc"
+    phases, g, widx = _read(args.input, args.format, args.timings, wedges)
+    if args.problem == "cc":
+        # one partition scan serves every lambda
+        sweep = phases.run("enumerate", lambda: exact_lambda_cc_sweep(g, lams))
     docs = []
-    for lam in _parse_lambdas(args.lambdas):
+    for lam in lams:
         if args.problem == "cc":
-            r = phases.run("enumerate", lambda: exact_lambda_cc(g, lam))
+            r = sweep[lam]
             witness = {"assignment": list(r.witness.assignment)}
         elif args.problem == "stc":
-            widx = phases.run("wedges", lambda: enumerate_wedges(g))
             r = phases.run("enumerate", lambda: exact_lambda_stc(g, widx, lam))
             witness = {
                 "weak": _pairs_doc(r.witness.weak_keys, r.witness.n),
@@ -570,8 +566,7 @@ def cmd_exact(args) -> int:
             "enumerated_count": r.enumerated_count,
             "witness": witness,
         })
-    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
-    return EXIT_OK
+    return _emit_documents(args, docs)
 
 
 if __name__ == "__main__":

@@ -316,7 +316,7 @@ def cover_flip_pivot(
     bound, giving every run an a-posteriori ratio. Guaranteed regime is
     lam >= 1/2 (pass force=True to run outside it, without the guarantee).
     A precomputed labeling/certificate pair may be passed to amortize the
-    cover step across seeds.
+    cover step across seeds; passing only one of the two is an error.
     """
     lam = check_lambda(lam)
     if lam < 0.5 and not force:
@@ -324,8 +324,10 @@ def cover_flip_pivot(
             "the flip-pivot guarantee needs lambda >= 1/2; "
             "pass force=True to run anyway"
         )
+    if (labeling is None) != (certificate is None):
+        raise ParameterError("pass labeling and certificate together, or neither")
     t0 = time.perf_counter()
-    if labeling is None or certificate is None:
+    if labeling is None:
         labeling, certificate = cover_label(g, widx, lam)
     return _pivot_run(
         "cfp", g, lam, seed, labeling.labeled_keys(),
@@ -335,7 +337,7 @@ def cover_flip_pivot(
 
 def _pivot_run(
     algorithm: str, g: Graph, lam: float, seed: int,
-    flip: np.ndarray, lb: float, provenance: str, t0: float,
+    flip: np.ndarray, lb: float | None, provenance: str | None, t0: float,
 ) -> RunReport:
     """Pivot on g with the pairs ``flip`` toggled; report the run begun at t0."""
     gh = g.toggled(flip)
@@ -477,8 +479,7 @@ def lambda_louvain(
     guarantee; the report carries no lower bound.
     """
     lam = check_lambda(lam)
-    if max_passes < 1:
-        raise ParameterError("max_passes must be >= 1")
+    _check_max_passes(max_passes)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -498,9 +499,7 @@ def lambda_louvain(
         sizes, adjw = _aggregate(adjw, sizes, labels, k)
         mapping = [labels[c] for c in mapping]
 
-    final = Clustering.from_assignment(
-        labels[mapping[v]] if multilevel else labels[v] for v in range(g.n)
-    )
+    final = Clustering.from_assignment(labels[c] for c in mapping)
     objective = lambda_cc_objective(g, lam, final)
     return RunReport(
         "louvain",
@@ -513,6 +512,11 @@ def lambda_louvain(
         None,
         (time.perf_counter() - t0) * 1000.0,
     )
+
+
+def _check_max_passes(max_passes: int) -> None:
+    if max_passes < 1:
+        raise ParameterError("max_passes must be >= 1")
 
 
 def _greedy_passes(adjw, sizes, lam, rng, max_passes):

@@ -86,15 +86,17 @@ class Graph:
 
     __slots__ = ("n", "m", "indptr", "indices", "degree", "_edge_keys")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
+    def __init__(
+        self, n: int, indptr: np.ndarray, indices: np.ndarray, edge_keys: np.ndarray
+    ):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.degree = np.diff(indptr)
         self.m = int(indices.shape[0]) // 2
-        for arr in (self.indptr, self.indices, self.degree):
+        self._edge_keys = edge_keys
+        for arr in (self.indptr, self.indices, self.degree, self._edge_keys):
             arr.setflags(write=False)
-        self._edge_keys = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -124,13 +126,13 @@ class Graph:
         both.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(both // n, minlength=n), out=indptr[1:])
-        g = cls(n, indptr, both % n)
-        keys.setflags(write=False)
-        g._edge_keys = keys
-        return g
+        return cls(n, indptr, both % n, keys)
 
     def toggled(self, keys: np.ndarray) -> "Graph":
-        """This graph with the adjacency of each (unique) pair key flipped."""
+        """This graph with the adjacency of each (unique) pair key flipped;
+        the graph itself when no key is given."""
+        if not len(keys):
+            return self
         return Graph.from_keys(
             self.n, np.setxor1d(self.edge_keys(), keys, assume_unique=True)
         )
@@ -152,12 +154,6 @@ class Graph:
 
     def edge_keys(self) -> np.ndarray:
         """Sorted array of pair_key(n, u, v) over all edges (u < v)."""
-        if self._edge_keys is None:
-            rowids = np.repeat(np.arange(self.n, dtype=np.int64), self.degree)
-            mask = self.indices > rowids
-            keys = rowids[mask] * self.n + self.indices[mask].astype(np.int64)
-            keys.setflags(write=False)
-            self._edge_keys = keys
         return self._edge_keys
 
     def edge_mask(self, keys: np.ndarray) -> np.ndarray:

@@ -472,6 +472,11 @@ MWU_BUDGET_CONSTANT = 24.0  # iteration budget ceil(24 ln(M+2) / epsilon^2)
 MWU_ETA_START = 0.3  # first decay rate of the constraint potentials
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < 1.0):
+        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     """Combinatorial (1+epsilon)-approximate covering solve, certified or raised.
 
@@ -495,8 +500,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     MwuConvergenceError is raised with the best feasible iterate and its
     certified ratio (primal / dual bound).
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     M, N = inst.num_constraints, inst.num_variables
     if np.any(np.all(inst.rows < 0, axis=1)):
         raise InfeasibleSolutionError("a covering row has no variable and reads 0 >= 1")

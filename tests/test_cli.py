@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from lamcc.cli import CLUSTER_ALGS, _record, main
-from lamcc.cluster import Clustering, RunReport
-from lamcc.graph import enumerate_wedges, to_edge_list_text
+from lamcc.cluster import Clustering, RunReport, lambda_cc_objective, pivot
+from lamcc.graph import enumerate_wedges, load_graph, to_edge_list_text
 from lamcc.lp import build_intermediate_lp
 from lamcc.testing import erdos_renyi
 
@@ -143,6 +143,27 @@ def test_cluster_size_hist_counts_the_member_lists(labels):
     got = _record(rep, include_timing=False)["cluster_size_hist"]
     assert list(got.items()) == [(str(s), want[s]) for s in sorted(want)]
     assert all(type(v) is int for v in got.values())
+
+
+def test_cluster_pivot_records(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(12, 0.35, 4)))
+    g = load_graph(f)
+    argv = ["cluster", str(f), "--alg", "pivot", "--lambda", "0.4,0.75",
+            "--seeds", "2", "--seed", "5"]
+    records = run_json(capsys, argv)["records"]
+    assert [(r["lambda"], r["seed"]) for r in records] == [
+        (0.4, 5), (0.4, 6), (0.75, 5), (0.75, 6)
+    ]
+    for rec in records:
+        c = pivot(g, rec["seed"])
+        sizes = Counter(len(members) for members in c.clusters)
+        assert rec["algorithm"] == "pivot"
+        assert rec["objective"] == lambda_cc_objective(g, rec["lambda"], c)
+        assert rec["num_clusters"] == c.num_clusters
+        assert rec["cluster_size_hist"] == {str(k): v for k, v in sizes.items()}
+        assert rec["lower_bound"] is None and rec["lb_provenance"] is None
+        assert rec["ratio"] is None
 
 
 def test_byte_identical_reports(tmp_path, capsys, path_file):
@@ -303,6 +324,19 @@ def test_exact_problems(capsys, path_file):
     assert doc["optimum"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("problem, phase", [("cc", "enumerate"), ("stc", "wedges")])
+def test_exact_sweep_lists_the_single_lambda_documents(capsys, tmp_path, problem, phase):
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(8, 0.4, 11)))
+    argv = ["exact", str(f), "--problem", problem, "--lambda"]
+    singles = [run_json(capsys, [*argv, lam]) for lam in ("0.35", "0.7")]
+    assert run_json(capsys, [*argv, "0.35,0.7"]) == singles
+    # the lambda-independent step runs once per command
+    assert main([*argv, "0.35,0.7", "--timings"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert sum(line.startswith(f"[phase] {phase}: ") for line in lines) == 1
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and atomicity
 
@@ -343,6 +377,51 @@ def test_exit_code_intermediate_mwu_rejected_before_reading(capsys, path_file, e
         "only the highs engine solves it\n"
     )
     assert captured.out == ""
+
+
+_MWU = ["--lambda", "0.6", "--engine", "mwu", "--epsilon"]
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["real-path", "missing-path"])
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        *[
+            (command, ["--lambda", "1.5"], "lambda must lie in (0, 1), got 1.5")
+            for command in (["label"], ["lp-solve"], ["certify"], ["exact", "--problem", "cc"])
+        ],
+        *[
+            (command, [*_MWU, "1.5"], "epsilon must lie in (0, 1), got 1.5")
+            for command in (["lp-solve"], ["certify"], ["cluster", "--alg", "lp-round"])
+        ],
+        (["certify"], [*_MWU, "0"], "epsilon must lie in (0, 1), got 0.0"),
+        (["cluster", "--alg", "louvain"], ["--lambda", "0.6", "--max-passes", "0"],
+         "max_passes must be >= 1"),
+    ],
+    ids=[
+        "label-lambda", "lp-solve-lambda", "certify-lambda", "exact-lambda",
+        "lp-solve-epsilon", "certify-epsilon", "lp-round-epsilon", "certify-epsilon-0",
+        "louvain-max-passes",
+    ],
+)
+def test_argument_errors_come_before_the_read(capsys, path_file, exists, command, extra, message):
+    path = path_file if exists else path_file + ".missing"
+    assert main([command[0], path, *command[1:], *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["lp-solve"], ["certify"], ["cluster", "--alg", "lp-round"]],
+    ids=["lp-solve", "certify", "lp-round"],
+)
+def test_highs_engine_ignores_epsilon(capsys, path_file, command):
+    argv = [command[0], path_file, *command[1:], "--lambda", "0.6"]
+    assert main([*argv, "--epsilon", "5"]) == 0
+    ignored = capsys.readouterr()
+    assert main(argv) == 0
+    assert ignored == capsys.readouterr()
 
 
 @pytest.mark.parametrize(
