@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     SizeCapError,
 )
-from .graph import enumerate_wedges, graph_stats, load_graph
+from .graph import _key_pairs, enumerate_wedges, graph_stats, load_graph
 from .lp import (
     _check_epsilon,
     build_intermediate_lp,
@@ -235,15 +235,14 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _values_doc(sol) -> list[list]:
-    """A solution's [u, v, value] triples, walking its sorted pair keys."""
-    u, v = np.divmod(sol.keys, sol.n)
-    return [list(t) for t in zip(u.tolist(), v.tolist(), sol.vals.tolist())]
+def _values_doc(sol) -> list[tuple]:
+    """A solution's (u, v, value) triples, walking its sorted pair keys."""
+    return [(u, v, x) for (u, v), x in zip(_key_pairs(sol.n, sol.keys), sol.vals.tolist())]
 
 
-def _pairs_doc(keys, n: int) -> list[list[int]]:
-    """[u, v] lists of sorted pair keys, in the same (lexicographic) order."""
-    return np.stack(np.divmod(keys, n), axis=1).tolist()
+def _pairs_doc(keys, n: int) -> list[tuple[int, int]]:
+    """(u, v) pairs of sorted pair keys, in the same (lexicographic) order."""
+    return list(_key_pairs(n, keys))
 
 
 def _parse_lambdas(spec: str) -> list[float]:
@@ -422,6 +421,8 @@ def cmd_cluster(args) -> int:
         _check_epsilon(args.epsilon)
     if args.alg == "louvain":
         _check_max_passes(args.max_passes)
+    if args.assignment_out and len(lams) > 1:
+        raise ParameterError("--assignment-out takes a single lambda")
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
     phases, g, widx = _read(args.input, args.format, args.timings, wedges)
 
@@ -485,6 +486,8 @@ def cmd_lp_solve(args) -> int:
         )
     if args.engine == "mwu":
         _check_epsilon(args.epsilon)
+    if args.dump_instance and (args.intermediate or len(lams) > 1):
+        raise ParameterError("--dump-instance takes a single lambda and the covering LP")
     phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
     docs = []
     for lam in lams:

@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Clustering:
-    """Partition of 0..n-1; cluster ids are contiguous in first-use order."""
+    """Partition of 0..n-1; cluster ids are contiguous 0..k-1."""
 
     assignment: tuple[int, ...]
 

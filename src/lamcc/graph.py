@@ -147,10 +147,7 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if v > u:
-                    yield u, int(v)
+        return _key_pairs(self.n, self._edge_keys)
 
     def edge_keys(self) -> np.ndarray:
         """Sorted array of pair_key(n, u, v) over all edges (u < v)."""
@@ -192,16 +189,18 @@ class Wedge(NamedTuple):
 # Parsing
 
 
-def _iter_text_lines(source: str | bytes | IO) -> Iterator[str]:
+def _text(source: str | bytes | IO) -> str:
+    """The whole text of a str, of UTF-8 bytes, or of a text or binary stream."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        return source.decode("utf-8")
     if isinstance(source, str):
-        yield from io.StringIO(source)
-        return
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw
+        return source
+    return "".join(t.decode("utf-8") if isinstance(t, bytes) else t for t in source)
+
+
+def _iter_text_lines(source: str | bytes | IO) -> Iterator[str]:
+    """The lines of a source, each ending at "\\n" only."""
+    return io.StringIO(_text(source))
 
 
 def parse_edge_list(
@@ -230,12 +229,12 @@ def parse_edge_list(
             first one when there are several) or input containing no edge
             lines at all.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        raw = source.split("\n")
-    else:
-        raw = list(_iter_text_lines(source))
+    raw = _text(source).split("\n")
+    return _parse_lines(raw, comment_prefixes, delimiter, one_indexed)
+
+
+def _parse_lines(raw: list[str], comment_prefixes, delimiter, one_indexed) -> Graph:
+    """The body of parse_edge_list over the file's lines, raw[i] being line i+1."""
     stripped = list(map(str.strip, raw))
     prefixes = tuple(comment_prefixes)
     linenos = [
@@ -299,31 +298,33 @@ def parse_matrix_market(source: str | bytes | IO) -> Graph:
     Entries are 1-indexed (i, j) coordinates; the result is the same
     normalized Graph the edge-list reader produces, except that the header
     dimension fixes nothing (ids are still remapped by first appearance).
+    The first line after the header that is neither blank nor a ``%``
+    comment is the dimensions line and must hold three integers.
     """
-    lines = _iter_text_lines(source)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise EdgeListParseError("empty input: no header line") from None
-    fields = header.lower().split()
-    if not header.startswith("%%MatrixMarket") or "coordinate" not in fields:
+    raw = _text(source).split("\n")
+    if raw == [""]:
+        raise EdgeListParseError("empty input: no header line")
+    fields = raw[0].lower().split()
+    if not raw[0].startswith("%%MatrixMarket") or "coordinate" not in fields:
         raise EdgeListParseError("not a MatrixMarket coordinate file", 1)
     if "pattern" not in fields:
         raise EdgeListParseError("only 'pattern' matrices are supported", 1)
-    # skip comment lines, then the dimensions line
-    lineno = 1
-    for raw in lines:
-        lineno += 1
-        if not raw.strip().startswith("%") and raw.strip():
+    for dims in range(1, len(raw)):
+        line = raw[dims].strip()
+        if line and not line.startswith("%"):
             break
     else:
         raise EdgeListParseError("missing dimensions line")
-    body = "".join(lines)
-    if not body.strip():
+    tokens = line.split()
+    if len(tokens) != 3 or not _all_int(tokens):
+        raise EdgeListParseError(
+            f"dimensions line must hold three integers, got {line!r}", dims + 1
+        )
+    if not any(map(str.strip, raw[dims + 1:])):
         raise EdgeListParseError("empty input: no entries found")
     # blank lines in place of the header keep error line numbers the file's
-    body = "\n" * lineno + body
-    return parse_edge_list(body, comment_prefixes=("%",), one_indexed=True)
+    raw[:dims + 1] = [""] * (dims + 1)
+    return _parse_lines(raw, ("%",), None, True)
 
 
 def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
@@ -351,32 +352,22 @@ def to_edge_list_text(g: Graph) -> str:
     realized that way (possible via from_edges) fall back to plain
     sorted order, which re-parses to an isomorphic relabeling.
     """
-    intro: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
+    order: dict[tuple[int, int], None] = {}
     k = 0
-    realizable = True
     while k < g.n:
         nbrs = g.neighbors(k)
         smaller = nbrs[nbrs < k]
         if smaller.shape[0]:
-            e = (int(smaller[0]), k)
-            intro.append(e)
-            used.add(e)
+            order[int(smaller[0]), k] = None
             k += 1
         elif g.has_edge(k, k + 1) if k + 1 < g.n else False:
-            e = (k, k + 1)
-            intro.append(e)
-            used.add(e)
+            order[k, k + 1] = None
             k += 2
         else:
-            realizable = False
+            order.clear()
             break
-    if not realizable:
-        return "".join(f"{u} {v}\n" for u, v in g.edges())
-    rest = (e for e in g.edges() if e not in used)
-    return "".join(f"{u} {v}\n" for u, v in intro) + "".join(
-        f"{u} {v}\n" for u, v in rest
-    )
+    order.update(dict.fromkeys(g.edges()))
+    return "".join(f"{u} {v}\n" for u, v in order)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +491,22 @@ def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):
             yield centers, lo, hi
 
 
+def _classified_pairs(g: Graph):
+    """Yield (center, lo, hi, open, triangle) per ``_neighbor_pair_chunks`` chunk.
+
+    ``open`` masks the open wedges (one binary search per pair against the
+    edge set), ``triangle`` the closed pairs seen from their smallest corner.
+    """
+    for centers, lo, hi in _neighbor_pair_chunks(g):
+        closed = g.edge_mask(lo * g.n + hi)
+        yield centers, lo, hi, ~closed, closed & (centers < lo)
+
+
 def enumerate_wedges(g: Graph) -> WedgeIndex:
     """Enumerate all open wedges and triangles, each exactly once.
 
     Runs in O(sum of squared degrees): every sorted neighbor pair of every
-    center is classified open/closed with one binary search against the
-    edge set. A triangle is seen from its three corners; only the
-    occurrence whose center is the smallest vertex is kept.
+    center is classified open/closed by ``_classified_pairs``.
 
     The canonical order (center, then lo, then hi) comes from one stable
     sort on the center: all neighbor pairs of a center come from a single
@@ -516,20 +516,13 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     """
     w_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     t_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for centers, lo, hi in _neighbor_pair_chunks(g):
-        closed = g.edge_mask(lo * g.n + hi)
-        open_mask = ~closed
+    for centers, lo, hi, open_mask, tri_mask in _classified_pairs(g):
         w_parts.append((centers[open_mask], lo[open_mask], hi[open_mask]))
-        tri_mask = closed & (centers < lo)
         t_parts.append((centers[tri_mask], lo[tri_mask], hi[tri_mask]))
 
-    def _gather(parts, empty_dtype=np.int64):
-        if parts:
-            c = np.concatenate([p[0] for p in parts])
-            a = np.concatenate([p[1] for p in parts])
-            b = np.concatenate([p[2] for p in parts])
-        else:
-            c = a = b = np.zeros(0, dtype=empty_dtype)
+    def _gather(parts):
+        empty = [np.zeros(0, dtype=np.int64)] * 3
+        c, a, b = [np.concatenate(col) for col in zip(*parts)] or empty
         order = np.argsort(c, kind="stable")
         return c[order], a[order], b[order]
 
@@ -546,10 +539,9 @@ def count_wedges_and_triangles(g: Graph) -> tuple[int, int]:
     """
     wedges = 0
     triangles = 0
-    for centers, lo, hi in _neighbor_pair_chunks(g):
-        closed = g.edge_mask(lo * g.n + hi)
-        wedges += int((~closed).sum())
-        triangles += int((closed & (centers < lo)).sum())
+    for _, _, _, open_mask, tri_mask in _classified_pairs(g):
+        wedges += int(open_mask.sum())
+        triangles += int(tri_mask.sum())
     return wedges, triangles
 
 

@@ -412,6 +412,42 @@ def test_argument_errors_come_before_the_read(capsys, path_file, exists, command
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["real-path", "missing-path"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lp-solve", "--lambda", "0.3,0.75", "--dump-instance"],
+         "--dump-instance takes a single lambda and the covering LP"),
+        (["lp-solve", "--lambda", "0.75", "--intermediate", "--dump-instance"],
+         "--dump-instance takes a single lambda and the covering LP"),
+        (["cluster", "--alg", "pivot", "--lambda", "0.1,0.9", "--assignment-out"],
+         "--assignment-out takes a single lambda"),
+    ],
+    ids=["dump-lambda-list", "dump-intermediate", "assignment-lambda-list"],
+)
+def test_side_files_take_a_single_lambda(tmp_path, capsys, path_file, exists, argv, message):
+    # each side file holds one lambda's result, so a lambda list is refused
+    # before the read instead of writing one lambda and dropping the others
+    path = path_file if exists else path_file + ".missing"
+    side = tmp_path / "side.txt"
+    assert main([argv[0], path, *argv[1:], str(side)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not side.exists()
+
+
+def test_malformed_matrix_market_dimensions_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.mtx"
+    f.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n% c\nfoo bar\n1 2\n")
+    assert main(["stats", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: line 3: dimensions line must hold three integers, got 'foo bar'\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command", [["lp-solve"], ["certify"], ["cluster", "--alg", "lp-round"]],
     ids=["lp-solve", "certify", "lp-round"],

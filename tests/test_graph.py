@@ -94,6 +94,33 @@ def test_matrix_market_reader():
         parse_matrix_market("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n")
 
 
+_MM_HEADER = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+
+def test_matrix_market_requires_its_dimensions_line():
+    # without the check the first entry would be taken for the dimensions line
+    bad = "dimensions line must hold three integers, got"
+    with pytest.raises(EdgeListParseError, match=f"^line 2: {bad} '1 2'$"):
+        parse_matrix_market(_MM_HEADER + "1 2\n2 3\n3 4\n")
+    with pytest.raises(EdgeListParseError, match=f"^line 4: {bad} 'foo bar'$") as info:
+        parse_matrix_market(_MM_HEADER + "% c\n\nfoo bar\n1 2\n")
+    assert info.value.line_number == 4
+    with pytest.raises(EdgeListParseError, match=f"^line 2: {bad} '3 3 x'$"):
+        parse_matrix_market(_MM_HEADER + "3 3 x\n1 2\n")
+    with pytest.raises(EdgeListParseError, match="^missing dimensions line$"):
+        parse_matrix_market(_MM_HEADER + "% only comments\n")
+
+
+def test_matrix_market_reads_bytes_and_streams_as_text():
+    text = _MM_HEADER + "% c\n4 4 3\n2 1\n3 2\n\n4 3\n"
+    g = parse_matrix_market(text)
+    assert (g.n, g.m) == (4, 3)
+    for source in (text.encode(), io.BytesIO(text.encode()), io.StringIO(text)):
+        got = parse_matrix_market(source)
+        assert got == g
+        assert np.array_equal(got.edge_keys(), g.edge_keys())
+
+
 def test_serialize_parse_idempotent_on_normalized_graphs():
     # ids of generator output are arbitrary; one parse pass normalizes
     # them to first-appearance order, after which serialize/parse is a

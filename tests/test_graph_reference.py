@@ -256,7 +256,7 @@ def test_matrix_market_parses_its_body_with_the_bulk_parser():
     with pytest.raises(EdgeListParseError, match="line 4: non-integer token"):
         parse_matrix_market(text.replace("2 1\n", "2 x\n"))
     with pytest.raises(EdgeListParseError, match="line 7: expected two integer tokens"):
-        parse_matrix_market(text.replace("3 3\n", "3 3 3\n"))
+        parse_matrix_market(text.replace("3 2\n3 3\n", "3 2\n3 3 3\n"))
 
 
 def test_parse_equals_reference_property():
