@@ -224,9 +224,12 @@ def _atomic_write(path: Path, text: str) -> None:
 def _emit(args, text: str) -> None:
     out = _resolve_output(getattr(args, "output", None))
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            print(text, end="" if text.endswith("\n") else "\n", flush=True)
+        except BrokenPipeError:
+            # the reader left: exit 1 quietly, and let devnull take the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(EXIT_ERROR) from None
     else:
         _atomic_write(out, text)
 
@@ -527,14 +530,17 @@ def cmd_certify(args) -> int:
         cres = phases.run(
             "certify", lambda: certify_canonical_feasibility(g, res.solution.to_x(g))
         )
+        # only an optimal wedge-LP solution proves the canonical optimum
+        proven = cres.certified and res.engine != "mwu"
         docs.append({
             "schema_version": SCHEMA_VERSION,
             "lambda": lam,
             "lp_value": res.solution.objective,
             "certified": cres.certified,
             "violation_count": len(cres.violations),
-            "canonical_optimum": res.solution.objective if cres.certified else None,
+            "canonical_optimum": res.solution.objective if proven else None,
             "engine": res.engine,
+            "dual_bound": res.dual_objective,
             "epsilon": args.epsilon if res.engine == "mwu" else None,
         })
     return _emit_documents(args, docs)

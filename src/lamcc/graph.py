@@ -379,9 +379,10 @@ class WedgeIndex:
     """All open wedges and triangles of a graph, in canonical order.
 
     Wedges are sorted by center, then by end pair; triangles are sorted
-    triples (i < j < k). The raw arrays are the primary representation;
-    the ``wedges`` / ``triangles`` views exist for convenience at small
-    scale.
+    triples (i < j < k); ``edge_keys`` is the graph's own read-only
+    ``Graph.edge_keys()``. The raw arrays are the primary representation.
+    ``covering_layout`` is built from them on first use and then kept; the
+    ``wedges`` / ``triangles`` views exist for convenience at small scale.
     """
 
     n: int
@@ -391,6 +392,7 @@ class WedgeIndex:
     tri_i: np.ndarray
     tri_j: np.ndarray
     tri_k: np.ndarray
+    edge_keys: np.ndarray
 
     @property
     def wedge_count(self) -> int:
@@ -414,43 +416,38 @@ class WedgeIndex:
             for i, j, k in zip(self.tri_i, self.tri_j, self.tri_k)
         ]
 
+    @cached_property
+    def covering_layout(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """Variables and rows of the wedge covering program: (keys, edge_count, rows).
+
+        The variables are the pairs ``keys``: the edge_count edges in key
+        order, then the wedge end pairs (never edges) in key order. Row w of
+        the (wedge_count, 3) int64 ``rows`` holds the variables of wedge w's
+        pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
+        cover a wedge, so every labeling and LP over wedges lives on them.
+        It does not depend on lambda, so it is built once and kept read-only.
+        """
+        n, edge_keys = self.n, self.edge_keys
+        c, a, b = self.wedge_center, self.wedge_lo, self.wedge_hi  # int64
+        m = int(edge_keys.shape[0])
+        end_keys, end_idx = np.unique(a * n + b, return_inverse=True)
+        rows = np.empty((self.wedge_count, 3), dtype=np.int64)
+        rows[:, 0] = np.searchsorted(edge_keys, np.minimum(c, a) * n + np.maximum(c, a))
+        rows[:, 1] = np.searchsorted(edge_keys, np.minimum(c, b) * n + np.maximum(c, b))
+        rows[:, 2] = end_idx + m
+        keys = np.concatenate([edge_keys, end_keys])
+        keys.setflags(write=False)
+        rows.setflags(write=False)
+        return keys, m, rows
+
     def wedge_pair_keys(self) -> np.ndarray:
         """(wedge_count, 3) array of pair keys per wedge.
 
         Columns are (center, lo), (center, hi), (lo, hi): the two edges
         followed by the open end pair, each encoded with pair_key.
         """
-        return np.stack(self.wedge_pair_key_columns(), axis=1)
-
-    def wedge_pair_key_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three columns of ``wedge_pair_keys`` as separate arrays."""
-        n = self.n
-        c = self.wedge_center.astype(np.int64, copy=False)
-        a = self.wedge_lo.astype(np.int64, copy=False)
-        b = self.wedge_hi.astype(np.int64, copy=False)
-        e1 = np.minimum(c, a) * n + np.maximum(c, a)
-        e2 = np.minimum(c, b) * n + np.maximum(c, b)
-        return e1, e2, a * n + b
-
-
-def _covering_layout(g: Graph, widx: WedgeIndex) -> tuple[np.ndarray, int, np.ndarray]:
-    """Variables and rows of the wedge covering program: (keys, edge_count, rows).
-
-    The variables are the pairs ``keys``: the edge_count edges in key
-    order, then the wedge end pairs (never edges) in key order. Row w of
-    the (wedge_count, 3) int64 ``rows`` holds the variables of wedge w's
-    pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
-    cover a wedge, so every labeling and LP over wedges lives on them.
-    """
-    e1, e2, ends = widx.wedge_pair_key_columns()
-    edge_keys = g.edge_keys()
-    m = int(edge_keys.shape[0])
-    end_keys, end_idx = np.unique(ends, return_inverse=True)
-    rows = np.empty((widx.wedge_count, 3), dtype=np.int64)
-    rows[:, 0] = np.searchsorted(edge_keys, e1)
-    rows[:, 1] = np.searchsorted(edge_keys, e2)
-    rows[:, 2] = end_idx + m
-    return np.concatenate([edge_keys, end_keys]), m, rows
+        keys, _, rows = self.covering_layout
+        return keys[rows]
 
 
 def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -528,7 +525,7 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
 
     wc, wa, wb = _gather(w_parts)
     tc, ta, tb = _gather(t_parts)
-    return WedgeIndex(g.n, wc, wa, wb, tc, ta, tb)
+    return WedgeIndex(g.n, wc, wa, wb, tc, ta, tb, g.edge_keys())
 
 
 def count_wedges_and_triangles(g: Graph) -> tuple[int, int]:

@@ -49,7 +49,6 @@ from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from .graph import (
     Graph,
     WedgeIndex,
-    _covering_layout,
     _key_pairs,
     _neighbor_pair_chunks,
     _rows_by_column,
@@ -275,7 +274,7 @@ def build_lambda_stc_lp(
 ) -> tuple[PairVariableSpace, CoveringInstance]:
     """Covering LP in labeling orientation: one constraint per open wedge."""
     lam = check_lambda(lam)
-    keys, m, rows = _covering_layout(g, widx)
+    keys, m, rows = widx.covering_layout
     space = PairVariableSpace(g.n, keys, m)
     costs = np.where(space.is_edge_mask(), 1.0 - lam, lam)
     return space, CoveringInstance(space, lam, costs, rows)
@@ -284,7 +283,7 @@ def build_lambda_stc_lp(
 def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
-    keys, m, rows = _covering_layout(g, widx)
+    keys, m, rows = widx.covering_layout
     space = PairVariableSpace(g.n, keys, m)
     tri = _triangle_rows(
         space, *(t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))

@@ -125,11 +125,6 @@ def exact_lambda_cc_sweep(
 # Labeling optimum
 
 
-def _active_instance(g: Graph, widx: WedgeIndex, lam: float):
-    space, inst = build_lambda_stc_lp(g, widx, lam)
-    return space, inst.costs, inst.rows
-
-
 def _labeling_of(space, mask: int) -> StcLabeling:
     """The labeling of the variables whose bits are set in ``mask``."""
     chosen = np.array([(mask >> i) & 1 for i in range(space.size)], dtype=bool)
@@ -152,16 +147,16 @@ def exact_lambda_stc(
     could not.
     """
     lam = check_lambda(lam)
-    space, costs, rows = _active_instance(g, widx, lam)
+    space, inst = build_lambda_stc_lp(g, widx, lam)
     if space.size > max_active:
         raise SizeCapError(
             f"labeling oracle capped at {max_active} active pairs, "
             f"got {space.size}"
         )
-    costs_l = [float(c) for c in costs]
+    costs_l = inst.costs.tolist()
     wedge_masks = []
     wedge_pairs = []
-    for row in rows:
+    for row in inst.rows:
         ps = [int(i) for i in row if i >= 0]
         mask = 0
         for i in ps:
@@ -220,14 +215,14 @@ def exact_minstc_plus(
     search code), so the two can validate each other; exponential in the
     active-pair count, hence the small cap.
     """
-    space, _, rows = _active_instance(g, widx, 0.5)
+    space, inst = build_lambda_stc_lp(g, widx, 0.5)
     if space.size > max_active:
         raise SizeCapError(
             f"subset enumeration capped at {max_active} active pairs, "
             f"got {space.size}"
         )
     wedge_masks = []
-    for row in rows:
+    for row in inst.rows:
         mask = 0
         for i in row:
             if i >= 0:

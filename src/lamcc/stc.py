@@ -30,7 +30,6 @@ from .errors import InvalidLabelingError, ParameterError
 from .graph import (
     Graph,
     WedgeIndex,
-    _covering_layout,
     _key_pairs,
     _rows_by_column,
     _sorted_unique,
@@ -239,7 +238,7 @@ def cover_label(
     than 1e-12); InfeasibleSolutionError is raised if it fails.
     """
     lam = check_lambda(lam)
-    keys, m, rows = _covering_layout(g, widx)
+    keys, m, rows = widx.covering_layout
     M, N = rows.shape[0], keys.shape[0]
     order = None
     if shuffle_seed is not None:

@@ -314,6 +314,42 @@ def test_certify(capsys, k3_file):
     assert doc["canonical_optimum"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_certify_mwu_reports_a_bracket_not_a_canonical_optimum(capsys, tmp_path):
+    # the desk graph G(10, 0.25) of seed 9025: the MWU primal satisfies every
+    # triangle inequality, yet it lies above the LP optimum 2.025
+    f = tmp_path / "gnp-10-0.25-9025.txt"
+    f.write_text("1 3\n1 4\n2 6\n3 8\n4 7\n5 6\n5 9\n7 8\n7 9\n")
+    lp = run_json(capsys, ["exact", str(f), "--problem", "lp", "--lambda", "0.55"])
+    assert lp["optimum"] == pytest.approx(2.025)
+    doc = run_json(capsys, ["certify", str(f), "--lambda", "0.55",
+                            "--engine", "mwu", "--epsilon", "0.2"])
+    assert doc["certified"] is True and doc["engine"] == "mwu"
+    assert doc["canonical_optimum"] is None
+    assert doc["dual_bound"] <= lp["optimum"] + 1e-9 <= doc["lp_value"] + 2e-9
+    assert doc["lp_value"] > lp["optimum"] + 0.1
+    doc = run_json(capsys, ["certify", str(f), "--lambda", "0.55"])
+    assert doc["engine"] == "highs"
+    assert doc["canonical_optimum"] == doc["lp_value"] == pytest.approx(lp["optimum"])
+    assert doc["dual_bound"] == pytest.approx(lp["optimum"])
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path, python_child):
+    f = tmp_path / "path.txt"
+    f.write_text("0 1\n1 2\n")
+    # stdout is a pipe whose reading end is already closed, as after `| head`
+    script = f"""
+import os, sys
+r, w = os.pipe()
+os.close(r)
+os.dup2(w, 1)
+from lamcc.cli import main
+sys.exit(main(["label", {str(f)!r}, "--lambda", "0.55"]))
+"""
+    r = python_child(script)
+    assert r.returncode == 1
+    assert r.stderr == ""
+
+
 def test_exact_problems(capsys, path_file):
     doc = run_json(capsys, ["exact", path_file, "--problem", "cc", "--lambda", "0.7"])
     assert doc["optimum"] == pytest.approx(0.3)

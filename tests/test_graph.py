@@ -9,7 +9,6 @@ from lamcc.graph import (
     MAX_KEYED_VERTICES,
     Graph,
     Wedge,
-    _covering_layout,
     count_wedges_and_triangles,
     enumerate_wedges,
     graph_stats,
@@ -17,6 +16,8 @@ from lamcc.graph import (
     parse_matrix_market,
     to_edge_list_text,
 )
+from lamcc.lp import build_intermediate_lp, build_lambda_stc_lp
+from lamcc.stc import cover_label
 from lamcc.testing import erdos_renyi
 
 
@@ -238,11 +239,39 @@ def test_counting_pass_agrees_with_materialized_index():
 ], ids=["self-loops-only", "single-edge", "disconnected", "gnp"])
 def test_covering_layout_rows_are_the_wedge_pairs(g):
     widx = enumerate_wedges(g)
-    keys, m, rows = _covering_layout(g, widx)
+    keys, m, rows = widx.covering_layout
     assert rows.dtype == np.int64 and rows.shape == (widx.wedge_count, 3)
     assert np.array_equal(keys[:m], g.edge_keys())
     assert np.all(np.diff(keys[m:]) > 0) and not g.edge_mask(keys[m:]).any()
-    assert np.array_equal(keys[rows], widx.wedge_pair_keys().reshape(-1, 3))
+    # the wedge's pairs (center, lo), (center, hi), (lo, hi), keyed here
+    n = g.n
+    pairs = [
+        [min(c, a) * n + max(c, a), min(c, b) * n + max(c, b), a * n + b]
+        for c, a, b in zip(
+            widx.wedge_center.tolist(), widx.wedge_lo.tolist(), widx.wedge_hi.tolist()
+        )
+    ]
+    assert keys[rows].tolist() == pairs
+    assert np.array_equal(widx.wedge_pair_keys(), keys[rows])
+
+
+def test_one_covering_layout_serves_every_call():
+    g = erdos_renyi(15, 0.3, 401)
+    widx = enumerate_wedges(g)
+    assert "covering_layout" not in vars(widx)  # built on first use only
+    cover_label(g, widx, 0.55)
+    layout = vars(widx)["covering_layout"]
+    keys, _, rows = layout
+    cover_label(g, widx, 0.75, minimal=True)
+    space, inst = build_lambda_stc_lp(g, widx, 0.6)
+    lp = build_intermediate_lp(g, widx, 0.6)
+    assert widx.covering_layout is layout
+    assert inst.rows is rows and space.keys is keys and lp.space.keys is keys
+    assert widx.edge_keys is g.edge_keys()
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    with pytest.raises(ValueError):
+        keys[0] = 0
 
 
 def test_empty_graph_has_empty_index():

@@ -6,7 +6,7 @@ import pytest
 from lamcc import stc
 from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
-from lamcc.graph import Graph, _covering_layout, _rows_by_column, enumerate_wedges, pair_key
+from lamcc.graph import Graph, _rows_by_column, enumerate_wedges, pair_key
 from lamcc.oracle import exact_lambda_stc
 from lamcc.stc import (
     RESIDUAL_ZERO_TOL,
@@ -351,7 +351,7 @@ def test_drop_redundant_equals_double_loop():
             StcLabeling(g.n, edges[rng.random(edges.shape[0]) < 0.7],
                         ends[rng.random(ends.shape[0]) < 0.5]),
         ]
-        keys, m, rows = _covering_layout(g, widx)
+        keys, m, rows = widx.covering_layout
         row_of, ptr = _rows_by_column(rows, keys.shape[0])
         for labeling in labelings:
             labeled = np.isin(keys, labeling.labeled_keys())
