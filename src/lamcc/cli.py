@@ -26,6 +26,7 @@ from . import __version__
 from .cluster import (
     _check_max_passes,
     _pivot_run,
+    a_posteriori_ratio,
     assignment_text,
     cover_flip_pivot,
     lambda_louvain,
@@ -404,6 +405,11 @@ def _seed_run(args, g, widx, lam, phases):
     res = _solve_lp(args, g, widx, lam, phases, intermediate=args.alg == "lp3-round")
     if args.alg == "lp-round":
         xsol = res.solution.to_x(g)
+        if args.engine == "mwu":  # the bound is the checked dual, not the MWU primal
+            return lambda seed: a_posteriori_ratio(
+                round_lambda_stc_lp(g, widx, lam, xsol, seed),
+                res.dual_objective, "lp_dual",
+            )
         return lambda seed: round_lambda_stc_lp(g, widx, lam, xsol, seed)
     return lambda seed: round_intermediate_lp(g, widx, lam, res.solution, seed)
 

@@ -343,52 +343,37 @@ def _pivot_run(
     gh = g.toggled(flip)
     t1 = time.perf_counter()
     clustering = pivot(gh, seed)
-    t2 = time.perf_counter()
+    pivot_ms = (time.perf_counter() - t1) * 1000.0
+    return _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms)
+
+
+def _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms=None):
+    """The report of a run begun at t0: its objective, and its ratio against lb."""
     objective = lambda_cc_objective(g, lam, clustering)
-    return RunReport(
-        algorithm,
-        lam,
-        seed,
-        clustering,
-        objective,
-        lb,
-        provenance,
-        _ratio(objective, lb),
-        (time.perf_counter() - t0) * 1000.0,
-        (t2 - t1) * 1000.0,
-    )
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return RunReport(algorithm, lam, seed, clustering, objective, lb, provenance,
+                     _ratio(objective, lb), elapsed_ms, pivot_ms)
 
 
 # ---------------------------------------------------------------------------
 # LP roundings
 
 
-def _check_wedge_feasibility(
-    widx: WedgeIndex, x: FractionalSolution, tol: float = 1e-9
-) -> None:
-    if widx.wedge_count == 0:
-        return
-    x3 = x.at(widx.wedge_pair_keys())
-    if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + tol):
-        raise InfeasibleSolutionError(
-            "solution violates an open-wedge triangle inequality"
-        )
-
-
-def _check_triangle_feasibility(
-    widx: WedgeIndex, x: FractionalSolution, tol: float = 1e-9
-) -> None:
-    if widx.triangle_count == 0:
-        return
-    n = widx.n
-    i, j, k = (t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
-    xij, xik, xjk = (x.at(a * n + b) for a, b in ((i, j), (i, k), (j, k)))
-    if np.any(
-        (xik > xij + xjk + tol) | (xjk > xij + xik + tol) | (xij > xik + xjk + tol)
-    ):
-        raise InfeasibleSolutionError(
-            "solution violates a triangle inequality at a closed triple"
-        )
+def _check_feasibility(widx: WedgeIndex, x: FractionalSolution, triangles: bool) -> None:
+    """Check c <= a + b + 1e-9 on each row (a, b, c): a wedge's two edges,
+    then its end pair; with ``triangles``, each rotation of a closed triple."""
+    keys, _, rows = widx.covering_layout
+    checks = [(x.at(keys)[rows], "solution violates an open-wedge triangle inequality")]
+    if triangles:
+        n = widx.n
+        i, j, k = (t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
+        tri = np.stack([x.at(a * n + b) for a, b in ((i, j), (i, k), (j, k))], axis=1)
+        # columns xij, xik, xjk; rows (xij, xjk, xik), (xij, xik, xjk), (xik, xjk, xij)
+        x3 = tri[:, [[0, 2, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
+        checks.append((x3, "solution violates a triangle inequality at a closed triple"))
+    for x3, message in checks:
+        if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + 1e-9):
+            raise InfeasibleSolutionError(message)
 
 
 def stc_rounding_threshold(lam: float) -> float:
@@ -420,15 +405,12 @@ def round_lambda_stc_lp(
     inequalities: a pair sitting exactly on the threshold is excluded.
     """
     lam = check_lambda(lam)
-    t0 = time.perf_counter()
-    x = sol.to_x(g)
-    _check_wedge_feasibility(widx, x)
     thr = stc_rounding_threshold(lam)
-    is_edge = g.edge_mask(x.keys)
-    flip = is_edge & (x.vals >= thr) if lam >= 0.5 else ~is_edge & (x.vals < thr)
-    return _pivot_run(
-        "lp-round", g, lam, seed, x.keys[flip], sol.objective, "lp_value", t0
-    )
+    if lam >= 0.5:
+        flip = lambda is_edge, x: is_edge & (x >= thr)  # edges that leave
+    else:
+        flip = lambda is_edge, x: ~is_edge & (x < thr)  # non-edges that join
+    return _round("lp-round", g, widx, lam, sol, seed, flip, triangles=False)
 
 
 def round_intermediate_lp(
@@ -446,14 +428,20 @@ def round_intermediate_lp(
     lam = check_lambda(lam)
     if lam < 0.5:
         raise ParameterError("intermediate-LP rounding requires lambda >= 1/2")
+    flip = lambda is_edge, x: is_edge != (x < 1.0 / 3.0)
+    return _round("lp3-round", g, widx, lam, sol, seed, flip, triangles=True)
+
+
+def _round(algorithm, g, widx, lam, sol, seed, flip, triangles) -> RunReport:
+    """Check sol's distances, toggle the pairs ``flip(is_edge, x)`` selects, pivot.
+
+    The report's lower bound is the solution's objective (``lp_value``).
+    """
     t0 = time.perf_counter()
     x = sol.to_x(g)
-    _check_wedge_feasibility(widx, x)
-    _check_triangle_feasibility(widx, x)
-    flip = g.edge_mask(x.keys) != (x.vals < 1.0 / 3.0)
-    return _pivot_run(
-        "lp3-round", g, lam, seed, x.keys[flip], sol.objective, "lp_value", t0
-    )
+    _check_feasibility(widx, x, triangles)
+    toggle = x.keys[flip(g.edge_mask(x.keys), x.vals)]
+    return _pivot_run(algorithm, g, lam, seed, toggle, sol.objective, "lp_value", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,48 +458,39 @@ def lambda_louvain(
 ) -> RunReport:
     """Greedy node-move heuristic for the clustering objective.
 
-    Starts from singletons; each pass visits vertices in a seeded random
+    The LambdaCC Louvain method of Veldt, Gleich & Wirth (WWW 2018). It
+    starts from singletons; each pass visits vertices in a seeded random
     order and moves each to the neighboring cluster (or back to a
     singleton) with the best strictly-negative cost delta, computed in
     O(deg) per vertex. Passes repeat until no move improves or max_passes
     is hit. With multilevel=True, converged clusters collapse into
-    weighted supernodes and the process recurses. No approximation
-    guarantee; the report carries no lower bound.
+    supernodes and the process recurses. Every level is a CSR graph with
+    integer edge weights and vertex sizes (level 0 is g, all ones), so no
+    cost delta depends on summation order. No approximation guarantee:
+    the report carries no lower bound (``a_posteriori_ratio`` adds one).
     """
     lam = check_lambda(lam)
     _check_max_passes(max_passes)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
-    sizes = [1.0] * g.n
-    adjw: list[dict[int, float]] = [
-        {int(u): 1.0 for u in g.neighbors(v)} for v in range(g.n)
-    ]
-    mapping = list(range(g.n))  # original vertex -> current supernode
-
+    indptr, indices = g.indptr, g.indices
+    weights, sizes = np.ones(indices.shape[0]), np.ones(g.n)
+    assignment = np.arange(g.n)  # original vertex -> current supernode
     while True:
-        labels, moved = _greedy_passes(adjw, sizes, lam, rng, max_passes)
-        if not multilevel or not moved:
+        labels, moved = _greedy_passes(
+            indptr, indices, weights, sizes, lam, rng, max_passes
+        )
+        assignment = labels[assignment]
+        k = int(labels.max(initial=-1)) + 1
+        # stop unless asked to recurse and something merged
+        if not multilevel or not moved or k == sizes.shape[0]:
             break
-        k = max(labels) + 1
-        if k == len(sizes):  # nothing merged, a further level is a no-op
-            break
-        sizes, adjw = _aggregate(adjw, sizes, labels, k)
-        mapping = [labels[c] for c in mapping]
-
-    final = Clustering.from_assignment(labels[c] for c in mapping)
-    objective = lambda_cc_objective(g, lam, final)
-    return RunReport(
-        "louvain",
-        lam,
-        seed,
-        final,
-        objective,
-        None,
-        None,
-        None,
-        (time.perf_counter() - t0) * 1000.0,
-    )
+        indptr, indices, weights, sizes = _aggregate(
+            indptr, indices, weights, sizes, labels, k
+        )
+    clustering = Clustering(tuple(assignment.tolist()))
+    return _report("louvain", g, lam, seed, clustering, None, None, t0)
 
 
 def _check_max_passes(max_passes: int) -> None:
@@ -519,20 +498,24 @@ def _check_max_passes(max_passes: int) -> None:
         raise ParameterError("max_passes must be >= 1")
 
 
-def _greedy_passes(adjw, sizes, lam, rng, max_passes):
-    n = len(sizes)
+def _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes):
+    """Local-move passes over one weighted CSR level, from singletons; returns
+    the labels, numbered by first appearance, and whether any vertex moved."""
+    n = sizes.shape[0]
+    indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
+    sizes = sizes.tolist()
     labels = list(range(n))
     members_size = sizes.copy()  # total size per cluster id
     moved_any = False
     for _ in range(max_passes):
         improved = False
-        for v in rng.permutation(n):
-            v = int(v)
+        for v in rng.permutation(n).tolist():
             c0 = labels[v]
             sv = sizes[v]
             # edge weight from v to each adjacent cluster
             w_to: dict[int, float] = {}
-            for u, w in adjw[v].items():
+            lo, hi = indptr[v], indptr[v + 1]
+            for u, w in zip(indices[lo:hi], weights[lo:hi]):
                 w_to[labels[u]] = w_to.get(labels[u], 0.0) + w
             size_c0 = members_size[c0] - sv
             w_c0 = w_to.get(c0, 0.0)
@@ -566,7 +549,10 @@ def _greedy_passes(adjw, sizes, lam, rng, max_passes):
                 moved_any = True
         if not improved:
             break
-    return Clustering.from_assignment(labels).assignment, moved_any
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    return rank[inverse], moved_any
 
 
 def _fresh_label(members_size) -> int:
@@ -576,18 +562,17 @@ def _fresh_label(members_size) -> int:
     return len(members_size)
 
 
-def _aggregate(adjw, sizes, labels, k):
-    new_sizes = [0.0] * k
-    for v, s in enumerate(sizes):
-        new_sizes[labels[v]] += s
-    new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
-    for v, nbrs in enumerate(adjw):
-        cv = labels[v]
-        for u, w in nbrs.items():
-            cu = labels[u]
-            if cu != cv:
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-    return new_sizes, new_adj
+def _aggregate(indptr, indices, weights, sizes, labels, k):
+    """Collapse each of the k clusters into one vertex: the CSR (indptr, indices,
+    weights) of the summed weights between distinct clusters, and the summed sizes."""
+    src = labels[np.repeat(np.arange(sizes.shape[0]), np.diff(indptr))]
+    dst = labels[indices]
+    cross = src != dst
+    pairs, inverse = np.unique(src[cross] * k + dst[cross], return_inverse=True)
+    new_indptr = np.searchsorted(pairs, np.arange(k + 1) * k)
+    new_weights = np.bincount(inverse, weights=weights[cross])
+    new_sizes = np.bincount(labels, weights=sizes, minlength=k)
+    return new_indptr, pairs % k, new_weights, new_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +589,9 @@ def a_posteriori_ratio(
         raise ParameterError(
             "ratio undefined: lower bound 0 with positive objective"
         )
-    ratio = 1.0 if lower_bound == 0 else report.objective / lower_bound
     return replace(
-        report, lower_bound=lower_bound, lb_provenance=provenance, ratio=ratio
+        report, lower_bound=lower_bound, lb_provenance=provenance,
+        ratio=_ratio(report.objective, lower_bound),
     )
 
 

@@ -10,6 +10,7 @@ from lamcc.cli import CLUSTER_ALGS, _record, main
 from lamcc.cluster import Clustering, RunReport, lambda_cc_objective, pivot
 from lamcc.graph import enumerate_wedges, load_graph, to_edge_list_text
 from lamcc.lp import build_intermediate_lp
+from lamcc.oracle import exact_lambda_cc, exact_lambda_cc_sweep
 from lamcc.testing import erdos_renyi
 
 
@@ -270,6 +271,50 @@ def test_edge_case_inputs_report_a_bound(capsys, tmp_path, text, command):
         pairs = [(d["dual_bound"], d["objective"]) for d in doc if d["certified_canonical"]]
     assert len(pairs) == 2
     assert all(bound <= objective + 1e-9 for bound, objective in pairs)
+
+
+def test_lp_round_mwu_reports_the_checked_dual_as_its_bound(capsys, tmp_path):
+    # the MWU primal here (3.15) lies above the clustering optimum (2.8)
+    g = erdos_renyi(8, 0.55, 9008)
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(g))
+    argv = ["cluster", str(f), "--alg", "lp-round", "--lambda", "0.55"]
+    (rec,) = run_json(capsys, [*argv, "--engine", "mwu", "--epsilon", "0.2"])["records"]
+    assert (rec["lower_bound"], rec["lb_provenance"]) == (2.786170212765957, "lp_dual")
+    assert rec["ratio"] == rec["objective"] / rec["lower_bound"]
+    assert rec["lower_bound"] <= exact_lambda_cc(g, 0.55).optimum == 2.8
+    (rec,) = run_json(capsys, argv)["records"]
+    assert rec["lb_provenance"] == "lp_value"
+
+
+SANDWICH_ARGS = {
+    "pivot": ["--alg", "pivot"],
+    "louvain": ["--alg", "louvain"],
+    "cfp": ["--alg", "cfp"],
+    "lp-round-highs": ["--alg", "lp-round"],
+    "lp-round-mwu-0.2": ["--alg", "lp-round", "--engine", "mwu", "--epsilon", "0.2"],
+    "lp-round-mwu-0.1": ["--alg", "lp-round", "--engine", "mwu", "--epsilon", "0.1"],
+    "lp3-round": ["--alg", "lp3-round"],
+}
+
+
+@pytest.mark.parametrize("args", SANDWICH_ARGS.values(), ids=SANDWICH_ARGS)
+def test_cluster_bounds_and_objectives_sandwich_the_optimum(capsys, tmp_path, args):
+    f = tmp_path / "g.txt"
+    for graph_seed in range(300, 312):
+        g = erdos_renyi(9, 0.45, graph_seed)
+        f.write_text(to_edge_list_text(g))
+        optimum = exact_lambda_cc_sweep(g, (0.55, 0.75))
+        argv = ["cluster", str(f), "--lambda", "0.55,0.75", "--seeds", "2", *args]
+        records = run_json(capsys, argv)["records"]
+        assert len(records) == 4
+        for rec in records:
+            opt = optimum[rec["lambda"]].optimum
+            assert opt <= rec["objective"] + 1e-9
+            if args[1] in ("pivot", "louvain"):
+                assert rec["lower_bound"] is None
+            else:
+                assert rec["lower_bound"] <= opt + 1e-9
 
 
 def test_lp3_round_beyond_the_former_dense_cap(capsys, tmp_path):

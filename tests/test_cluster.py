@@ -601,6 +601,65 @@ def test_louvain_multilevel_smoke():
     assert multi.objective <= plain.objective + 1e-9
 
 
+# (n, p, graph seed, lambda, seed) -> (plain, multilevel) assignments
+LOUVAIN_PINS = {
+    (12, 0.3, 6, 0.3, 0): ("0 1 2 2 3 4 5 1 4 3 5 0", "0 1 2 2 3 1 0 1 1 3 0 0"),
+    (12, 0.5, 0, 0.55, 0): ("0 1 0 0 2 3 1 3 2 1 2 1", "0 1 0 0 1 2 1 2 1 1 1 1"),
+    (12, 0.5, 1, 0.3, 0): ("0 1 1 1 0 1 0 2 0 1 0 2", "0 0 0 0 0 0 0 1 0 0 0 1"),
+    (12, 0.5, 9, 0.55, 0): ("0 1 1 2 3 4 2 3 4 0 3 1", "0 1 1 2 2 3 2 2 3 0 2 1"),
+    (12, 0.4, 3, 0.75, 1): ("0 1 2 3 2 0 4 1 0 4 3 1", "0 1 2 3 2 0 4 1 0 4 3 1"),
+    (30, 0.2, 5, 0.3, 2): (
+        "0 1 2 3 4 0 5 4 4 4 6 7 4 6 6 2 8 3 7 4 0 1 3 1 8 2 4 1 5 4",
+        "0 1 2 2 3 0 4 3 3 3 5 6 3 5 5 2 5 2 6 3 0 1 2 1 5 2 3 1 4 3",
+    ),
+    (30, 0.2, 5, 0.55, 2): (
+        "0 1 2 3 4 5 6 4 7 0 7 8 9 10 9 2 10 3 8 11 0 1 3 1 4 2 4 5 6 11",
+    ) * 2,
+}
+
+
+@pytest.mark.parametrize("case", LOUVAIN_PINS)
+@pytest.mark.parametrize("multilevel", [False, True])
+def test_louvain_assignments_are_pinned(case, multilevel):
+    n, p, graph_seed, lam, seed = case
+    g = erdos_renyi(n, p, graph_seed)
+    rep = lambda_louvain(g, lam, seed, multilevel=multilevel)
+    want = tuple(map(int, LOUVAIN_PINS[case][multilevel].split()))
+    assert rep.clustering.assignment == want
+    assert rep.objective == lambda_cc_objective(g, lam, Clustering(want))
+    assert (rep.lower_bound, rep.lb_provenance, rep.ratio) == (None, None, None)
+
+
+def test_louvain_aggregate_matches_dict_reference():
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        g = erdos_renyi(15, 0.3, 40 + trial)
+        k = int(rng.integers(1, 8))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, g.n - k)])
+        weights = rng.integers(1, 4, g.indices.shape[0]).astype(float)
+        sizes = rng.integers(1, 5, g.n).astype(float)
+        indptr, indices, w, s = lamcc.cluster._aggregate(
+            g.indptr, g.indices, weights, sizes, labels, k
+        )
+        ref: list[dict[int, float]] = [{} for _ in range(k)]
+        ref_sizes = [0.0] * k
+        for v in range(g.n):
+            ref_sizes[labels[v]] += sizes[v]
+            for i in range(g.indptr[v], g.indptr[v + 1]):
+                cv, cu = labels[v], labels[g.indices[i]]
+                if cu != cv:
+                    ref[cv][cu] = ref[cv].get(cu, 0.0) + weights[i]
+        got = [dict(zip(indices[indptr[c]:indptr[c + 1]].tolist(),
+                        w[indptr[c]:indptr[c + 1]].tolist())) for c in range(k)]
+        assert got == ref and s.tolist() == ref_sizes
+
+
+def test_louvain_multilevel_finds_a_lower_objective():
+    g = erdos_renyi(10, 0.3, 1)
+    assert lambda_louvain(g, 0.3, seed=0).objective == 3.8
+    assert lambda_louvain(g, 0.3, seed=0, multilevel=True).objective == 3.5999999999999996
+
+
 # ---------------------------------------------------------------------------
 # Reports
 

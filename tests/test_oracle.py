@@ -1,6 +1,6 @@
 import pytest
 
-from lamcc.cluster import lambda_cc_objective
+from lamcc.cluster import cover_flip_pivot, lambda_cc_objective, lambda_louvain
 from lamcc.errors import SizeCapError
 from lamcc.graph import enumerate_wedges
 from lamcc.oracle import (
@@ -10,7 +10,7 @@ from lamcc.oracle import (
     exact_lambda_stc,
     exact_minstc_plus,
 )
-from lamcc.stc import is_feasible, stc_objective
+from lamcc.stc import cover_label, is_feasible, stc_objective
 from lamcc.testing import erdos_renyi
 
 
@@ -146,6 +146,24 @@ def test_labeling_lower_bounds_clustering():
             stc = exact_lambda_stc(g, widx, lam).optimum
             cc = exact_lambda_cc(g, lam).optimum
             assert stc <= cc + 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e-9, 1 - 1e-9])
+def test_extreme_lambda_bounds_and_clusterings_bracket_the_optimum(lam):
+    # near 0 every missing pair costs almost nothing, near 1 every weak edge
+    for seed in range(40):
+        g = erdos_renyi(8, 0.4, seed)
+        widx = enumerate_wedges(g)
+        opt = exact_lambda_cc(g, lam).optimum
+        for minimal in (False, True):
+            lab, cert = cover_label(g, widx, lam, minimal=minimal)
+            assert is_feasible(g, widx, lab)
+            assert cert.lower_bound <= stc_objective(g, lam, lab) + 1e-12
+            assert cert.lower_bound <= opt + 1e-12
+        for multilevel in (False, True):
+            louvain = lambda_louvain(g, lam, seed, multilevel=multilevel)
+            assert louvain.objective >= opt - 1e-12
+        assert cover_flip_pivot(g, widx, lam, seed, force=True).objective >= opt - 1e-12
 
 
 def test_canonical_size_cap():
