@@ -44,24 +44,32 @@ def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL)
     """
     c = np.asarray(c, dtype=float)
     y = np.asarray(y, dtype=float)
-    sign = np.broadcast_to(sign, idx.shape)
-    u = np.broadcast_to(u, c.shape)
     if y.shape != (idx.shape[0],):
         raise InfeasibleSolutionError(f"dual of shape {y.shape} for {idx.shape[0]} rows")
-    if np.any(y < -tol):
-        raise InfeasibleSolutionError(f"negative row dual {float(y.min()):.3e}")
     live = np.flatnonzero(y)  # rows with y = 0 add nothing to A^T y or b.y
-    cols, weights = idx[live], sign[live] * y[live, None]
-    ok = cols >= 0
-    r = c - np.bincount(cols[ok], weights=weights[ok], minlength=c.shape[0])
-    free = np.isinf(u)
-    if np.any(r[free] < -tol):
-        raise InfeasibleSolutionError(
-            f"dual overloads a column by {float(-r[free].min()):.3e}"
-        )
-    by = np.broadcast_to(b, y.shape)[live] * y[live]
-    boxed = np.minimum(r[~free], 0.0) * u[~free]
-    return math.fsum(np.concatenate([by, boxed, [c0]]).tolist())
+    yl = y[live]
+    if (yl < -tol).any():
+        raise InfeasibleSolutionError(f"negative row dual {float(y.min()):.3e}")
+    cols = idx[live]
+    if np.ndim(sign):
+        weights = np.broadcast_to(sign, idx.shape)[live] * yl[:, None]
+    else:
+        weights = np.repeat(sign * yl, cols.shape[1])
+    # pads (-1) count in bin 0; each column adds its rows in row order
+    load = np.bincount(cols.ravel() + 1, weights=weights.ravel(), minlength=c.shape[0] + 1)
+    r = c - load[1:]
+    if np.ndim(u):
+        u = np.broadcast_to(u, c.shape)
+        free = np.isinf(u)
+        over, boxed = r[free], np.minimum(r[~free], 0.0) * u[~free]
+    elif math.isinf(u):
+        over, boxed = r, r[:0]
+    else:
+        over, boxed = r[:0], np.minimum(r, 0.0) * u
+    if (over < -tol).any():
+        raise InfeasibleSolutionError(f"dual overloads a column by {float(-over.min()):.3e}")
+    by = (np.broadcast_to(b, y.shape)[live] if np.ndim(b) else b) * yl
+    return math.fsum(by.tolist() + boxed.tolist() + [c0])
 
 
 def check_primal(idx, sign, b, u, x) -> None:

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 RESIDUAL_ZERO_TOL = 1e-12
-_BLOCK = 512  # wedges per dead-wedge skip in cover_label
+_BLOCK = 512  # runs per dead-run skip in _local_ratio
 
 
 def check_lambda(lam: float) -> float:
@@ -287,48 +287,57 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
     them. Returns the visit positions where m > 0, those m, and the final
     residuals.
 
-    Rows touching a residual <= 0.0 are skipped, ``_BLOCK`` rows at a time,
-    with the same result as visiting them: their minimum is <= 0.0, so they
-    change nothing. A residual r only ever loses an m <= r, and r - m never
-    rounds below 0.0, so residuals never rise; the one that attains m drops
-    to exactly 0.0 (x - x == 0.0), is recorded, and is marked dead at the
-    next block. Pads read a +inf slot, so they never bind nor die; a row of
-    pads alone would take m = inf, and callers reject it.
+    A residual r only ever loses an m <= r, and r - m never rounds below
+    0.0, so residuals never rise; the one that attains m drops to exactly
+    0.0 (x - x == 0.0). A row touching a residual <= 0.0 has m <= 0.0 and
+    changes nothing, so skipping it gives the same result. The pass skips
+    in runs: stretches of consecutive rows that share their first variable
+    (in canonical wedge order, the wedges on one edge (center, lo)). Runs
+    whose first variable is dead are dropped ``_BLOCK`` runs at a time; a
+    live run is walked row by row and left as soon as its first variable
+    reaches 0.0. A shuffled order makes runs of one row. Pads read a +inf
+    slot, so they never bind nor die; a row of pads alone would take
+    m = inf, and callers reject it. Residuals are read and written in
+    place in a float64 copy through a memoryview.
     """
     res = np.append(residual, np.inf)
     dead = res <= 0.0
-    # one float object per run of equal values (0.0 and -0.0 may share one):
-    # the loop reads residuals by pointer, and a few shared objects stay in
-    # cache where a million do not
-    start = np.flatnonzero(np.append(True, res[1:] != res[:-1]))
-    run = np.array(res[start].tolist(), dtype=object)
-    res = np.repeat(run, np.diff(start, append=res.shape[0])).tolist()
+    r = memoryview(res)
     a, b, c = (rows if order is None else rows[order]).T
+    M = a.shape[0]
+    heads = np.flatnonzero(np.append(M > 0, a[1:] != a[:-1]))
+    first, ends = a[heads], np.append(heads[1:], M)
+    bv, cv = memoryview(b), memoryview(c)
     zeroed, pos, vals = [], [], []
-    for s in range(0, a.shape[0], _BLOCK):
+    for s in range(0, heads.shape[0], _BLOCK):
         dead[zeroed] = True
         zeroed.clear()
-        e = s + _BLOCK
-        live = np.flatnonzero(~(dead[a[s:e]] | dead[b[s:e]] | dead[c[s:e]])) + s
-        todo = zip(live.tolist(), a[live].tolist(), b[live].tolist(), c[live].tolist())
-        for w, ia, ib, ic in todo:
-            ra, rb, rc = res[ia], res[ib], res[ic]
-            m_ = ra if ra < rb else rb
-            if rc < m_:
-                m_ = rc
-            if m_ > 0.0:
-                res[ia] = ra - m_
-                res[ib] = rb - m_
-                res[ic] = rc - m_
-                pos.append(w)
-                vals.append(m_)
-                if ra == m_:
-                    zeroed.append(ia)
-                if rb == m_:
-                    zeroed.append(ib)
-                if rc == m_:
-                    zeroed.append(ic)
-    return np.array(pos, dtype=np.int64), np.array(vals), np.array(res)[:-1]
+        live = np.flatnonzero(~dead[first[s:s + _BLOCK]]) + s
+        for ia, lo, hi in zip(first[live].tolist(), heads[live].tolist(), ends[live].tolist()):
+            ra = r[ia]  # held here while the run is walked
+            if ra <= 0.0:  # died earlier in this block
+                continue
+            for w in range(lo, hi):
+                ib, ic = bv[w], cv[w]
+                rb, rc = r[ib], r[ic]
+                m_ = ra if ra < rb else rb
+                if rc < m_:
+                    m_ = rc
+                if m_ > 0.0:
+                    r[ib] = rb - m_
+                    r[ic] = rc - m_
+                    pos.append(w)
+                    vals.append(m_)
+                    if rb == m_:
+                        zeroed.append(ib)
+                    if rc == m_:
+                        zeroed.append(ic)
+                    ra -= m_
+                    r[ia] = ra
+                    if ra == 0.0:  # the rest of the run is dead
+                        zeroed.append(ia)
+                        break
+    return np.array(pos, dtype=np.int64), np.array(vals), res[:-1]
 
 
 def _reduce(rows, row_of, ptr, z, order, quantum=None) -> np.ndarray:

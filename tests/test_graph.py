@@ -81,6 +81,42 @@ def test_parse_accepts_bytes_and_streams():
     assert parse_edge_list(io.StringIO("0 1\n")).m == 1
 
 
+def test_parse_merges_duplicate_and_reversed_edges_at_scale():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    try:
+        import networkx as nx  # an independent cross-check, where installed
+    except ImportError:
+        nx = None
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(40, 600), st.integers(500, 3000),
+                      st.integers(1, 4))
+    def check(seed, n, m, most):
+        # m distinct pairs over sparse file ids, each written 1..most times
+        # in either orientation, lines shuffled
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10 * n, size=n, replace=False)
+        uv = ids[rng.integers(0, n, size=(m, 2))]
+        uv = np.unique(np.sort(uv[uv[:, 0] != uv[:, 1]], axis=1), axis=0)
+        lines = np.repeat(uv, rng.integers(1, most + 1, uv.shape[0]), axis=0)
+        flip = rng.random(lines.shape[0]) < 0.5
+        lines[flip] = lines[flip, ::-1]
+        lines = lines[rng.permutation(lines.shape[0])]
+        g = parse_edge_list("".join(f"{u} {v}\n" for u, v in lines.tolist()))
+
+        renum = {}  # the parser's ids: order of first appearance
+        for t in lines.ravel().tolist():
+            renum.setdefault(t, len(renum))
+        assert g == Graph.from_edges(len(renum), [(renum[u], renum[v]) for u, v in uv.tolist()])
+        if nx is not None:
+            ref = nx.relabel_nodes(nx.Graph(lines.tolist()), renum)
+            assert (g.n, g.m) == (ref.number_of_nodes(), ref.number_of_edges())
+            assert sorted(g.edges()) == sorted((min(e), max(e)) for e in ref.edges())
+
+    check()
+
+
 def test_matrix_market_reader():
     text = (
         "%%MatrixMarket matrix coordinate pattern symmetric\n"

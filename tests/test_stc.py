@@ -424,6 +424,33 @@ def _covering_programs(st, values):
     return programs()
 
 
+def _run_programs(st, values):
+    """(rows, start values, row order, None) of a covering program in runs.
+
+    Rows are sorted by their first variable, so rows that share it stand
+    together, as the wedges on one edge do in canonical order; some runs
+    are long. The first variable may be a -1 pad, and there may be no row.
+    """
+
+    @st.composite
+    def programs(draw):
+        n = draw(st.integers(1, 10))
+        rows = []
+        for head in sorted(draw(st.lists(st.integers(-1, n - 1), max_size=6))):
+            others = [j for j in range(n) if j != head]
+            # a row needs one variable besides pads
+            tail = st.lists(st.sampled_from(others), min_size=1 if head < 0 else 0,
+                            max_size=2, unique=True) if others else st.just([])
+            for _ in range(draw(st.integers(1, 30))):
+                rest = draw(tail)
+                rows.append([head] + draw(st.permutations(rest + [-1] * (2 - len(rest)))))
+        start = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+        row_order = draw(st.permutations(range(len(rows))))
+        return np.array(rows, dtype=np.int64).reshape(-1, 3), start, row_order, None
+
+    return programs()
+
+
 def test_local_ratio_equals_plain_loop_property(monkeypatch):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -431,11 +458,14 @@ def test_local_ratio_equals_plain_loop_property(monkeypatch):
     residuals = st.sampled_from([0.0, -0.0, -1e-17, -1e-3, 0.25, 0.5]) | st.floats(
         1e-6, 2.0
     )
+    programs = _covering_programs(st, residuals) | _run_programs(st, residuals)
 
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(
-        _covering_programs(st, residuals), st.booleans(), st.sampled_from([1, 3, 512])
-    )
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(programs, st.booleans(), st.sampled_from([1, 3, 512]))
+    @hypothesis.example((np.zeros((0, 3), dtype=np.int64), [0.5], [], None), False, 1)
+    @hypothesis.example((np.array([[-1, 0, -1]]), [0.25, 0.0], [0], None), True, 3)
+    @hypothesis.example((np.array([[0, 1, -1]] * 4 + [[1, 0, -1]]), [0.0, 0.5], range(5), None),
+                        False, 512)
     def check(program, shuffled, block):
         rows, residual, row_order, _ = program
         monkeypatch.setattr(stc, "_BLOCK", block)
@@ -447,6 +477,23 @@ def test_local_ratio_equals_plain_loop_property(monkeypatch):
         assert res.tolist() == ref_res
 
     check()
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_local_ratio_equals_plain_loop_in_canonical_order(lam):
+    # a clustered graph's wedges share their first pair in long runs
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    keys, m, rows = enumerate_wedges(g).covering_layout
+    runs = np.diff(np.flatnonzero(np.append(np.diff(rows[:, 0]) != 0, True)), prepend=-1)
+    assert runs.shape[0] > 2 * stc._BLOCK and runs.mean() > 5 and runs.max() >= 30
+    cost = np.full(keys.shape[0], lam)
+    cost[:m] = 1.0 - lam
+    pos, vals, res = stc._local_ratio(rows, cost)
+    ref_pos, ref_vals, ref_res = _reference_local_ratio(
+        rows.tolist(), cost.tolist(), range(rows.shape[0])
+    )
+    assert pos.tolist() == ref_pos and vals.tolist() == ref_vals
+    assert res.tolist() == ref_res
 
 
 def test_reduce_equals_plain_loop_property():
