@@ -5,8 +5,9 @@ Every program this package bounds with has the form
     min c.x + c0  subject to  A x >= b,  0 <= x <= u,
 
 where row i of A holds the coefficients ``sign[i]`` at the columns
-``idx[i]`` (an index of -1 pads a short row) and each u_j is 1 or inf. A
-row dual y >= 0 gives reduced costs r = c - A^T y, and weak duality makes
+``idx[i]`` (an index of -1 pads a short row), every row has the same
+right side b and every column the same bound u, 1 or inf. A row dual
+y >= 0 gives reduced costs r = c - A^T y, and weak duality makes
 
     b.y + sum_j min(r_j, 0) u_j + c0
 
@@ -39,8 +40,10 @@ def row_activity(idx, sign, x) -> np.ndarray:
 def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL) -> float:
     """The checked lower bound b.y + sum min(r, 0) u + c0 of a row dual y.
 
-    ``sign``, ``b`` and ``u`` may be scalars. Raises InfeasibleSolutionError
-    unless y >= -tol and r >= -tol on every column without an upper bound.
+    ``b`` and ``u`` are scalars: every program here has one right side for
+    all rows and one upper bound for all columns. ``sign`` may be a scalar.
+    Raises InfeasibleSolutionError unless y >= -tol and, if u is infinite,
+    r >= -tol.
     """
     c = np.asarray(c, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -50,26 +53,14 @@ def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL)
     yl = y[live]
     if (yl < -tol).any():
         raise InfeasibleSolutionError(f"negative row dual {float(y.min()):.3e}")
-    cols = idx[live]
-    if np.ndim(sign):
-        weights = np.broadcast_to(sign, idx.shape)[live] * yl[:, None]
-    else:
-        weights = np.repeat(sign * yl, cols.shape[1])
+    weights = np.broadcast_to(sign, idx.shape)[live] * yl[:, None]
     # pads (-1) count in bin 0; each column adds its rows in row order
-    load = np.bincount(cols.ravel() + 1, weights=weights.ravel(), minlength=c.shape[0] + 1)
+    load = np.bincount(idx[live].ravel() + 1, weights=weights.ravel(), minlength=c.shape[0] + 1)
     r = c - load[1:]
-    if np.ndim(u):
-        u = np.broadcast_to(u, c.shape)
-        free = np.isinf(u)
-        over, boxed = r[free], np.minimum(r[~free], 0.0) * u[~free]
-    elif math.isinf(u):
-        over, boxed = r, r[:0]
-    else:
-        over, boxed = r[:0], np.minimum(r, 0.0) * u
+    over, boxed = (r, r[:0]) if math.isinf(u) else (r[:0], np.minimum(r, 0.0) * u)
     if (over < -tol).any():
         raise InfeasibleSolutionError(f"dual overloads a column by {float(-over.min()):.3e}")
-    by = (np.broadcast_to(b, y.shape)[live] if np.ndim(b) else b) * yl
-    return math.fsum(by.tolist() + boxed.tolist() + [c0])
+    return math.fsum((b * yl).tolist() + boxed.tolist() + [c0])
 
 
 def check_primal(idx, sign, b, u, x) -> None:
@@ -89,10 +80,10 @@ def check_primal(idx, sign, b, u, x) -> None:
 def verify_certificate(idx, sign, b, c, u, x, y, c0: float = 0.0) -> float:
     """Check a primal x and a row dual y of the program above; return the bound.
 
-    x must pass ``check_primal``, y must pass ``dual_bound``, and the
-    primal value c.x + c0 must lie within 1e-6 (1 + |primal|) of the dual
-    bound (both taken with ``math.fsum``). Raises InfeasibleSolutionError
-    otherwise.
+    ``b`` and ``u`` are scalars, as for ``dual_bound``. x must pass
+    ``check_primal``, y must pass ``dual_bound``, and the primal value
+    c.x + c0 must lie within 1e-6 (1 + |primal|) of the dual bound (both
+    taken with ``math.fsum``). Raises InfeasibleSolutionError otherwise.
     """
     x = np.asarray(x, dtype=float)
     check_primal(idx, sign, b, u, x)

@@ -293,26 +293,32 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
     changes nothing, so skipping it gives the same result. The pass skips
     in runs: stretches of consecutive rows that share their first variable
     (in canonical wedge order, the wedges on one edge (center, lo)). Runs
-    whose first variable is dead are dropped ``_BLOCK`` runs at a time; a
-    live run is walked row by row and left as soon as its first variable
-    reaches 0.0. A shuffled order makes runs of one row. Pads read a +inf
-    slot, so they never bind nor die; a row of pads alone would take
-    m = inf, and callers reject it. Residuals are read and written in
-    place in a float64 copy through a memoryview.
+    whose first variable is dead are dropped ``_BLOCK`` runs at a time, and
+    so are runs of one row (as a shuffled order makes) with any variable
+    dead; a live run is walked row by row and left as soon as its first
+    variable reaches 0.0. Pads read a +inf slot, so they never bind nor
+    die; a row of pads alone would take m = inf, and callers reject it.
+    Residuals are read and written in place in a float64 copy through a
+    memoryview.
     """
     res = np.append(residual, np.inf)
     dead = res <= 0.0
     r = memoryview(res)
-    a, b, c = (rows if order is None else rows[order]).T
+    # np.take gathers whole rows, about 3x as fast as rows[order] at 2.6M rows
+    a, b, c = (rows if order is None else np.take(rows, order, axis=0)).T
     M = a.shape[0]
     heads = np.flatnonzero(np.append(M > 0, a[1:] != a[:-1]))
     first, ends = a[heads], np.append(heads[1:], M)
+    # a run of one row is tested on all three variables (-1 reads the pad)
+    one = ends - heads == 1
+    second, third = np.where(one, b[heads], -1), np.where(one, c[heads], -1)
     bv, cv = memoryview(b), memoryview(c)
     zeroed, pos, vals = [], [], []
     for s in range(0, heads.shape[0], _BLOCK):
         dead[zeroed] = True
         zeroed.clear()
-        live = np.flatnonzero(~dead[first[s:s + _BLOCK]]) + s
+        e = s + _BLOCK
+        live = np.flatnonzero(~(dead[first[s:e]] | dead[second[s:e]] | dead[third[s:e]])) + s
         for ia, lo, hi in zip(first[live].tolist(), heads[live].tolist(), ends[live].tolist()):
             ra = r[ia]  # held here while the run is walked
             if ra <= 0.0:  # died earlier in this block
