@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, lam=True):
         p.add_argument("input", help="graph file (edge list or MatrixMarket)")
-        p.add_argument("--format", default="auto", choices=("auto", "edgelist", "mtx"))
         if lam:
             p.add_argument(
                 "--lambda", dest="lambdas", required=True, metavar="L[,L...]",
@@ -259,10 +258,10 @@ def _parse_lambdas(spec: str) -> list[float]:
     return [check_lambda(l) for l in lams]
 
 
-def _read(path, fmt: str, timings: bool, wedges: bool = False):
+def _read(path, timings: bool, wedges: bool = False):
     """Parse the graph and, when asked, enumerate its wedges, each once."""
     phases = _Phases(timings)
-    g = phases.run("parse", lambda: load_graph(path, fmt))
+    g = phases.run("parse", lambda: load_graph(path))
     widx = phases.run("wedges", lambda: enumerate_wedges(g)) if wedges else None
     return phases, g, widx
 
@@ -291,7 +290,7 @@ def _solve_lp(args, g, widx, lam, phases, *, intermediate=False, dump=None):
 
 
 def cmd_stats(args) -> int:
-    phases, g, _ = _read(args.input, args.format, args.timings)
+    phases, g, _ = _read(args.input, args.timings)
     stats = phases.run("wedges", lambda: graph_stats(g))
     doc = {"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem, **stats}
     return _emit_documents(args, [doc])
@@ -303,7 +302,7 @@ def cmd_constraints(args) -> int:
     failed = False
     for inp in args.inputs:
         try:
-            _, g, _ = _read(inp, "auto", False)
+            _, g, _ = _read(inp, False)
             s = graph_stats(g)
         except (LamccError, OSError) as e:
             print(f"error: {inp}: {e}", file=sys.stderr)
@@ -322,7 +321,7 @@ def cmd_label(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     if args.shuffle_seed is not None and args.shuffle_seed < 0:
         raise ParameterError("--shuffle-seed must be >= 0")
-    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
+    phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
         lab, cert = phases.run(
@@ -433,7 +432,7 @@ def cmd_cluster(args) -> int:
     if args.assignment_out and len(lams) > 1:
         raise ParameterError("--assignment-out takes a single lambda")
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
-    phases, g, widx = _read(args.input, args.format, args.timings, wedges)
+    phases, g, widx = _read(args.input, args.timings, wedges)
 
     records: list[dict] = []
     aggregates: list[dict] = []
@@ -497,7 +496,7 @@ def cmd_lp_solve(args) -> int:
         _check_epsilon(args.epsilon)
     if args.dump_instance and (args.intermediate or len(lams) > 1):
         raise ParameterError("--dump-instance takes a single lambda and the covering LP")
-    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
+    phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
         res = _solve_lp(
@@ -529,7 +528,7 @@ def cmd_certify(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     if args.engine == "mwu":
         _check_epsilon(args.epsilon)
-    phases, g, widx = _read(args.input, args.format, args.timings, wedges=True)
+    phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
         res = _solve_lp(args, g, widx, lam, phases)
@@ -555,7 +554,7 @@ def cmd_certify(args) -> int:
 def cmd_exact(args) -> int:
     lams = _parse_lambdas(args.lambdas)
     wedges = args.problem == "stc"
-    phases, g, widx = _read(args.input, args.format, args.timings, wedges)
+    phases, g, widx = _read(args.input, args.timings, wedges)
     if args.problem == "cc":
         # one partition scan serves every lambda
         sweep = phases.run("enumerate", lambda: exact_lambda_cc_sweep(g, lams))

@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .certificate import PRIMAL_TOL
 from .errors import InfeasibleSolutionError, ParameterError
 from .graph import Graph, WedgeIndex
 from .lp import FractionalSolution
@@ -61,13 +62,8 @@ class Clustering:
 
     @classmethod
     def from_assignment(cls, labels) -> "Clustering":
-        remap: dict[int, int] = {}
-        out = []
-        for lbl in labels:
-            if lbl not in remap:
-                remap[lbl] = len(remap)
-            out.append(remap[lbl])
-        return cls(tuple(out))
+        """The partition of ``labels``, renumbered by first appearance."""
+        return cls(tuple(_first_appearance(labels)))
 
     @cached_property
     def clusters(self) -> tuple[tuple[int, ...], ...]:
@@ -104,6 +100,12 @@ class RunReport:
     @property
     def num_clusters(self) -> int:
         return self.clustering.num_clusters
+
+
+def _first_appearance(labels) -> list[int]:
+    """Labels renumbered 0..k-1 in order of first appearance."""
+    remap: dict = {}
+    return [remap.setdefault(lbl, len(remap)) for lbl in labels]
 
 
 def _ratio(objective: float, lower_bound: float | None) -> float | None:
@@ -360,7 +362,7 @@ def _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms=No
 
 
 def _check_feasibility(widx: WedgeIndex, x: FractionalSolution, triangles: bool) -> None:
-    """Check c <= a + b + 1e-9 on each row (a, b, c): a wedge's two edges,
+    """Check c <= a + b + PRIMAL_TOL on each row (a, b, c): a wedge's two edges,
     then its end pair; with ``triangles``, each rotation of a closed triple."""
     keys, _, rows = widx.covering_layout
     checks = [(x.at(keys)[rows], "solution violates an open-wedge triangle inequality")]
@@ -372,7 +374,7 @@ def _check_feasibility(widx: WedgeIndex, x: FractionalSolution, triangles: bool)
         x3 = tri[:, [[0, 2, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
         checks.append((x3, "solution violates a triangle inequality at a closed triple"))
     for x3, message in checks:
-        if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + 1e-9):
+        if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + PRIMAL_TOL):
             raise InfeasibleSolutionError(message)
 
 
@@ -478,13 +480,11 @@ def lambda_louvain(
     weights, sizes = np.ones(indices.shape[0]), np.ones(g.n)
     assignment = np.arange(g.n)  # original vertex -> current supernode
     while True:
-        labels, moved = _greedy_passes(
-            indptr, indices, weights, sizes, lam, rng, max_passes
-        )
+        labels = _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes)
         assignment = labels[assignment]
         k = int(labels.max(initial=-1)) + 1
         # stop unless asked to recurse and something merged
-        if not multilevel or not moved or k == sizes.shape[0]:
+        if not multilevel or k == sizes.shape[0]:
             break
         indptr, indices, weights, sizes = _aggregate(
             indptr, indices, weights, sizes, labels, k
@@ -500,13 +500,12 @@ def _check_max_passes(max_passes: int) -> None:
 
 def _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes):
     """Local-move passes over one weighted CSR level, from singletons; returns
-    the labels, numbered by first appearance, and whether any vertex moved."""
+    the labels, numbered by first appearance (the identity if no vertex moved)."""
     n = sizes.shape[0]
     indptr, indices, weights = indptr.tolist(), indices.tolist(), weights.tolist()
     sizes = sizes.tolist()
     labels = list(range(n))
     members_size = sizes.copy()  # total size per cluster id
-    moved_any = False
     for _ in range(max_passes):
         improved = False
         for v in rng.permutation(n).tolist():
@@ -546,13 +545,9 @@ def _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes):
                     members_size.append(0.0)
                 members_size[best_c] += sv
                 improved = True
-                moved_any = True
         if not improved:
             break
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.shape[0])
-    return rank[inverse], moved_any
+    return np.array(_first_appearance(labels), dtype=np.int64)
 
 
 def _fresh_label(members_size) -> int:

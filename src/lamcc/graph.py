@@ -16,7 +16,6 @@ is counted exactly once.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -198,11 +197,6 @@ def _text(source: str | bytes | IO) -> str:
     return "".join(t.decode("utf-8") if isinstance(t, bytes) else t for t in source)
 
 
-def _iter_text_lines(source: str | bytes | IO) -> Iterator[str]:
-    """The lines of a source, each ending at "\\n" only."""
-    return io.StringIO(_text(source))
-
-
 def parse_edge_list(
     source: str | bytes | IO,
     *,
@@ -327,17 +321,13 @@ def parse_matrix_market(source: str | bytes | IO) -> Graph:
     return _parse_lines(raw, ("%",), None, True)
 
 
-def load_graph(path: str | Path, fmt: str = "auto") -> Graph:
-    """Load a graph file; ``fmt`` is 'edgelist', 'mtx', or 'auto' (sniff)."""
-    path = Path(path)
-    data = path.read_bytes()
-    if fmt == "auto":
-        fmt = "mtx" if data.startswith(b"%%MatrixMarket") else "edgelist"
-    if fmt == "mtx":
+def load_graph(path: str | Path) -> Graph:
+    """Load a graph file: MatrixMarket if it starts with ``%%MatrixMarket``,
+    else an edge list."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"%%MatrixMarket"):
         return parse_matrix_market(data)
-    if fmt == "edgelist":
-        return parse_edge_list(data)
-    raise EdgeListParseError(f"unknown format {fmt!r}")
+    return parse_edge_list(data)
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import check_primal, dual_bound, row_activity, verify_certificate
+from .certificate import PRIMAL_TOL, check_primal, dual_bound, row_activity, verify_certificate
 from .errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from .graph import (
     Graph,
@@ -71,9 +71,6 @@ __all__ = [
     "certify_canonical_feasibility",
     "dump_covering_instance",
 ]
-
-FEAS_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class PairVariableSpace:
@@ -631,9 +628,7 @@ class CertifyResult:
     violations: list[tuple[int, int, int]]
 
 
-def certify_canonical_feasibility(
-    g: Graph, sol: FractionalSolution, *, tol: float = FEAS_TOL
-) -> CertifyResult:
+def certify_canonical_feasibility(g: Graph, sol: FractionalSolution) -> CertifyResult:
     """Check all-triples triangle inequalities against a distance solution.
 
     Inactive pairs take their default x = 1. Only triples with two
@@ -658,7 +653,7 @@ def certify_canonical_feasibility(
     sub = Graph.from_keys(n, x.keys[x.vals < 1.0 - 1e-12])
     found = [np.zeros((0, 3), dtype=np.int64)]
     for j, i, k in _neighbor_pair_chunks(sub):
-        bad = x.at(i * n + k) > x.at(key(i, j)) + x.at(key(j, k)) + tol
+        bad = x.at(i * n + k) > x.at(key(i, j)) + x.at(key(j, k)) + PRIMAL_TOL
         found.append(np.sort(np.stack([i[bad], j[bad], k[bad]], axis=1), axis=1))
     triples = [tuple(t) for t in np.unique(np.concatenate(found), axis=0).tolist()]
     return CertifyResult(not triples, triples)

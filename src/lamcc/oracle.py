@@ -53,14 +53,12 @@ class OracleResult:
 # Clustering optimum over all set partitions
 
 
-def exact_lambda_cc(g: Graph, lam: float, *, max_n: int = MAX_PARTITION_N) -> OracleResult:
+def exact_lambda_cc(g: Graph, lam: float) -> OracleResult:
     """Global clustering optimum by full partition enumeration."""
-    return exact_lambda_cc_sweep(g, [lam], max_n=max_n)[float(lam)]
+    return exact_lambda_cc_sweep(g, [lam])[float(lam)]
 
 
-def exact_lambda_cc_sweep(
-    g: Graph, lams, *, max_n: int = MAX_PARTITION_N
-) -> dict[float, OracleResult]:
+def exact_lambda_cc_sweep(g: Graph, lams) -> dict[float, OracleResult]:
     """One partition scan evaluated at several lambda values at once.
 
     Each partition is characterized by its internal edge count and
@@ -68,8 +66,8 @@ def exact_lambda_cc_sweep(
     """
     lams = [check_lambda(l) for l in lams]
     n = g.n
-    if n > max_n:
-        raise SizeCapError(f"partition enumeration capped at n={max_n}, got {n}")
+    if n > MAX_PARTITION_N:
+        raise SizeCapError(f"partition enumeration capped at n={MAX_PARTITION_N}, got {n}")
     if n == 0:
         empty = Clustering(())
         return {l: OracleResult(0.0, empty, 1) for l in lams}
@@ -246,16 +244,14 @@ def exact_minstc_plus(
 # Canonical LP optimum
 
 
-def exact_canonical_lp(
-    g: Graph, lam: float, *, max_n: int = MAX_CANONICAL_N
-) -> OracleResult:
+def exact_canonical_lp(g: Graph, lam: float) -> OracleResult:
     """All-pairs, all-triples LP optimum via the exact HiGHS engine.
 
     enumerated_count reports HiGHS simplex iterations rather than candidates.
     """
     lam = check_lambda(lam)
-    if g.n > max_n:
-        raise SizeCapError(f"canonical LP oracle capped at n={max_n}, got {g.n}")
+    if g.n > MAX_CANONICAL_N:
+        raise SizeCapError(f"canonical LP oracle capped at n={MAX_CANONICAL_N}, got {g.n}")
     lp = build_canonical_lp(g, lam)
     res = solve_general_exact(lp)
     return OracleResult(res.solution.objective, res.solution, res.iterations)

@@ -292,17 +292,16 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
     0.0 (x - x == 0.0). A row touching a residual <= 0.0 has m <= 0.0 and
     changes nothing, so skipping it gives the same result. The pass skips
     in runs: stretches of consecutive rows that share their first variable
-    (in canonical wedge order, the wedges on one edge (center, lo)). Runs
-    whose first variable is dead are dropped ``_BLOCK`` runs at a time, and
-    so are runs of one row (as a shuffled order makes) with any variable
-    dead; a live run is walked row by row and left as soon as its first
-    variable reaches 0.0. Pads read a +inf slot, so they never bind nor
-    die; a row of pads alone would take m = inf, and callers reject it.
-    Residuals are read and written in place in a float64 copy through a
-    memoryview.
+    (in canonical wedge order, the wedges on one edge (center, lo)). At
+    the start of each ``_BLOCK`` runs it drops the runs whose first
+    variable has a residual <= 0.0, and the runs of one row (as a shuffled
+    order makes) with any such variable; a live run is walked row by row
+    and left as soon as its first variable reaches 0.0. Pads read a +inf
+    slot, so they never bind nor die; a row of pads alone would take
+    m = inf, and callers reject it. Residuals are read and written in
+    place in a float64 copy through a memoryview.
     """
     res = np.append(residual, np.inf)
-    dead = res <= 0.0
     r = memoryview(res)
     # np.take gathers whole rows, about 3x as fast as rows[order] at 2.6M rows
     a, b, c = (rows if order is None else np.take(rows, order, axis=0)).T
@@ -313,12 +312,12 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
     one = ends - heads == 1
     second, third = np.where(one, b[heads], -1), np.where(one, c[heads], -1)
     bv, cv = memoryview(b), memoryview(c)
-    zeroed, pos, vals = [], [], []
+    pos, vals = [], []
     for s in range(0, heads.shape[0], _BLOCK):
-        dead[zeroed] = True
-        zeroed.clear()
         e = s + _BLOCK
-        live = np.flatnonzero(~(dead[first[s:e]] | dead[second[s:e]] | dead[third[s:e]])) + s
+        live = np.flatnonzero(
+            (res[first[s:e]] > 0.0) & (res[second[s:e]] > 0.0) & (res[third[s:e]] > 0.0)
+        ) + s
         for ia, lo, hi in zip(first[live].tolist(), heads[live].tolist(), ends[live].tolist()):
             ra = r[ia]  # held here while the run is walked
             if ra <= 0.0:  # died earlier in this block
@@ -334,14 +333,9 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
                     r[ic] = rc - m_
                     pos.append(w)
                     vals.append(m_)
-                    if rb == m_:
-                        zeroed.append(ib)
-                    if rc == m_:
-                        zeroed.append(ic)
                     ra -= m_
                     r[ia] = ra
                     if ra == 0.0:  # the rest of the run is dead
-                        zeroed.append(ia)
                         break
     return np.array(pos, dtype=np.int64), np.array(vals), res[:-1]
 

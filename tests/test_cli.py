@@ -53,6 +53,28 @@ def test_stats_k3(capsys, k3_file):
     assert doc["canonical_constraint_count"] == 3
 
 
+def test_stats_takes_the_format_from_the_first_line(capsys, tmp_path):
+    # the same edges as MatrixMarket, as an edge list, and as an edge list
+    # that opens with a '%' comment; each file's name is "g"
+    edges = "0 1\n1 2\n2 0\n2 3\n"
+    files = {"mm": "%%MatrixMarket matrix coordinate pattern symmetric\n"
+                   "4 4 4\n1 2\n2 3\n3 1\n3 4\n",
+             "el": edges, "comment": "% 1 2\n" + edges}
+    outs = []
+    for kind, text in files.items():
+        (tmp_path / kind).mkdir()
+        f = tmp_path / kind / ("g.mtx" if kind == "mm" else "g.txt")
+        f.write_text(text)
+        assert main(["stats", str(f)]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0].out)["m"] == 4
+    # the format is not a flag
+    with pytest.raises(SystemExit) as info:
+        main(["stats", "--format", "mtx", str(f)])
+    assert info.value.code == 2
+
+
 def test_constraints_csv(capsys, k3_file, path_file, c4_file):
     rc = main(["constraints", k3_file, path_file, c4_file])
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from lamcc.graph import (
     count_wedges_and_triangles,
     enumerate_wedges,
     graph_stats,
+    load_graph,
     parse_edge_list,
     parse_matrix_market,
     to_edge_list_text,
@@ -156,6 +157,18 @@ def test_matrix_market_reads_bytes_and_streams_as_text():
         got = parse_matrix_market(source)
         assert got == g
         assert np.array_equal(got.edge_keys(), g.edge_keys())
+
+
+def test_load_graph_takes_the_format_from_the_first_line(tmp_path):
+    edges = "0 1\n1 2\n2 0\n2 3\n"
+    (tmp_path / "g.txt").write_text(edges)
+    (tmp_path / "g.mtx").write_text(_MM_HEADER + "% c\n4 4 4\n1 2\n2 3\n3 1\n3 4\n")
+    # a file whose first line is a '%' comment, not the header, is an edge list
+    (tmp_path / "c.txt").write_text("% 1 2\n" + edges)
+    want = load_graph(tmp_path / "g.txt")
+    assert (want.n, want.m) == (4, 4)
+    assert load_graph(str(tmp_path / "g.mtx")) == want
+    assert load_graph(tmp_path / "c.txt") == want
 
 
 def test_serialize_parse_idempotent_on_normalized_graphs():

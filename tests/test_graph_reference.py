@@ -11,7 +11,6 @@ from lamcc import graph
 from lamcc.errors import EdgeListParseError
 from lamcc.graph import (
     Graph,
-    _iter_text_lines,
     _neighbor_pair_chunks,
     enumerate_wedges,
     parse_edge_list,
@@ -114,6 +113,16 @@ def test_enumeration_equals_reference_with_degree_classes_split_over_chunks(
 # Edge-list parsing
 
 
+def _reference_lines(source):
+    """The lines of a str, of UTF-8 bytes or of a text or byte stream, split
+    at "\\n" only."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    return source.split("\n")
+
+
 def _reference_parse_edge_list(
     source, *, comment_prefixes=("#", "%"), delimiter=None, one_indexed=False
 ):
@@ -121,7 +130,7 @@ def _reference_parse_edge_list(
     remap = {}
     edges = []
     saw_data = False
-    for lineno, raw in enumerate(_iter_text_lines(source), start=1):
+    for lineno, raw in enumerate(_reference_lines(source), start=1):
         line = raw.strip()
         if not line or any(line.startswith(p) for p in comment_prefixes):
             continue

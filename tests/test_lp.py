@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lamcc.certificate import check_primal, dual_bound, verify_certificate
+from lamcc.certificate import PRIMAL_TOL, check_primal, dual_bound, verify_certificate
+from lamcc.cluster import round_lambda_stc_lp
 from lamcc.errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
@@ -435,6 +436,27 @@ def test_certify_detects_violation(path3, solution_of):
     res = certify_canonical_feasibility(path3, sol)
     assert not res.certified
     assert res.violations == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("short, ok", [(0.5e-9, True), (2e-9, False)])
+def test_row_checks_share_primal_tol_at_its_boundary(path3, solution_of, short, ok):
+    # one row short of tight by `short`, on either side of PRIMAL_TOL = 1e-9,
+    # in each check that allows a row that much slack
+    assert PRIMAL_TOL == 1e-9
+    z = np.array([0.25, 0.25, 0.5 - short])
+    if ok:
+        check_primal(np.array([[0, 1, 2]]), 1.0, 1.0, 1.0, z)
+    else:
+        with pytest.raises(InfeasibleSolutionError, match="violates a row"):
+            check_primal(np.array([[0, 1, 2]]), 1.0, 1.0, 1.0, z)
+    # path3's one wedge reads x02 <= x01 + x12
+    sol = solution_of(path3, "x", 0.75, {(0, 1): 0.25, (1, 2): 0.25, (0, 2): 0.5 + short}, 0.0)
+    assert certify_canonical_feasibility(path3, sol).certified is ok
+    if ok:
+        round_lambda_stc_lp(path3, enumerate_wedges(path3), 0.75, sol, seed=0)
+    else:
+        with pytest.raises(InfeasibleSolutionError, match="open-wedge"):
+            round_lambda_stc_lp(path3, enumerate_wedges(path3), 0.75, sol, seed=0)
 
 
 def _certify_exhaustive(g, sol):
