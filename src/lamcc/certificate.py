@@ -49,7 +49,7 @@ def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL)
     y = np.asarray(y, dtype=float)
     if y.shape != (idx.shape[0],):
         raise InfeasibleSolutionError(f"dual of shape {y.shape} for {idx.shape[0]} rows")
-    live = np.flatnonzero(y)  # rows with y = 0 add nothing to A^T y or b.y
+    live = np.flatnonzero(y != 0.0)  # rows with y = 0 add nothing to A^T y or b.y
     yl = y[live]
     if (yl < -tol).any():
         raise InfeasibleSolutionError(f"negative row dual {float(y.min()):.3e}")

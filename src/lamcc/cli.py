@@ -394,8 +394,7 @@ def _seed_run(args, g, widx, lam, phases):
         )
     if args.alg == "pivot":
         return lambda seed: _pivot_run(
-            "pivot", g, lam, seed, np.empty(0, np.int64), None, None,
-            time.perf_counter(),
+            "pivot", g, g, lam, seed, None, None, time.perf_counter()
         )
     if args.alg == "louvain":
         return lambda seed: lambda_louvain(

@@ -298,8 +298,11 @@ def pivot_deterministic(
 
 
 def derived_graph_from_labeling(g: Graph, lab: StcLabeling) -> Graph:
-    """Delete weak edges, insert missing pairs."""
-    return g.toggled(lab.labeled_keys())
+    """Delete weak edges, insert missing pairs; kept on the labeling for the last graph."""
+    last = lab._flipped[0]
+    if last is None or last[0] is not g:
+        last = lab._flipped[0] = g, g.toggled(lab.labeled_keys())
+    return last[1]
 
 
 def cover_flip_pivot(
@@ -332,17 +335,16 @@ def cover_flip_pivot(
     if labeling is None:
         labeling, certificate = cover_label(g, widx, lam)
     return _pivot_run(
-        "cfp", g, lam, seed, labeling.labeled_keys(),
+        "cfp", g, derived_graph_from_labeling(g, labeling), lam, seed,
         certificate.lower_bound, "dual_certificate", t0,
     )
 
 
 def _pivot_run(
-    algorithm: str, g: Graph, lam: float, seed: int,
-    flip: np.ndarray, lb: float | None, provenance: str | None, t0: float,
+    algorithm: str, g: Graph, gh: Graph, lam: float, seed: int,
+    lb: float | None, provenance: str | None, t0: float,
 ) -> RunReport:
-    """Pivot on g with the pairs ``flip`` toggled; report the run begun at t0."""
-    gh = g.toggled(flip)
+    """Pivot on gh, g with some pairs toggled; report the run begun at t0."""
     t1 = time.perf_counter()
     clustering = pivot(gh, seed)
     pivot_ms = (time.perf_counter() - t1) * 1000.0
@@ -442,8 +444,8 @@ def _round(algorithm, g, widx, lam, sol, seed, flip, triangles) -> RunReport:
     t0 = time.perf_counter()
     x = sol.to_x(g)
     _check_feasibility(widx, x, triangles)
-    toggle = x.keys[flip(g.edge_mask(x.keys), x.vals)]
-    return _pivot_run(algorithm, g, lam, seed, toggle, sol.objective, "lp_value", t0)
+    gh = g.toggled(x.keys[flip(g.edge_mask(x.keys), x.vals)])
+    return _pivot_run(algorithm, g, gh, lam, seed, sol.objective, "lp_value", t0)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,11 @@ def _key_pairs(n: int, keys: np.ndarray):
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sorted unique values of an int64 key array: a sort and a neighbour compare.
+    """Sorted unique values of an array: a sort and a neighbour compare.
 
     Gives what ``np.unique`` gives; numpy 2.x answers ``np.unique`` with a
-    hash-based path that is several times slower on pair keys.
+    hash-based path that is several times slower on pair keys, and its first
+    call imports ``numpy.ma`` (12-16 ms).
     """
     keys = np.sort(keys)
     first = np.ones(keys.shape[0], dtype=bool)
@@ -371,8 +372,8 @@ class WedgeIndex:
     Wedges are sorted by center, then by end pair; triangles are sorted
     triples (i < j < k); ``edge_keys`` is the graph's own read-only
     ``Graph.edge_keys()``. The raw arrays are the primary representation.
-    ``covering_layout`` is built from them on first use and then kept; the
-    ``wedges`` / ``triangles`` views exist for convenience at small scale.
+    The covering layout and its indexes are built from them on first use and
+    kept read-only; the ``wedges`` / ``triangles`` views suit small graphs.
     """
 
     n: int
@@ -439,6 +440,37 @@ class WedgeIndex:
         keys, _, rows = self.covering_layout
         return keys[rows]
 
+    @cached_property
+    def cover_runs(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(runs, touched): ``_row_runs`` of the covering rows in row order, and
+        the mask of the edges on some wedge, for ``lamcc.stc.cover_label``."""
+        _, m, rows = self.covering_layout
+        touched = np.zeros(m, dtype=bool)
+        touched[rows[:, :2]] = True
+        runs = _row_runs(*rows.T)
+        for arr in (*runs, touched):
+            arr.setflags(write=False)
+        return runs, touched
+
+    @cached_property
+    def rows_by_column(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_rows_by_column`` of the covering rows, read-only."""
+        keys, _, rows = self.covering_layout
+        index = _rows_by_column(rows, keys.shape[0])
+        for arr in index:
+            arr.setflags(write=False)
+        return index
+
+
+def _row_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(heads, first, ends, second, third): run i is the rows heads[i]:ends[i]
+    that share a = first[i]; a run of one row also names its b and c in
+    second/third (-1, a pad, for a longer run)."""
+    heads = np.flatnonzero(np.append(a.shape[0] > 0, a[1:] != a[:-1]))
+    ends = np.append(heads[1:], a.shape[0])
+    one = ends - heads == 1
+    return heads, a[heads], ends, np.where(one, b[heads], -1), np.where(one, c[heads], -1)
+
 
 def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Column -> rows CSR of a (M, 3) index array whose -1 entries pad.
@@ -461,7 +493,7 @@ def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):
     batch; work per chunk is capped at roughly ``chunk_pairs`` pairs.
     """
     deg = g.degree
-    for d in np.unique(deg):
+    for d in _sorted_unique(deg):
         d = int(d)
         if d < 2:
             continue

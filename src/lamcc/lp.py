@@ -52,6 +52,7 @@ from .graph import (
     _key_pairs,
     _neighbor_pair_chunks,
     _rows_by_column,
+    _sorted_unique,
 )
 from .stc import _local_ratio, _reduce, check_lambda
 
@@ -655,7 +656,8 @@ def certify_canonical_feasibility(g: Graph, sol: FractionalSolution) -> CertifyR
     for j, i, k in _neighbor_pair_chunks(sub):
         bad = x.at(i * n + k) > x.at(key(i, j)) + x.at(key(j, k)) + PRIMAL_TOL
         found.append(np.sort(np.stack([i[bad], j[bad], k[bad]], axis=1), axis=1))
-    triples = [tuple(t) for t in np.unique(np.concatenate(found), axis=0).tolist()]
+    # (i, j, k) records sort like rows; np.unique(axis=0) would import numpy.ma
+    triples = _sorted_unique(np.concatenate(found).view("i8,i8,i8")[:, 0]).tolist()
     return CertifyResult(not triples, triples)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ from .graph import (
     Graph,
     WedgeIndex,
     _key_pairs,
-    _rows_by_column,
+    _row_runs,
     _sorted_unique,
 )
 
@@ -76,12 +76,14 @@ class StcLabeling:
     ``weak_keys`` and ``missing_keys`` are sorted, unique int64 pair keys
     u*n + v (u < v). ``weak`` and ``missing`` are frozenset views of the
     same pairs as (u, v) tuples, built on first use. Two labelings are
-    equal when their n and keys are.
+    equal when their n and keys are. ``_flipped[0]`` is None, or the (graph,
+    result) of the last ``lamcc.cluster.derived_graph_from_labeling`` call.
     """
 
     n: int
     weak_keys: np.ndarray
     missing_keys: np.ndarray
+    _flipped: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.weak_keys, self.missing_keys):
@@ -240,24 +242,22 @@ def cover_label(
     lam = check_lambda(lam)
     keys, m, rows = widx.covering_layout
     M, N = rows.shape[0], keys.shape[0]
+    runs, touched = widx.cover_runs
     order = None
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(M)
+        order, runs = np.random.default_rng(shuffle_seed).permutation(M), None
     cost = np.full(N, lam)
     cost[:m] = 1.0 - lam
-    pos, vals, residual = _local_ratio(rows, cost, order)
+    pos, vals, residual = _local_ratio(rows, cost, order, runs)
     y = np.zeros(M)
     y[pos if order is None else order[pos]] = vals  # canonical wedge positions
 
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
-    touched = np.zeros(m, dtype=bool)
-    touched[rows[:, 0]] = True
-    touched[rows[:, 1]] = True
     labeled = residual <= RESIDUAL_ZERO_TOL
     labeled[:m] &= touched
     if minimal:
         cand = np.flatnonzero(labeled)
-        z = _reduce(rows, *_rows_by_column(rows, N), labeled.astype(float),
+        z = _reduce(rows, *widx.rows_by_column, labeled.astype(float),
                     cand[np.argsort(keys[cand])])
         labeled = z > 0.0
     lab = _labeling_of_mask(g.n, keys, m, labeled)
@@ -278,14 +278,14 @@ def _labeling_of_mask(n: int, keys: np.ndarray, edge_count: int, mask) -> StcLab
     return StcLabeling(n, keys[:e][mask[:e]], keys[e:][mask[e:]])
 
 
-def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | None = None):
+def _local_ratio(rows, residual, order=None, runs=None):
     """One sequential local-ratio pass over covering rows (Bar-Yehuda & Even).
 
     ``rows`` is (M, 3) int64 with -1 pads, ``residual`` one start value per
     variable. Each row, in ``order`` (default: row order), takes the least
     residual m of its variables and, if m > 0, subtracts m from each of
     them. Returns the visit positions where m > 0, those m, and the final
-    residuals.
+    residuals. ``runs``, if given, is ``lamcc.graph._row_runs`` of the rows in order.
 
     A residual r only ever loses an m <= r, and r - m never rounds below
     0.0, so residuals never rise; the one that attains m drops to exactly
@@ -305,12 +305,7 @@ def _local_ratio(rows: np.ndarray, residual: np.ndarray, order: np.ndarray | Non
     r = memoryview(res)
     # np.take gathers whole rows, about 3x as fast as rows[order] at 2.6M rows
     a, b, c = (rows if order is None else np.take(rows, order, axis=0)).T
-    M = a.shape[0]
-    heads = np.flatnonzero(np.append(M > 0, a[1:] != a[:-1]))
-    first, ends = a[heads], np.append(heads[1:], M)
-    # a run of one row is tested on all three variables (-1 reads the pad)
-    one = ends - heads == 1
-    second, third = np.where(one, b[heads], -1), np.where(one, c[heads], -1)
+    heads, first, ends, second, third = _row_runs(a, b, c) if runs is None else runs
     bv, cv = memoryview(b), memoryview(c)
     pos, vals = [], []
     for s in range(0, heads.shape[0], _BLOCK):

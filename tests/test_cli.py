@@ -374,6 +374,26 @@ assert _highs_wrapper._h is _highs()
         "highs", "highs"]
 
 
+def test_cfp_and_certify_leave_numpy_ma_unloaded(tmp_path, python_child):
+    # numpy 2.x imports numpy.ma on the first plain np.unique (12-16 ms);
+    # numpy 1.24 imports it with numpy, so compare with the state after import
+    f = tmp_path / "desk.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(12, 0.4, 9054)))
+    script = f"""
+import sys
+from lamcc.cli import main
+before = "numpy.ma" in sys.modules
+assert main(["cluster", {str(f)!r}, "--alg", "cfp", "--lambda", "0.55,0.75", "--seeds", "3",
+             "-o", {str(tmp_path / "cfp.json")!r}]) == 0
+assert main(["certify", {str(f)!r}, "--lambda", "0.55,0.75",
+             "-o", {str(tmp_path / "certify.json")!r}]) == 0
+assert ("numpy.ma" in sys.modules) == before, before
+"""
+    r = python_child(script)
+    assert r.returncode == 0, r.stderr
+    assert all(d["certified"] for d in json.loads((tmp_path / "certify.json").read_text()))
+
+
 def test_certify(capsys, k3_file):
     doc = run_json(capsys, ["certify", k3_file, "--lambda", "0.75"])
     assert doc["certified"] is True

@@ -271,6 +271,41 @@ def test_derived_graph_from_labeling_matches_set_toggle(lam):
         _assert_matches_reference(gh, g, labeling.weak | labeling.missing)
 
 
+def test_derived_graph_is_kept_on_the_labeling_per_graph():
+    g = erdos_renyi(14, 0.35, 310)
+    labeling, _ = cover_label(g, enumerate_wedges(g), 0.55)
+    flipped = labeling.weak | labeling.missing
+    gh = derived_graph_from_labeling(g, labeling)
+    assert derived_graph_from_labeling(g, labeling) is gh
+    _assert_matches_reference(gh, g, flipped)
+    # another graph object, with other edges, gets its own flip
+    other = Graph.from_edges(g.n, list(g.edges())[1:] + [(0, 13)])
+    assert other.edge_keys().tolist() != g.edge_keys().tolist()
+    _assert_matches_reference(derived_graph_from_labeling(other, labeling), other, flipped)
+    _assert_matches_reference(derived_graph_from_labeling(g, labeling), g, flipped)
+    # the kept graph is no part of equality or hash
+    same = StcLabeling(labeling.n, labeling.weak_keys, labeling.missing_keys)
+    assert same == labeling and hash(same) == hash(labeling)
+
+
+def test_cfp_toggles_once_per_passed_labeling(monkeypatch):
+    g = erdos_renyi(30, 0.2, 311)
+    widx = enumerate_wedges(g)
+    lab, cert = cover_label(g, widx, 0.55)
+    ref = _set_toggle(g, lab.weak | lab.missing)
+    real = Graph.toggled
+    calls = []
+    monkeypatch.setattr(Graph, "toggled", lambda self, keys: calls.append(1) or real(self, keys))
+    reports = [cover_flip_pivot(g, widx, 0.55, seed, labeling=lab, certificate=cert)
+               for seed in range(3)]
+    assert len(calls) == 1
+    for seed, rep in enumerate(reports):
+        assert rep.clustering == _list_pivot(ref, seed)
+        assert rep.objective == lambda_cc_objective(g, 0.55, rep.clustering)
+        assert (rep.lower_bound, rep.lb_provenance) == (cert.lower_bound, "dual_certificate")
+        assert rep.ratio == rep.objective / cert.lower_bound
+
+
 @pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
 def test_rounding_graphs_match_set_toggle(lam, monkeypatch):
     seen = _spy_pivot(monkeypatch)

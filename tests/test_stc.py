@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lamcc import graph as graph_module
 from lamcc import stc
 from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
@@ -335,6 +336,81 @@ def test_cover_label_equals_reference_property(monkeypatch):
         _assert_cover_matches_reference(g, lam, shuffle_seed)
 
     check()
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that every call is counted; return the count list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _cover_tuple(labeling, cert):
+    return labeling.weak, labeling.missing, cert.wedge_values.tolist(), cert.lower_bound
+
+
+def _reference_tuple(g, widx, lam, shuffle_seed=None):
+    weak, missing, y, lower_bound = _reference_cover_label(g, widx, lam, shuffle_seed)
+    return weak, missing, y.tolist(), lower_bound
+
+
+def test_cover_label_builds_its_run_index_and_touched_once_per_index(monkeypatch):
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    widx = enumerate_wedges(g)
+    assert "cover_runs" not in vars(widx)  # built on first use only
+    built = _counting(monkeypatch, graph_module, "_row_runs")
+    per_call = _counting(monkeypatch, stc, "_row_runs")
+    first = [_cover_tuple(*cover_label(g, widx, lam)) for lam in (0.55, 0.75)]
+    cached = vars(widx)["cover_runs"]
+    runs, touched = cached
+    assert len(built) == 1 and not per_call
+    assert not any(arr.flags.writeable for arr in (*runs, touched))
+    # a shuffled order builds its own runs and reuses touched
+    shuffled = _cover_tuple(*cover_label(g, widx, 0.55, shuffle_seed=3))
+    assert widx.cover_runs is cached and len(built) == 1 and len(per_call) == 1
+    assert first == [_reference_tuple(g, widx, lam) for lam in (0.55, 0.75)]
+    assert shuffled == _reference_tuple(g, widx, 0.55, 3)
+
+
+def test_touched_marks_the_edges_on_some_wedge_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(1, 20))
+        vertex = st.integers(0, n - 1)
+        return Graph.from_edges(n, draw(st.lists(st.tuples(vertex, vertex), max_size=80)))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        # edge (u, v) lies on an open wedge iff some third vertex is
+        # adjacent to exactly one of u and v
+        nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+        expect = [nbrs[u] - {v} != nbrs[v] - {u} for u, v in g.edges()]
+        assert enumerate_wedges(g).cover_runs[1].tolist() == expect
+
+    check()
+
+
+def test_minimal_builds_the_rows_by_column_index_once_per_index(monkeypatch):
+    g = _overlapping_cliques(47)
+    widx = enumerate_wedges(g)
+    built = _counting(monkeypatch, graph_module, "_rows_by_column")
+    cover_label(g, widx, 0.55)
+    assert "rows_by_column" not in vars(widx) and not built  # only minimal=True asks
+    slim = [_cover_tuple(*cover_label(g, widx, lam, minimal=True)) for lam in (0.55, 0.75)]
+    assert len(built) == 1
+    assert not any(arr.flags.writeable for arr in widx.rows_by_column)
+    keys, _, rows = widx.covering_layout
+    assert all(np.array_equal(a, b) for a, b in zip(
+        widx.rows_by_column, _rows_by_column(rows, keys.shape[0])))
+    for lam, (weak, missing, _, lower_bound) in zip((0.55, 0.75), slim):
+        ref_weak, ref_missing, _, ref_bound = _reference_tuple(g, widx, lam)
+        assert (weak, missing) == _reference_drop_redundant(widx, ref_weak, ref_missing, g.n)
+        assert lower_bound == ref_bound
 
 
 def test_drop_redundant_equals_double_loop():
