@@ -17,7 +17,6 @@ from .cluster import (
     lambda_cc_objective,
     lambda_louvain,
     pivot,
-    pivot_deterministic,
     round_intermediate_lp,
     round_lambda_stc_lp,
 )

@@ -3,8 +3,10 @@
 The clustering objective charges 1-lam for every edge cut between
 clusters and lam for every non-adjacent pair placed inside a cluster.
 All approximation algorithms here share one skeleton: build a derived
-graph whose edges encode "should be together", then run the random-pivot
-procedure on it. The derived graph is a plain ``Graph``: the input graph
+graph whose edges encode "should be together", then run the random pivot
+of Ailon, Charikar & Newman on it: visit the vertices in a seeded random
+order and make each still-unclustered vertex a pivot whose unclustered
+neighbors join it. The derived graph is a plain ``Graph``: the input graph
 with a set of pairs toggled (``Graph.toggled``, a symmetric difference of
 sorted pair keys). What varies is which pairs are toggled:
 
@@ -15,16 +17,10 @@ sorted pair keys). What varies is which pairs are toggled:
   (factor 7 - 2/lam for lam >= 1/2, 1 + 1/lam below);
 * round_intermediate_lp thresholds the wedge+triangle LP at 1/3
   (factor 3 for lam >= 1/2).
-
-Every run is reproducible: randomness comes from a seeded PCG64 stream,
-and pivots are drawn by index into the list of still-unclustered
-vertices (swap-removal, members removed in sorted order), so a (graph,
-lambda, seed) triple fixes the output exactly.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -40,10 +36,8 @@ from .stc import DualCertificate, StcLabeling, check_lambda, cover_label
 __all__ = [
     "Clustering",
     "RunReport",
-    "DeterministicPivotResult",
     "lambda_cc_objective",
     "pivot",
-    "pivot_deterministic",
     "cover_flip_pivot",
     "derived_graph_from_labeling",
     "round_lambda_stc_lp",
@@ -132,8 +126,9 @@ def lambda_cc_objective(g: Graph, lam: float, c: Clustering) -> float:
             f"clustering covers {c.n} vertices, graph has {g.n}"
         )
     asg = np.asarray(c.assignment, dtype=np.int64)
-    rowids = np.repeat(np.arange(g.n, dtype=np.int64), g.degree)
-    internal = int((asg[rowids] == asg[g.indices]).sum()) // 2
+    ek = g.edge_keys()
+    u = ek // g.n
+    internal = int((asg[u] == asg[ek - u * g.n]).sum())
     sizes = np.bincount(asg)
     pairs_inside = int((sizes * (sizes - 1) // 2).sum())
     return (1.0 - lam) * (g.m - internal) + lam * (pairs_inside - internal)
@@ -143,154 +138,27 @@ def lambda_cc_objective(g: Graph, lam: float, c: Clustering) -> float:
 # Pivot
 
 
-def _index_draws(seed: int):
-    """``draw(size)``: what ``default_rng(seed).integers(size)`` returns on
-    that call, for 1 <= size <= 2**32, by the rule in ``pivot``'s docstring."""
-    # a fresh generator holds no buffered half word, so its raw 64-bit
-    # outputs are the 32-bit stream from the start
-    bits = np.random.default_rng(seed).bit_generator
-    words: list[int] = []
-    w = 0
-
-    def draw(size: int) -> int:
-        nonlocal words, w
-        if size == 1:
-            return 0
-        while True:
-            if w == len(words):
-                # a word per remaining vertex, in chunks of at most 8192;
-                # as '<u4' a '<u8' array reads low word, then high word
-                raw = bits.random_raw(min((size + 1) // 2, 4096))
-                words, w = raw.astype("<u8", copy=False).view("<u4").tolist(), 0
-            m = words[w] * size
-            w += 1
-            low = m & 0xFFFFFFFF
-            if low >= size or low >= (0x100000000 - size) % size:
-                return m >> 32
-
-    return draw
-
-
 def pivot(gh: Graph, seed: int) -> Clustering:
-    """Random-pivot clustering of a graph.
+    """Random-pivot clustering of a graph (Ailon, Charikar & Newman, 2008).
 
-    Repeatedly draws a uniformly random unclustered vertex and clusters it
-    with its unclustered neighbors; members leave the alive list by
-    swap-removal in sorted order, which pins the draw sequence for a given
-    seed.
-
-    The pivot is ``alive[i]``, where ``i`` is what
-    ``np.random.default_rng(seed).integers(len(alive))`` returns on that
-    call. For a size up to 2**32 (pair keys cap every graph's n below it),
-    that call takes one word ``x`` of PCG64's 32-bit stream, the low then
-    the high half of each 64-bit output, and returns ``x * size >> 32``
-    (Lemire's method), taking another word while the low 32 bits of
-    ``x * size`` fall below ``(2**32 - size) % size``; a size of 1 takes
-    no word. ``_index_draws`` runs the same integer arithmetic on 64-bit
-    outputs drawn in bulk, so it consumes the same words in the same order
-    and returns the same indices, without a numpy call per cluster.
+    Visits the vertices in the order ``np.random.default_rng(seed).permutation(n)``;
+    each vertex still unclustered when visited becomes a pivot, and its
+    unclustered neighbors join its cluster. Cluster ids follow pivot order.
+    The first unclustered vertex of a uniformly random order is uniform
+    among the unclustered vertices, so this is the same distribution over
+    clusterings as drawing each pivot uniformly from those left.
     """
-    n = gh.n
     indptr, indices = gh.indptr.tolist(), gh.indices.tolist()
-    draw = _index_draws(seed)
-    assignment = [-1] * n
-    alive = list(range(n))
-    pos = list(range(n))
-    size = n
+    assignment = [-1] * gh.n
     cid = 0
-    while size:
-        k = alive[draw(size)]
-        lo, hi = indptr[k], indptr[k + 1]
-        if lo == hi:
-            members = (k,)
-        else:
-            members = [u for u in indices[lo:hi] if assignment[u] < 0]
-            members.append(k)
-            members.sort()
-        for v in members:  # swap-remove v from alive[:size]
-            assignment[v] = cid
-            size -= 1
-            i, last = pos[v], alive[size]
-            alive[i] = last
-            pos[last] = i
-        cid += 1
+    for k in np.random.default_rng(seed).permutation(gh.n).tolist():
+        if assignment[k] < 0:
+            assignment[k] = cid
+            for u in indices[indptr[k]:indptr[k + 1]]:
+                if assignment[u] < 0:
+                    assignment[u] = cid
+            cid += 1
     return Clustering(tuple(assignment))
-
-
-@dataclass(frozen=True)
-class DeterministicPivotResult:
-    clustering: Clustering
-    fallback_rounds: tuple[int, ...]
-
-
-def pivot_deterministic(
-    gh: Graph, g: Graph, lam: float, budgets: dict[tuple[int, int], float]
-) -> DeterministicPivotResult:
-    """Pivot with derandomized pivot choice.
-
-    Each round scores every remaining vertex k by the clustering cost its
-    round would incur (cut edges and co-clustered non-edges among the
-    pairs decided this round) divided by the total budget of those decided
-    pairs; the smallest ratio wins, ties to the smallest id. Decided pairs
-    are every pair with at least one endpoint in k's new cluster and both
-    endpoints still unclustered. Candidates with zero budget rank last
-    unless their cost is also zero (ratio treated as 0). Rounds where
-    every candidate has zero budget but positive cost fall back to the
-    smallest-id pivot and are flagged in the result.
-
-    Quadratic-ish per round; intended for small instances and validation.
-    """
-    lam = check_lambda(lam)
-    n = gh.n
-
-    def b(u: int, v: int) -> float:
-        return budgets.get((u, v) if u < v else (v, u), 0.0)
-
-    remaining = set(range(n))
-    assignment = [-1] * n
-    cid = 0
-    fallbacks: list[int] = []
-    round_no = 0
-    while remaining:
-        rem_sorted = sorted(remaining)
-        best_key: tuple | None = None
-        best_k = None
-        any_finite = False
-        for k in rem_sorted:
-            members = {k} | {u for u in gh.neighbors(k).tolist() if u in remaining}
-            outside = remaining - members
-            cost = 0.0
-            budget = 0.0
-            mem_sorted = sorted(members)
-            for ii, u in enumerate(mem_sorted):
-                for v in mem_sorted[ii + 1:]:
-                    if not g.has_edge(u, v):
-                        cost += lam
-                    budget += b(u, v)
-                for v in outside:
-                    if g.has_edge(u, v):
-                        cost += 1.0 - lam
-                    budget += b(u, v)
-            if budget > 0:
-                key = (0, cost / budget, k)
-                any_finite = True
-            elif cost == 0:
-                key = (0, 0.0, k)
-                any_finite = True
-            else:
-                key = (1, math.inf, k)  # zero budget, positive cost: last
-            if best_key is None or key < best_key:
-                best_key, best_k = key, k
-        if not any_finite:
-            best_k = rem_sorted[0]
-            fallbacks.append(round_no)
-        members = {best_k} | {u for u in gh.neighbors(best_k).tolist() if u in remaining}
-        for v in sorted(members):
-            assignment[v] = cid
-            remaining.discard(v)
-        cid += 1
-        round_no += 1
-    return DeterministicPivotResult(Clustering(tuple(assignment)), tuple(fallbacks))
 
 
 # ---------------------------------------------------------------------------

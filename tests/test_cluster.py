@@ -1,10 +1,13 @@
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import lamcc.cluster
 from lamcc.cluster import (
     Clustering,
-    _index_draws,
     a_posteriori_ratio,
     assignment_text,
     cover_flip_pivot,
@@ -12,7 +15,6 @@ from lamcc.cluster import (
     lambda_cc_objective,
     lambda_louvain,
     pivot,
-    pivot_deterministic,
     round_intermediate_lp,
     round_lambda_stc_lp,
     stc_rounding_factor,
@@ -45,21 +47,18 @@ def _set_toggle(g, flipped):
 
 
 def _list_pivot(adj, seed):
-    """Reference random pivot over neighbor tuples (same PCG64 draw rule)."""
-    rng = np.random.default_rng(seed)
-    assignment = [-1] * len(adj)
-    alive = list(range(len(adj)))
-    pos = list(range(len(adj)))
-    cid = 0
-    while alive:
-        k = alive[int(rng.integers(len(alive)))]
-        for v in sorted([k] + [u for u in adj[k] if assignment[u] < 0]):
+    """Reference random pivot over neighbor tuples: sets of unclustered
+    vertices, visited in the order of the same seeded permutation."""
+    unclustered = set(range(len(adj)))
+    clusters = []
+    for k in np.random.default_rng(seed).permutation(len(adj)).tolist():
+        if k in unclustered:
+            clusters.append(({k} | set(adj[k])) & unclustered)
+            unclustered -= clusters[-1]
+    assignment = [0] * len(adj)
+    for cid, members in enumerate(clusters):
+        for v in members:
             assignment[v] = cid
-            i, last = pos[v], alive[-1]
-            alive[i] = last
-            pos[last] = i
-            alive.pop()
-        cid += 1
     return Clustering(tuple(assignment))
 
 
@@ -137,6 +136,9 @@ def test_objective_formula_matches_pairwise_definition():
         assert lambda_cc_objective(g, lam, c) == pytest.approx(
             _objective_pairwise(g, lam, c)
         )
+    for g, c in ((Graph.from_edges(0, []), Clustering(())),
+                 (Graph.from_edges(5, []), Clustering((0, 0, 1, 0, 2)))):
+        assert lambda_cc_objective(g, 0.3, c) == _objective_pairwise(g, 0.3, c)
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +158,12 @@ def test_pivot_complete_graph_single_cluster():
 
 
 def test_pivot_path_center_first(path3):
-    # find a seed whose first draw is vertex 1; the whole path collapses
+    # find a seed whose order visits vertex 1 first; the whole path collapses
     for seed in range(50):
-        first = int(np.random.default_rng(seed).integers(3))
-        if first == 1:
+        if np.random.default_rng(seed).permutation(3)[0] == 1:
             assert pivot(path3, seed).num_clusters == 1
             return
     pytest.fail("no seed drew the center first")
-
-
-def test_index_draws_match_generator_integers():
-    # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their
-    # words, and a size of 1 takes none; small sizes exhaust each bulk
-    # draw quickly, so the refill path runs too
-    sizes = [1, 2, 2**31 + 1, 3 * 2**30, 1, 1, 7, 12006, 2**32 - 1, 2**32, 3, 1, 5000] * 40
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        draw = _index_draws(seed)
-        assert [draw(size) for size in sizes] == [int(rng.integers(size)) for size in sizes]
 
 
 @pytest.mark.parametrize("g", [
@@ -238,6 +228,65 @@ def test_pivot_is_deterministic_per_seed():
     assert pivot(g, 42).assignment == pivot(g, 42).assignment
     seen = {pivot(g, s).assignment for s in range(20)}
     assert len(seen) > 1  # different seeds explore different outcomes
+
+
+def _uniform_draw_distribution(adj):
+    """Exact outcome distribution of drawing each pivot uniformly from the
+    unclustered vertices, one recursion level per cluster."""
+    dist: Counter = Counter()
+
+    def draw(assignment, cid, p):
+        left = [v for v, c in enumerate(assignment) if c < 0]
+        if not left:
+            dist[tuple(assignment)] += p
+        for k in left:
+            nxt = [cid if v in adj[k] and c < 0 else c for v, c in enumerate(assignment)]
+            nxt[k] = cid
+            draw(nxt, cid + 1, p / len(left))
+
+    draw([-1] * len(adj), 0, Fraction(1))
+    return dist
+
+
+def test_random_order_has_the_uniform_draw_distribution(monkeypatch):
+    graphs = [
+        Graph.from_edges(6, [(i, i + 1) for i in range(5)]),  # path
+        Graph.from_edges(6, [(0, v) for v in range(1, 6)]),  # star
+        Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # triangles sharing an edge
+        Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),  # joined by one
+    ] + [erdos_renyi(6, 0.5, seed) for seed in range(5)]
+    orders: list = []
+
+    class EveryOrder:
+        """Stands in for the generator: seed i visits the i-th order."""
+
+        def __init__(self, seed):
+            self.seed = seed
+
+        def permutation(self, n):
+            return np.array(orders[self.seed], dtype=np.int64)
+
+    monkeypatch.setattr(np.random, "default_rng", EveryOrder)
+    for g in graphs:
+        orders[:] = itertools.permutations(range(g.n))
+        outcomes = Counter(pivot(g, i).assignment for i in range(len(orders)))
+        got = {a: Fraction(count, len(orders)) for a, count in outcomes.items()}
+        assert got == _uniform_draw_distribution(_adjacency(g))
+
+
+# seed -> pivot's assignment on erdos_renyi(12, 0.3, 6)
+PIVOT_PINS = {
+    0: "3 5 1 1 0 2 4 0 1 0 1 2",
+    1: "1 0 0 1 2 0 1 3 0 2 3 1",
+    2: "1 5 0 0 0 3 4 2 0 2 0 1",
+}
+
+
+@pytest.mark.parametrize("seed", PIVOT_PINS)
+def test_pivot_assignments_are_pinned(seed):
+    g = erdos_renyi(12, 0.3, 6)
+    want = tuple(map(int, PIVOT_PINS[seed].split()))
+    assert pivot(g, seed).assignment == want
 
 
 def test_derived_graph_flips_adjacency(path3):
@@ -361,61 +410,6 @@ def test_rounding_feasibility_checks_match_loop_reference(solution_of):
                 with pytest.raises(InfeasibleSolutionError, match=expected):
                     rounding(g, widx, 0.75, bad, seed=trial)
     assert verdicts == {None, "open-wedge", "closed triple"}
-
-
-# ---------------------------------------------------------------------------
-# Deterministic pivot
-
-
-def test_pivot_deterministic_k3_zero_budgets(k3):
-    res = pivot_deterministic(k3, k3, 0.5, budgets={})
-    assert res.clustering.num_clusters == 1
-    assert res.fallback_rounds == ()
-
-
-def test_pivot_deterministic_flipped_path(path3):
-    gh = path3.toggled(_keys(path3, {(0, 1), (1, 2), (0, 2)}))  # Ghat has only edge (0,2)
-    budgets = {(0, 1): 0.4, (1, 2): 0.4}
-    res = pivot_deterministic(gh, path3, 0.6, budgets)
-    assert sorted(map(sorted, res.clustering.clusters)) == [[0, 2], [1]]
-
-
-def test_pivot_deterministic_reproducible(star4):
-    widx = enumerate_wedges(star4)
-    labeling, _ = cover_label(star4, widx, 0.5)
-    gh = derived_graph_from_labeling(star4, labeling)
-    budgets = {p: 0.5 for p in labeling.weak | labeling.missing}
-    a = pivot_deterministic(gh, star4, 0.5, budgets)
-    b = pivot_deterministic(gh, star4, 0.5, budgets)
-    assert a == b
-
-
-def test_pivot_deterministic_fallback_flagged():
-    # single edge, zero budgets, but separating it costs: a 2-vertex graph
-    # where every pivot decides a positive-cost pair with zero budget
-    g = Graph.from_edges(3, [(0, 1)])
-    gh = g.toggled(_keys(g, {(0, 1)}))  # Ghat edgeless; separating (0,1) costs 1-lam
-    res = pivot_deterministic(gh, g, 0.6, budgets={})
-    assert res.fallback_rounds != ()
-
-
-def test_pivot_deterministic_bound_holds_statistically():
-    # deterministic pivot on the flip graph obeys the same 2x labeling-cost
-    # bound the randomized analysis gives in expectation
-    for seed in range(20):
-        g = erdos_renyi(7, 0.5, 40 + seed)
-        widx = enumerate_wedges(g)
-        lam = (0.5, 0.75)[seed % 2]
-        labeling, _ = cover_label(g, widx, lam)
-        gh = derived_graph_from_labeling(g, labeling)
-        budgets = {}
-        for p in labeling.weak:
-            budgets[p] = 1.0 - lam
-        for p in labeling.missing:
-            budgets[p] = lam
-        res = pivot_deterministic(gh, g, lam, budgets)
-        obj = lambda_cc_objective(g, lam, res.clustering)
-        assert obj <= 2.0 * stc_objective(g, lam, labeling) + 1e-9
 
 
 # ---------------------------------------------------------------------------
