@@ -61,7 +61,6 @@ from .oracle import (
     exact_lambda_cc,
     exact_lambda_cc_sweep,
     exact_lambda_stc,
-    exact_minstc_plus,
 )
 from .stc import (
     DualCertificate,

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .cluster import (
-    _check_max_passes,
     _pivot_run,
     a_posteriori_ratio,
     assignment_text,
@@ -47,7 +46,6 @@ from .lp import (
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
-    dump_covering_instance,
     solve_exact,
     solve_general_exact,
     solve_mwu,
@@ -120,8 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="wedge-cover edge labeling with dual lower bound")
     common(p)
     p.add_argument("--minimal", action="store_true", help="greedy redundancy-removal post-pass")
-    p.add_argument("--shuffle-seed", type=int, default=None,
-                   help="process wedges in a seeded shuffle instead of canonical order")
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("cluster", help="run a clustering algorithm")
@@ -136,9 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="covering-LP engine for lp-round: exact HiGHS or (1+epsilon) mwu")
     p.add_argument("--force", action="store_true",
                    help="run cfp outside its guaranteed lambda >= 1/2 regime")
-    p.add_argument("--max-passes", type=int, default=16, help="louvain pass limit")
     p.add_argument("--multilevel", action="store_true", help="louvain aggregation levels")
-    p.add_argument("--fmt", default="json", choices=("json", "csv"))
     p.add_argument("--assignment-out", default=None,
                    help="write the best run's 'vertex cluster' assignment here")
     p.set_defaults(func=cmd_cluster)
@@ -152,8 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--certify", action="store_true",
                    help="also check all-triples feasibility of the solution")
-    p.add_argument("--dump-instance", default=None,
-                   help="write the covering instance in sparse text form")
     p.set_defaults(func=cmd_lp_solve)
 
     p = sub.add_parser("certify", help="solve the covering LP and certify it canonically")
@@ -272,14 +264,12 @@ def _emit_documents(args, docs: list[dict]) -> int:
     return EXIT_OK
 
 
-def _solve_lp(args, g, widx, lam, phases, *, intermediate=False, dump=None):
+def _solve_lp(args, g, widx, lam, phases, *, intermediate=False):
     """Build and solve the covering LP (or the intermediate LP) at one lambda."""
     if intermediate:
         lp = phases.run("build-lp", lambda: build_intermediate_lp(g, widx, lam))
         return phases.run("solve", lambda: solve_general_exact(lp))
     _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
-    if dump:
-        _atomic_write(_resolve_output(dump), dump_covering_instance(inst))
     if args.engine == "mwu":
         return phases.run("solve", lambda: solve_mwu(inst, args.epsilon))
     return phases.run("solve", lambda: solve_exact(inst))
@@ -319,16 +309,11 @@ def cmd_constraints(args) -> int:
 
 def cmd_label(args) -> int:
     lams = _parse_lambdas(args.lambdas)
-    if args.shuffle_seed is not None and args.shuffle_seed < 0:
-        raise ParameterError("--shuffle-seed must be >= 0")
     phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
         lab, cert = phases.run(
-            "label",
-            lambda: cover_label(
-                g, widx, lam, shuffle_seed=args.shuffle_seed, minimal=args.minimal
-            ),
+            "label", lambda: cover_label(g, widx, lam, minimal=args.minimal)
         )
         docs.append({
             "schema_version": SCHEMA_VERSION,
@@ -397,9 +382,7 @@ def _seed_run(args, g, widx, lam, phases):
             "pivot", g, g, lam, seed, None, None, time.perf_counter()
         )
     if args.alg == "louvain":
-        return lambda seed: lambda_louvain(
-            g, lam, seed, args.max_passes, multilevel=args.multilevel
-        )
+        return lambda seed: lambda_louvain(g, lam, seed, multilevel=args.multilevel)
     res = _solve_lp(args, g, widx, lam, phases, intermediate=args.alg == "lp3-round")
     if args.alg == "lp-round":
         xsol = res.solution.to_x(g)
@@ -426,8 +409,6 @@ def cmd_cluster(args) -> int:
         )
     if args.alg == "lp-round" and args.engine == "mwu":
         _check_epsilon(args.epsilon)
-    if args.alg == "louvain":
-        _check_max_passes(args.max_passes)
     if args.assignment_out and len(lams) > 1:
         raise ParameterError("--assignment-out takes a single lambda")
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
@@ -450,38 +431,16 @@ def cmd_cluster(args) -> int:
     if args.assignment_out and best is not None:
         _atomic_write(_resolve_output(args.assignment_out), assignment_text(best.clustering))
 
-    if args.fmt == "csv":
-        _emit(args, _reports_csv(records, aggregates))
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "input": Path(args.input).stem,
-            "algorithm": args.alg,
-            "base_seed": args.seed,
-            "repetitions": args.seeds,
-            "records": records,
-            "aggregates": aggregates,
-        }
-        _emit(args, _dump_json(doc))
-    return EXIT_OK
-
-
-def _reports_csv(records, aggregates) -> str:
-    lines = ["# lamcc-report v1"]
-    lines.append("record,algorithm,lambda,seed,objective,lower_bound,ratio,num_clusters,elapsed_ms")
-    fmt = lambda v: "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-    for r in records:
-        lines.append(",".join(fmt(r[k]) for k in (
-            "record", "algorithm", "lambda", "seed", "objective",
-            "lower_bound", "ratio", "num_clusters", "elapsed_ms",
-        )))
-    for a in aggregates:
-        lines.append(",".join([
-            "aggregate", "", fmt(a["lambda"]), "",
-            fmt(a["objective"]["mean"]), "", fmt(a["ratio"]["mean"]), "",
-            fmt(a["elapsed_ms"]["mean"]),
-        ]))
-    return "\n".join(lines) + "\n"
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "input": Path(args.input).stem,
+        "algorithm": args.alg,
+        "base_seed": args.seed,
+        "repetitions": args.seeds,
+        "records": records,
+        "aggregates": aggregates,
+    }
+    return _emit_documents(args, [doc])
 
 
 def cmd_lp_solve(args) -> int:
@@ -493,15 +452,10 @@ def cmd_lp_solve(args) -> int:
         )
     if args.engine == "mwu":
         _check_epsilon(args.epsilon)
-    if args.dump_instance and (args.intermediate or len(lams) > 1):
-        raise ParameterError("--dump-instance takes a single lambda and the covering LP")
     phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
-        res = _solve_lp(
-            args, g, widx, lam, phases,
-            intermediate=args.intermediate, dump=args.dump_instance,
-        )
+        res = _solve_lp(args, g, widx, lam, phases, intermediate=args.intermediate)
         certified = None
         if args.certify:
             cres = phases.run(

@@ -320,13 +320,11 @@ def _round(algorithm, g, widx, lam, sol, seed, flip, triangles) -> RunReport:
 # Greedy local-move heuristic
 
 
+LOUVAIN_MAX_PASSES = 16  # local-move passes per level
+
+
 def lambda_louvain(
-    g: Graph,
-    lam: float,
-    seed: int,
-    max_passes: int = 16,
-    *,
-    multilevel: bool = False,
+    g: Graph, lam: float, seed: int, *, multilevel: bool = False
 ) -> RunReport:
     """Greedy node-move heuristic for the clustering objective.
 
@@ -334,15 +332,15 @@ def lambda_louvain(
     starts from singletons; each pass visits vertices in a seeded random
     order and moves each to the neighboring cluster (or back to a
     singleton) with the best strictly-negative cost delta, computed in
-    O(deg) per vertex. Passes repeat until no move improves or max_passes
-    is hit. With multilevel=True, converged clusters collapse into
-    supernodes and the process recurses. Every level is a CSR graph with
-    integer edge weights and vertex sizes (level 0 is g, all ones), so no
-    cost delta depends on summation order. No approximation guarantee:
-    the report carries no lower bound (``a_posteriori_ratio`` adds one).
+    O(deg) per vertex. Passes repeat until no move improves or
+    ``LOUVAIN_MAX_PASSES`` passes have run. With multilevel=True,
+    converged clusters collapse into supernodes and the process recurses.
+    Every level is a CSR graph with integer edge weights and vertex sizes
+    (level 0 is g, all ones), so no cost delta depends on summation order.
+    No approximation guarantee: the report carries no lower bound
+    (``a_posteriori_ratio`` adds one).
     """
     lam = check_lambda(lam)
-    _check_max_passes(max_passes)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -350,7 +348,7 @@ def lambda_louvain(
     weights, sizes = np.ones(indices.shape[0]), np.ones(g.n)
     assignment = np.arange(g.n)  # original vertex -> current supernode
     while True:
-        labels = _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes)
+        labels = _greedy_passes(indptr, indices, weights, sizes, lam, rng)
         assignment = labels[assignment]
         k = int(labels.max(initial=-1)) + 1
         # stop unless asked to recurse and something merged
@@ -363,12 +361,7 @@ def lambda_louvain(
     return _report("louvain", g, lam, seed, clustering, None, None, t0)
 
 
-def _check_max_passes(max_passes: int) -> None:
-    if max_passes < 1:
-        raise ParameterError("max_passes must be >= 1")
-
-
-def _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes):
+def _greedy_passes(indptr, indices, weights, sizes, lam, rng):
     """Local-move passes over one weighted CSR level, from singletons; returns
     the labels, numbered by first appearance (the identity if no vertex moved)."""
     n = sizes.shape[0]
@@ -376,7 +369,7 @@ def _greedy_passes(indptr, indices, weights, sizes, lam, rng, max_passes):
     sizes = sizes.tolist()
     labels = list(range(n))
     members_size = sizes.copy()  # total size per cluster id
-    for _ in range(max_passes):
+    for _ in range(LOUVAIN_MAX_PASSES):
         improved = False
         for v in rng.permutation(n).tolist():
             c0 = labels[v]

@@ -70,7 +70,6 @@ __all__ = [
     "solve_mwu",
     "solve_general_exact",
     "certify_canonical_feasibility",
-    "dump_covering_instance",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -660,24 +659,3 @@ def certify_canonical_feasibility(g: Graph, sol: FractionalSolution) -> CertifyR
     triples = _sorted_unique(np.concatenate(found).view("i8,i8,i8")[:, 0]).tolist()
     return CertifyResult(not triples, triples)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def dump_covering_instance(inst: CoveringInstance) -> str:
-    """Sparse text dump: header comments, then one constraint per line.
-
-    Format (version 1):
-        # covering-lp v1
-        # vars <N> constraints <M>
-        # cost <index> <value>        (one line per variable)
-        <i> <j> <k>                   (variable indices, one row per line)
-    """
-    out = ["# covering-lp v1"]
-    out.append(f"# vars {inst.num_variables} constraints {inst.num_constraints}")
-    for i, cost in enumerate(inst.costs.tolist()):
-        out.append(f"# cost {i} {cost!r}")
-    for row in inst.rows:
-        out.append(" ".join(str(int(i)) for i in row if i >= 0))
-    return "\n".join(out) + "\n"

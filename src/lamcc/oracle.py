@@ -10,8 +10,7 @@ being clever:
 * the labeling optimum does an exhaustive cost-bounded branch over which
   pair covers each open wedge (every feasible labeling contains such a
   choice, so the search space is complete), with an additive bound from
-  pair-disjoint uncovered wedges for pruning, plus an even dumber
-  subset-enumeration twin used to cross-check it in tests;
+  pair-disjoint uncovered wedges for pruning;
 * the all-triples LP optimum goes through the exact HiGHS engine, whose
   result passes the solver-independent certificate check.
 """
@@ -33,7 +32,6 @@ __all__ = [
     "exact_lambda_cc",
     "exact_lambda_cc_sweep",
     "exact_lambda_stc",
-    "exact_minstc_plus",
     "exact_canonical_lp",
 ]
 
@@ -129,26 +127,20 @@ def _labeling_of(space, mask: int) -> StcLabeling:
     return _labeling_of_mask(space.n, space.keys, space.edge_count, chosen)
 
 
-def exact_lambda_stc(
-    g: Graph,
-    widx: WedgeIndex,
-    lam: float,
-    *,
-    max_active: int = MAX_ACTIVE_PAIRS,
-) -> OracleResult:
+def exact_lambda_stc(g: Graph, widx: WedgeIndex, lam: float) -> OracleResult:
     """Minimum-cost feasible labeling, found by exhaustive wedge branching.
 
     Only edges and wedge end pairs can profitably be labeled (anything
     else covers no wedge and has positive cost), so the search runs over
-    that active-pair set; it is capped at ``max_active`` pairs, which the
-    branch search handles comfortably where plain subset enumeration
-    could not.
+    that active-pair set; it is capped at ``MAX_ACTIVE_PAIRS`` pairs,
+    which the branch search handles comfortably where plain subset
+    enumeration could not.
     """
     lam = check_lambda(lam)
     space, inst = build_lambda_stc_lp(g, widx, lam)
-    if space.size > max_active:
+    if space.size > MAX_ACTIVE_PAIRS:
         raise SizeCapError(
-            f"labeling oracle capped at {max_active} active pairs, "
+            f"labeling oracle capped at {MAX_ACTIVE_PAIRS} active pairs, "
             f"got {space.size}"
         )
     costs_l = inst.costs.tolist()
@@ -202,42 +194,6 @@ def exact_lambda_stc(
 
     rec(0, 0, 0.0)
     return OracleResult(best_cost, _labeling_of(space, best_mask), nodes)
-
-
-def exact_minstc_plus(
-    g: Graph, widx: WedgeIndex, *, max_active: int = 20
-) -> OracleResult:
-    """Minimum |weak| + |missing| by plain subset enumeration.
-
-    Deliberately independent of the branch search above (it shares no
-    search code), so the two can validate each other; exponential in the
-    active-pair count, hence the small cap.
-    """
-    space, inst = build_lambda_stc_lp(g, widx, 0.5)
-    if space.size > max_active:
-        raise SizeCapError(
-            f"subset enumeration capped at {max_active} active pairs, "
-            f"got {space.size}"
-        )
-    wedge_masks = []
-    for row in inst.rows:
-        mask = 0
-        for i in row:
-            if i >= 0:
-                mask |= 1 << int(i)
-        wedge_masks.append(mask)
-    best_size = space.size + 1
-    best_mask = (1 << space.size) - 1
-    for subset in range(1 << space.size):
-        size = subset.bit_count()
-        if size >= best_size:
-            continue
-        if all(subset & mk for mk in wedge_masks):
-            best_size = size
-            best_mask = subset
-    return OracleResult(
-        float(best_size), _labeling_of(space, best_mask), 1 << space.size
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -220,16 +220,16 @@ def cover_label(
     widx: WedgeIndex,
     lam: float,
     *,
-    shuffle_seed: int | None = None,
     minimal: bool = False,
 ) -> tuple[StcLabeling, DualCertificate]:
     """Feasible labeling within 3x optimal, plus its dual lower bound.
 
-    Wedges are processed in the canonical index order (optionally a seeded
-    shuffle of it, for experimentation). The zero test on residuals uses a
-    1e-12 tolerance: the subtracted minimum is always one of the three
-    stored residuals, so one subtraction per wedge is exact and the others
-    only accumulate representation error. The pass is ``_local_ratio``.
+    Wedges are processed in the canonical index order, so the graph and
+    lambda fix the result; the pass is ``_local_ratio`` on the run index
+    kept on the wedge index (``widx.cover_runs``). The zero test on
+    residuals uses a 1e-12 tolerance: the subtracted minimum is always one
+    of the three stored residuals, so one subtraction per wedge is exact
+    and the others only accumulate representation error.
 
     With ``minimal=True`` the greedy ``_reduce`` (canonical pair order) drops
     any labeled pair whose removal keeps every wedge covered. The dual
@@ -241,16 +241,12 @@ def cover_label(
     """
     lam = check_lambda(lam)
     keys, m, rows = widx.covering_layout
-    M, N = rows.shape[0], keys.shape[0]
     runs, touched = widx.cover_runs
-    order = None
-    if shuffle_seed is not None:
-        order, runs = np.random.default_rng(shuffle_seed).permutation(M), None
-    cost = np.full(N, lam)
+    cost = np.full(keys.shape[0], lam)
     cost[:m] = 1.0 - lam
-    pos, vals, residual = _local_ratio(rows, cost, order, runs)
-    y = np.zeros(M)
-    y[pos if order is None else order[pos]] = vals  # canonical wedge positions
+    pos, vals, residual = _local_ratio(rows, cost, runs=runs)
+    y = np.zeros(rows.shape[0])
+    y[pos] = vals
 
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
     labeled = residual <= RESIDUAL_ZERO_TOL
@@ -286,6 +282,9 @@ def _local_ratio(rows, residual, order=None, runs=None):
     residual m of its variables and, if m > 0, subtracts m from each of
     them. Returns the visit positions where m > 0, those m, and the final
     residuals. ``runs``, if given, is ``lamcc.graph._row_runs`` of the rows in order.
+    ``cover_label`` passes the canonical row order with its kept run index;
+    MWU's dual ascent passes its own ``order`` and no runs, so the pass
+    builds the run index of that order.
 
     A residual r only ever loses an m <= r, and r - m never rounds below
     0.0, so residuals never rise; the one that attains m drops to exactly
@@ -294,7 +293,7 @@ def _local_ratio(rows, residual, order=None, runs=None):
     in runs: stretches of consecutive rows that share their first variable
     (in canonical wedge order, the wedges on one edge (center, lo)). At
     the start of each ``_BLOCK`` runs it drops the runs whose first
-    variable has a residual <= 0.0, and the runs of one row (as a shuffled
+    variable has a residual <= 0.0, and the runs of one row (as MWU's
     order makes) with any such variable; a live run is walked row by row
     and left as soon as its first variable reaches 0.0. Pads read a +inf
     slot, so they never bind nor die; a row of pads alone would take

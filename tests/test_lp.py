@@ -15,7 +15,6 @@ from lamcc.lp import (
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
-    dump_covering_instance,
     solve_exact,
     solve_exact_sparse,
     solve_general_exact,
@@ -493,23 +492,3 @@ def test_certified_solution_value_matches_canonical_optimum():
                 exact_canonical_lp(g, 0.55).optimum, abs=1e-7
             )
     assert hits > 0  # certification does happen in practice
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_instance_dump_round_readable(star4, wedges_of):
-    # 1 - 0.55 is 0.44999999999999996, so costs only read back exactly
-    # when they are written as full-precision plain floats
-    _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.55)
-    text = dump_covering_instance(inst)
-    lines = text.strip().splitlines()
-    assert lines[0] == "# covering-lp v1"
-    assert lines[1] == "# vars 6 constraints 3"
-    cost_lines = [l.split() for l in lines if l.startswith("# cost ")]
-    assert [int(f[2]) for f in cost_lines] == list(range(inst.num_variables))
-    assert [float(f[3]) for f in cost_lines] == inst.costs.tolist()
-    body = [l for l in lines if not l.startswith("#")]
-    assert len(body) == 3
-    assert all(len(l.split()) == 3 for l in body)

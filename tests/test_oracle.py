@@ -3,12 +3,14 @@ import pytest
 from lamcc.cluster import cover_flip_pivot, lambda_cc_objective, lambda_louvain
 from lamcc.errors import SizeCapError
 from lamcc.graph import enumerate_wedges
+from lamcc.lp import build_lambda_stc_lp
 from lamcc.oracle import (
+    OracleResult,
+    _labeling_of,
     exact_canonical_lp,
     exact_lambda_cc,
     exact_lambda_cc_sweep,
     exact_lambda_stc,
-    exact_minstc_plus,
 )
 from lamcc.stc import cover_label, is_feasible, stc_objective
 from lamcc.testing import erdos_renyi
@@ -91,6 +93,40 @@ def test_stc_witness_feasible_and_achieves_value():
             assert stc_objective(g, lam, res.witness) == pytest.approx(res.optimum)
 
 
+def _exact_minstc_plus(g, widx, *, max_active=20):
+    """Minimum |weak| + |missing| by plain subset enumeration.
+
+    Deliberately independent of ``exact_lambda_stc``'s branch search (it
+    shares no search code), so the two can validate each other; exponential
+    in the active-pair count, hence the small cap.
+    """
+    space, inst = build_lambda_stc_lp(g, widx, 0.5)
+    if space.size > max_active:
+        raise SizeCapError(
+            f"subset enumeration capped at {max_active} active pairs, "
+            f"got {space.size}"
+        )
+    wedge_masks = []
+    for row in inst.rows:
+        mask = 0
+        for i in row:
+            if i >= 0:
+                mask |= 1 << int(i)
+        wedge_masks.append(mask)
+    best_size = space.size + 1
+    best_mask = (1 << space.size) - 1
+    for subset in range(1 << space.size):
+        size = subset.bit_count()
+        if size >= best_size:
+            continue
+        if all(subset & mk for mk in wedge_masks):
+            best_size = size
+            best_mask = subset
+    return OracleResult(
+        float(best_size), _labeling_of(space, best_mask), 1 << space.size
+    )
+
+
 def test_stc_branch_search_matches_subset_enumeration():
     # the two oracles share no search code; on instances small enough for
     # subset enumeration they must agree exactly (lambda = 1/2 makes costs
@@ -100,7 +136,7 @@ def test_stc_branch_search_matches_subset_enumeration():
         g = erdos_renyi(6, 0.45, 900 + seed)
         widx = enumerate_wedges(g)
         try:
-            subset = exact_minstc_plus(g, widx, max_active=14)
+            subset = _exact_minstc_plus(g, widx, max_active=14)
         except SizeCapError:
             continue
         branch = exact_lambda_stc(g, widx, 0.5)
@@ -110,10 +146,10 @@ def test_stc_branch_search_matches_subset_enumeration():
 
 
 def test_stc_size_cap():
-    g = erdos_renyi(12, 0.8, 1)
+    g = erdos_renyi(12, 0.8, 1)  # 66 active pairs
     widx = enumerate_wedges(g)
-    with pytest.raises(SizeCapError):
-        exact_lambda_stc(g, widx, 0.5, max_active=5)
+    with pytest.raises(SizeCapError, match="capped at 40 active pairs, got 66"):
+        exact_lambda_stc(g, widx, 0.5)
 
 
 # ---------------------------------------------------------------------------

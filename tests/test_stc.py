@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_cover_label_shuffled_order_still_feasible():
     g = erdos_renyi(10, 0.4, 3)
     widx = enumerate_wedges(g)
     for seed in (0, 1, 2):
-        labeling, cert = cover_label(g, widx, 0.6, shuffle_seed=seed)
+        labeling, cert = _cover_label_shuffled(g, widx, 0.6, seed)
         assert is_feasible(g, widx, labeling)
         assert stc_objective(g, 0.6, labeling) <= 3.0 * cert.lower_bound + 1e-12
 
@@ -209,6 +210,29 @@ def _reference_cover_label(g, widx, lam, shuffle_seed=None):
     return weak, missing, y_canon, lower_bound
 
 
+def _cover_label_shuffled(g, widx, lam, shuffle_seed, minimal=False):
+    """``cover_label``'s steps with the local-ratio pass in a seeded shuffle.
+
+    ``stc._local_ratio`` gets the row order and no run index, as MWU's dual
+    ascent calls it, so it builds the run index of that order itself.
+    """
+    keys, m, rows = widx.covering_layout
+    order = np.random.default_rng(shuffle_seed).permutation(rows.shape[0])
+    cost = np.full(keys.shape[0], lam)
+    cost[:m] = 1.0 - lam
+    pos, vals, residual = stc._local_ratio(rows, cost, order)
+    y = np.zeros(rows.shape[0])
+    y[order[pos]] = vals  # canonical wedge positions
+    labeled = residual <= RESIDUAL_ZERO_TOL
+    labeled[:m] &= widx.cover_runs[1]
+    if minimal:
+        cand = np.flatnonzero(labeled)
+        labeled = stc._reduce(rows, *widx.rows_by_column, labeled.astype(float),
+                              cand[np.argsort(keys[cand])]) > 0.0
+    lower_bound = dual_bound(rows, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
+    return stc._labeling_of_mask(g.n, keys, m, labeled), stc.DualCertificate(y, lower_bound)
+
+
 def _reference_drop_redundant(widx, weak, missing, n):
     """The minimality pass as a double loop over wedges and pairs."""
     labeled = sorted(set(weak) | set(missing))
@@ -234,12 +258,16 @@ def _reference_drop_redundant(widx, weak, missing, n):
 
 def _assert_cover_matches_reference(g, lam, shuffle_seed=None):
     widx = enumerate_wedges(g)
-    labeling, cert = cover_label(g, widx, lam, shuffle_seed=shuffle_seed)
+    if shuffle_seed is None:
+        cover = functools.partial(cover_label, g, widx, lam)
+    else:
+        cover = functools.partial(_cover_label_shuffled, g, widx, lam, shuffle_seed)
+    labeling, cert = cover()
     weak, missing, y, lower_bound = _reference_cover_label(g, widx, lam, shuffle_seed)
     assert labeling.weak == weak and labeling.missing == missing
     assert np.array_equal(cert.wedge_values, y)
     assert cert.lower_bound == lower_bound
-    slim, slim_cert = cover_label(g, widx, lam, shuffle_seed=shuffle_seed, minimal=True)
+    slim, slim_cert = cover(minimal=True)
     assert (slim.weak, slim.missing) == _reference_drop_redundant(widx, weak, missing, g.n)
     assert slim_cert.lower_bound == lower_bound
 
@@ -366,8 +394,8 @@ def test_cover_label_builds_its_run_index_and_touched_once_per_index(monkeypatch
     runs, touched = cached
     assert len(built) == 1 and not per_call
     assert not any(arr.flags.writeable for arr in (*runs, touched))
-    # a shuffled order builds its own runs and reuses touched
-    shuffled = _cover_tuple(*cover_label(g, widx, 0.55, shuffle_seed=3))
+    # the pass in a shuffled order builds its own run index, not the kept one
+    shuffled = _cover_tuple(*_cover_label_shuffled(g, widx, 0.55, 3))
     assert widx.cover_runs is cached and len(built) == 1 and len(per_call) == 1
     assert first == [_reference_tuple(g, widx, lam) for lam in (0.55, 0.75)]
     assert shuffled == _reference_tuple(g, widx, 0.55, 3)
