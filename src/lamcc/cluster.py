@@ -6,9 +6,11 @@ All approximation algorithms here share one skeleton: build a derived
 graph whose edges encode "should be together", then run the random pivot
 of Ailon, Charikar & Newman on it: visit the vertices in a seeded random
 order and make each still-unclustered vertex a pivot whose unclustered
-neighbors join it. The derived graph is a plain ``Graph``: the input graph
-with a set of pairs toggled (``Graph.toggled``, a symmetric difference of
-sorted pair keys). What varies is which pairs are toggled:
+neighbors join it. That order defines the result, which ``pivot`` computes
+in a few synchronous rounds of whole-array steps (Blelloch, Fineman & Shun,
+SPAA 2012; Pan et al., NeurIPS 2015). The derived graph is a plain ``Graph``:
+the input graph with a set of pairs toggled (``Graph.toggled``, a symmetric
+difference of sorted pair keys). What varies is which pairs are toggled:
 
 * cover_flip_pivot flips the pairs labeled by the wedge-cover algorithm
   (expected cost at most twice the labeling cost, hence 6x optimal for
@@ -147,18 +149,36 @@ def pivot(gh: Graph, seed: int) -> Clustering:
     The first unclustered vertex of a uniformly random order is uniform
     among the unclustered vertices, so this is the same distribution over
     clusterings as drawing each pivot uniformly from those left.
+
+    That order defines the result, computed in synchronous rounds with the
+    same output (Blelloch, Fineman & Shun, SPAA 2012; Pan et al., C4, NeurIPS
+    2015): each round, every open vertex with no open earlier neighbor becomes
+    a pivot and takes its open later neighbors, which join their earliest
+    pivot neighbor.
     """
-    indptr, indices = gh.indptr.tolist(), gh.indices.tolist()
-    assignment = [-1] * gh.n
-    cid = 0
-    for k in np.random.default_rng(seed).permutation(gh.n).tolist():
-        if assignment[k] < 0:
-            assignment[k] = cid
-            for u in indices[indptr[k]:indptr[k + 1]]:
-                if assignment[u] < 0:
-                    assignment[u] = cid
-            cid += 1
-    return Clustering(tuple(assignment))
+    n = gh.n
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.random.default_rng(seed).permutation(n)] = np.arange(n)
+    ru, rv = (rank[x] for x in np.divmod(gh.edge_keys(), n))
+    # from here a vertex is its rank; edge (a, b) has a < b, sorted by b then a
+    key = np.sort(np.maximum(ru, rv) * n + np.minimum(ru, rv))
+    b_all, a_all = b, a = np.divmod(key, n)
+    live, piv = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    while b.shape[0]:  # every edge left has both ends open
+        new = live.copy()
+        new[b] = False  # not blocked by an open earlier neighbor
+        piv |= new
+        live &= ~new
+        live[b[new[a]]] = False  # taken by a new pivot
+        keep = live[a] & live[b]
+        a, b = a[keep], b[keep]
+    piv |= live
+    ta, tb = a_all[piv[a_all]], b_all[piv[a_all]]  # edges from a pivot, by b then a
+    first = np.ones(tb.shape[0], dtype=bool)
+    first[1:] = tb[1:] != tb[:-1]  # so a taken vertex's first is its earliest pivot
+    owner = np.arange(n)
+    owner[tb[first]] = ta[first]
+    return Clustering(tuple((np.cumsum(piv) - 1)[owner[rank]].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -203,6 +204,21 @@ def test_pivot_matches_reference_on_mid_size_derived_graphs(monkeypatch):
                 assert pivot(gh, seed) == _list_pivot(ref, seed)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Graph.from_edges(2000, [(v, v + 1) for v in range(1999)]),
+    lambda: Graph.from_edges(501, [(0, v) for v in range(1, 501)]),
+    lambda: Graph.from_edges(60, [(u, v) for u in range(30) for v in range(30, 60)]),
+    lambda: Graph.from_edges(200, [(5 * c + i, 5 * c + j) for c in range(40)
+                                   for i in range(5) for j in range(i + 1, 5)]),
+    lambda: _clique_union(3000, 1500, 74),
+], ids=["path-2000", "star-500", "k-30-30", "k5-x40", "clique-union-3000"])
+def test_pivot_matches_reference_on_round_loop_shapes(make):
+    g = make()
+    ref = _adjacency(g)
+    for seed in range(24):
+        assert pivot(g, seed) == _list_pivot(ref, seed)
+
+
 def test_pivot_matches_reference_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -371,6 +387,22 @@ def test_rounding_graphs_match_set_toggle(lam, monkeypatch):
             _assert_matches_reference(seen.pop(), g, _third_flip(g, x3))
             assert rep.clustering == _list_pivot(_set_toggle(g, _third_flip(g, x3)), seed)
     assert seen == []
+
+
+def test_pivot_ms_is_part_of_elapsed_ms():
+    g, lam = erdos_renyi(14, 0.35, 320), 0.6
+    widx = enumerate_wedges(g)
+    x = solve_exact(build_lambda_stc_lp(g, widx, lam)[1]).solution.to_x(g)
+    x3 = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
+    reports = [  # the pivot run is built as cli's --alg pivot builds it
+        cover_flip_pivot(g, widx, lam, 1),
+        lamcc.cluster._pivot_run("pivot", g, g, lam, 1, None, None, time.perf_counter()),
+        round_lambda_stc_lp(g, widx, lam, x, 1),
+        round_intermediate_lp(g, widx, lam, x3, 1),
+    ]
+    assert [r.algorithm for r in reports] == ["cfp", "pivot", "lp-round", "lp3-round"]
+    for rep in reports:
+        assert 0.0 <= rep.pivot_ms <= rep.elapsed_ms
 
 
 def _loop_violation(widx, x, triangles):
