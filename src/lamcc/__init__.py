@@ -32,7 +32,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    Wedge,
     WedgeIndex,
     enumerate_wedges,
     graph_stats,

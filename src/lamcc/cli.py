@@ -235,11 +235,6 @@ def _values_doc(sol) -> list[tuple]:
     return [(u, v, x) for (u, v), x in zip(_key_pairs(sol.n, sol.keys), sol.vals.tolist())]
 
 
-def _pairs_doc(keys, n: int) -> list[tuple[int, int]]:
-    """(u, v) pairs of sorted pair keys, in the same (lexicographic) order."""
-    return list(_key_pairs(n, keys))
-
-
 def _parse_lambdas(spec: str) -> list[float]:
     try:
         lams = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -318,8 +313,8 @@ def cmd_label(args) -> int:
         docs.append({
             "schema_version": SCHEMA_VERSION,
             "lambda": lam,
-            "weak": _pairs_doc(lab.weak_keys, lab.n),
-            "miss": _pairs_doc(lab.missing_keys, lab.n),
+            "weak": list(_key_pairs(lab.n, lab.weak_keys)),
+            "miss": list(_key_pairs(lab.n, lab.missing_keys)),
             "objective": stc_objective(g, lam, lab),
             "lower_bound": cert.lower_bound,
             "regime": stc_regime(lam, g.m).value,
@@ -519,8 +514,8 @@ def cmd_exact(args) -> int:
         elif args.problem == "stc":
             r = phases.run("enumerate", lambda: exact_lambda_stc(g, widx, lam))
             witness = {
-                "weak": _pairs_doc(r.witness.weak_keys, r.witness.n),
-                "miss": _pairs_doc(r.witness.missing_keys, r.witness.n),
+                "weak": list(_key_pairs(r.witness.n, r.witness.weak_keys)),
+                "miss": list(_key_pairs(r.witness.n, r.witness.missing_keys)),
             }
         else:
             r = phases.run("solve", lambda: exact_canonical_lp(g, lam))

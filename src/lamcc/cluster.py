@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +59,6 @@ class Clustering:
     def from_assignment(cls, labels) -> "Clustering":
         """The partition of ``labels``, renumbered by first appearance."""
         return cls(tuple(_first_appearance(labels)))
-
-    @cached_property
-    def clusters(self) -> tuple[tuple[int, ...], ...]:
-        k = self.num_clusters
-        members: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(self.assignment):
-            members[c].append(v)
-        return tuple(tuple(ms) for ms in members)
 
     @property
     def num_clusters(self) -> int:

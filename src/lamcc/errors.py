@@ -20,7 +20,7 @@ class ParameterError(LamccError):
 
 
 class SizeCapError(LamccError):
-    """Instance exceeds a solver's configured size cap."""
+    """Instance exceeds a size cap."""
 
 
 class InvalidLabelingError(LamccError):

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import ne
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import EdgeListParseError, SizeCapError
 
 __all__ = [
     "Graph",
-    "Wedge",
     "WedgeIndex",
     "parse_edge_list",
     "parse_matrix_market",
@@ -43,13 +42,6 @@ __all__ = [
 
 # the largest n with n*n - 1 (the largest pair key) within int64
 MAX_KEYED_VERTICES = 3_037_000_499
-
-
-def pair_key(n: int, u: int, v: int) -> int:
-    """Encode an unordered pair as a single sortable integer."""
-    if u > v:
-        u, v = v, u
-    return u * n + v
 
 
 def _key_pairs(n: int, keys: np.ndarray):
@@ -150,7 +142,7 @@ class Graph:
         return _key_pairs(self.n, self._edge_keys)
 
     def edge_keys(self) -> np.ndarray:
-        """Sorted array of pair_key(n, u, v) over all edges (u < v)."""
+        """Sorted array of the pair keys u*n + v over all edges (u < v)."""
         return self._edge_keys
 
     def edge_mask(self, keys: np.ndarray) -> np.ndarray:
@@ -178,13 +170,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Wedge(NamedTuple):
-    """Open wedge: edges (ends[0], center) and (center, ends[1]), non-edge ends."""
-
-    center: int
-    ends: tuple[int, int]
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -198,20 +183,15 @@ def _text(source: str | bytes | IO) -> str:
     return "".join(t.decode("utf-8") if isinstance(t, bytes) else t for t in source)
 
 
-def parse_edge_list(
-    source: str | bytes | IO,
-    *,
-    comment_prefixes: tuple[str, ...] = ("#", "%"),
-    delimiter: str | None = None,
-    one_indexed: bool = False,
-) -> Graph:
+def parse_edge_list(source: str | bytes | IO, *, delimiter: str | None = None) -> Graph:
     """Parse a whitespace- or delimiter-separated edge list into a Graph.
 
-    Each non-comment line must hold exactly two integer tokens. The result
-    is normalized: self-loops dropped, duplicate and reversed edges merged,
-    and vertex ids remapped to contiguous 0..n-1 in order of first
-    appearance on a retained edge (so output ids are stable for a fixed
-    input file, and serialize/parse round-trips are exact).
+    Lines starting with ``#`` or ``%`` are comments; every other non-blank
+    line must hold exactly two integer tokens. The result is normalized:
+    self-loops dropped, duplicate and reversed edges merged, and vertex ids
+    remapped to contiguous 0..n-1 in order of first appearance on a
+    retained edge (so output ids are stable for a fixed input file, 0- or
+    1-based alike, and serialize/parse round-trips are exact).
 
     The text is parsed in bulk, not line by line, with line-by-line
     semantics: lines end at "\\n" only (a lone "\\r" does not end one),
@@ -225,13 +205,17 @@ def parse_edge_list(
             lines at all.
     """
     raw = _text(source).split("\n")
-    return _parse_lines(raw, comment_prefixes, delimiter, one_indexed)
+    return _parse_lines(raw, ("#", "%"), delimiter, False)
 
 
-def _parse_lines(raw: list[str], comment_prefixes, delimiter, one_indexed) -> Graph:
-    """The body of parse_edge_list over the file's lines, raw[i] being line i+1."""
+def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
+    """The body of parse_edge_list over the file's lines, raw[i] being line i+1.
+
+    Lines starting with one of ``prefixes`` are comments; with ``one_based``
+    (MatrixMarket) every id must be at least 1.
+    """
     stripped = list(map(str.strip, raw))
-    prefixes = tuple(comment_prefixes)
+    prefixes = tuple(prefixes)
     linenos = [
         i for i, s in enumerate(stripped, start=1) if s and not s.startswith(prefixes)
     ]
@@ -253,14 +237,12 @@ def _parse_lines(raw: list[str], comment_prefixes, delimiter, one_indexed) -> Gr
         ok = next(k for k in range(ok) if not _all_int(tokens[k]))
         vals = list(map(int, chain.from_iterable(tokens[:ok])))
     us, vs = vals[0::2], vals[1::2]
-    if one_indexed:
-        if vals and min(vals) < 1:
-            k = next(k for k in range(ok) if us[k] < 1 or vs[k] < 1)
-            raise EdgeListParseError(
-                f"token < 1 in one-indexed input: {lines[k]!r}", linenos[k]
-            )
-        us = [u - 1 for u in us]
-        vs = [v - 1 for v in vs]
+    # ids are renumbered by first appearance below, so 1-based ids need no shift
+    if one_based and vals and min(vals) < 1:
+        k = next(k for k in range(ok) if us[k] < 1 or vs[k] < 1)
+        raise EdgeListParseError(
+            f"token < 1 in one-indexed input: {lines[k]!r}", linenos[k]
+        )
     if ok < len(lines):
         if counts[ok] != 2:
             raise EdgeListParseError(
@@ -371,9 +353,10 @@ class WedgeIndex:
 
     Wedges are sorted by center, then by end pair; triangles are sorted
     triples (i < j < k); ``edge_keys`` is the graph's own read-only
-    ``Graph.edge_keys()``. The raw arrays are the primary representation.
-    The covering layout and its indexes are built from them on first use and
-    kept read-only; the ``wedges`` / ``triangles`` views suit small graphs.
+    ``Graph.edge_keys()``. The raw arrays are the only representation:
+    wedge w is (wedge_center[w], wedge_lo[w], wedge_hi[w]) and triangle t is
+    (tri_i[t], tri_j[t], tri_k[t]). The covering layout and its indexes are
+    built from them on first use and kept read-only.
     """
 
     n: int
@@ -392,20 +375,6 @@ class WedgeIndex:
     @property
     def triangle_count(self) -> int:
         return int(self.tri_i.shape[0])
-
-    @cached_property
-    def wedges(self) -> list[Wedge]:
-        return [
-            Wedge(int(c), (int(a), int(b)))
-            for c, a, b in zip(self.wedge_center, self.wedge_lo, self.wedge_hi)
-        ]
-
-    @cached_property
-    def triangles(self) -> list[tuple[int, int, int]]:
-        return [
-            (int(i), int(j), int(k))
-            for i, j, k in zip(self.tri_i, self.tri_j, self.tri_k)
-        ]
 
     @cached_property
     def covering_layout(self) -> tuple[np.ndarray, int, np.ndarray]:
@@ -435,7 +404,7 @@ class WedgeIndex:
         """(wedge_count, 3) array of pair keys per wedge.
 
         Columns are (center, lo), (center, hi), (lo, hi): the two edges
-        followed by the open end pair, each encoded with pair_key.
+        followed by the open end pair, each as the key u*n + v (u < v).
         """
         keys, _, rows = self.covering_layout
         return keys[rows]

@@ -146,8 +146,8 @@ class CoveringInstance:
 class GeneralLp:
     """min c.x + c0 subject to signed three-term rows >= 0 and 0 <= x <= 1.
 
-    Row (a, b, c) of ``col_idx`` reads x[a] + x[b] - x[c] >= 0, so
-    ``col_sign`` is one read-only (3,) array ``[1, 1, -1]`` for every row.
+    Row (a, b, c) of ``col_idx`` reads x[a] + x[b] - x[c] >= 0: every row
+    has the signs ``_TRIANGLE_SIGN``.
     """
 
     space: PairVariableSpace
@@ -155,7 +155,6 @@ class GeneralLp:
     c: np.ndarray
     c0: float
     col_idx: np.ndarray  # (M, 3) variable indices
-    col_sign: np.ndarray  # (3,) coefficients, the same in every row
 
     @property
     def num_variables(self) -> int:
@@ -205,11 +204,6 @@ class FractionalSolution:
             return np.full(np.shape(query), default)
         pos = np.minimum(np.searchsorted(self.keys, query), self.keys.shape[0] - 1)
         return np.where(self.keys[pos] == query, self.vals[pos], default)
-
-    def value(self, u: int, v: int) -> float:
-        if u > v:
-            u, v = v, u
-        return float(self.at(np.int64(u * self.n + v)))
 
     def _flipped(self, g: Graph, orientation: str) -> "FractionalSolution":
         if self.source is not None and self.source.orientation == orientation:
@@ -288,7 +282,7 @@ def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     # the wedge rows, then all center-j, all center-i and all center-k rows
     col_idx = np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, _TRIANGLE_SIGN)
+    return GeneralLp(space, lam, c, c0, col_idx)
 
 
 def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
@@ -311,7 +305,7 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     # the three rotations of each triple in turn
     col_idx = _triangle_rows(space, ijk[:, 0], ijk[:, 1], ijk[:, 2]).reshape(-1, 3)
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx, _TRIANGLE_SIGN)
+    return GeneralLp(space, lam, c, c0, col_idx)
 
 
 def _distance_costs(space: PairVariableSpace, lam: float) -> tuple[np.ndarray, float]:
@@ -456,7 +450,7 @@ def solve_general_exact(lp: GeneralLp) -> SolveResult:
     their column duals through the reduced costs.
     """
     return _solve_highs(
-        lp.space, "x", lp.lam, lp.c, lp.col_idx, lp.col_sign, 0.0, 1.0, lp.c0
+        lp.space, "x", lp.lam, lp.c, lp.col_idx, _TRIANGLE_SIGN, 0.0, 1.0, lp.c0
     )
 
 

@@ -37,7 +37,6 @@ from .graph import (
 
 __all__ = [
     "check_lambda",
-    "pair_cost",
     "StcLabeling",
     "DualCertificate",
     "StcRegime",
@@ -57,16 +56,6 @@ def check_lambda(lam: float) -> float:
     if not (0.0 < lam < 1.0):
         raise ParameterError(f"lambda must lie in (0, 1), got {lam}")
     return lam
-
-
-def pair_cost(lam: float, is_edge: bool) -> float:
-    """Labeling cost of a pair: 1-lam for an edge, lam for a non-edge.
-
-    These are the same weights the clustering objective assigns to
-    separating an edge / merging a non-edge, which is what ties the two
-    problems together.
-    """
-    return 1.0 - lam if is_edge else lam
 
 
 @dataclass(frozen=True, eq=False)

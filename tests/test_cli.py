@@ -151,7 +151,7 @@ def test_cluster_assignment_out(tmp_path, capsys, path_file):
 def test_cluster_size_hist_counts_the_member_lists(labels):
     c = Clustering.from_assignment(labels)
     rep = RunReport("pivot", 0.5, 0, c, 0.0, None, None, None, 0.0)
-    want = Counter(len(members) for members in c.clusters)
+    want = Counter(Counter(c.assignment).values())  # member-list sizes
     got = _record(rep, include_timing=False)["cluster_size_hist"]
     assert list(got.items()) == [(str(s), want[s]) for s in sorted(want)]
     assert all(type(v) is int for v in got.values())
@@ -169,7 +169,7 @@ def test_cluster_pivot_records(capsys, tmp_path):
     ]
     for rec in records:
         c = pivot(g, rec["seed"])
-        sizes = Counter(len(members) for members in c.clusters)
+        sizes = Counter(Counter(c.assignment).values())
         assert rec["algorithm"] == "pivot"
         assert rec["objective"] == lambda_cc_objective(g, rec["lambda"], c)
         assert rec["num_clusters"] == c.num_clusters
@@ -599,6 +599,77 @@ def test_cli_options_are_exactly_these():
         "certify": {"--lambda", "--engine", "--epsilon"},
         "exact": {"--lambda", "--problem"},
     }
+
+
+def test_public_names_are_exactly_these():
+    # a new library name shows up here as a deliberate diff
+    import dataclasses
+    import inspect
+    import types
+
+    import lamcc
+    from lamcc import certificate, cluster, graph, lp, oracle, stc, testing
+
+    assert {
+        k for k, v in vars(lamcc).items()
+        if not k.startswith("_") and not isinstance(v, types.ModuleType)
+    } == {
+        "Clustering", "RunReport", "a_posteriori_ratio", "cover_flip_pivot",
+        "lambda_cc_objective", "lambda_louvain", "pivot", "round_intermediate_lp",
+        "round_lambda_stc_lp",
+        "EdgeListParseError", "InfeasibleSolutionError", "InvalidLabelingError",
+        "LamccError", "MwuConvergenceError", "ParameterError", "SimplexError",
+        "SizeCapError",
+        "Graph", "WedgeIndex", "enumerate_wedges", "graph_stats", "load_graph",
+        "parse_edge_list", "parse_matrix_market", "to_edge_list_text",
+        "CoveringInstance", "FractionalSolution", "PairVariableSpace", "SolveResult",
+        "build_canonical_lp", "build_intermediate_lp", "build_lambda_stc_lp",
+        "certify_canonical_feasibility", "solve_exact", "solve_exact_sparse",
+        "solve_general_exact", "solve_mwu",
+        "OracleResult", "exact_canonical_lp", "exact_lambda_cc", "exact_lambda_cc_sweep",
+        "exact_lambda_stc",
+        "DualCertificate", "StcLabeling", "StcRegime", "cover_label", "is_feasible",
+        "stc_objective", "stc_regime",
+    }
+    assert {m.__name__: set(m.__all__) for m in (
+        certificate, cluster, graph, lp, oracle, stc, testing
+    )} == {
+        "lamcc.certificate": {"check_primal", "dual_bound", "row_activity", "verify_certificate"},
+        "lamcc.cluster": {
+            "Clustering", "RunReport", "a_posteriori_ratio", "assignment_text",
+            "cover_flip_pivot", "derived_graph_from_labeling", "lambda_cc_objective",
+            "lambda_louvain", "pivot", "round_intermediate_lp", "round_lambda_stc_lp",
+        },
+        "lamcc.graph": {
+            "Graph", "WedgeIndex", "count_wedges_and_triangles", "enumerate_wedges",
+            "graph_stats", "load_graph", "parse_edge_list", "parse_matrix_market",
+            "to_edge_list_text",
+        },
+        "lamcc.lp": {
+            "CoveringInstance", "FractionalSolution", "GeneralLp", "PairVariableSpace",
+            "SolveResult", "build_canonical_lp", "build_intermediate_lp",
+            "build_lambda_stc_lp", "certify_canonical_feasibility", "solve_exact",
+            "solve_exact_sparse", "solve_general_exact", "solve_mwu",
+        },
+        "lamcc.oracle": {
+            "OracleResult", "exact_canonical_lp", "exact_lambda_cc",
+            "exact_lambda_cc_sweep", "exact_lambda_stc",
+        },
+        "lamcc.stc": {
+            "DualCertificate", "StcLabeling", "StcRegime", "check_lambda", "cover_label",
+            "is_feasible", "stc_objective", "stc_regime",
+        },
+        "lamcc.testing": {"erdos_renyi"},
+    }
+    keywords = inspect.signature(graph.parse_edge_list).parameters
+    assert {k for k, p in keywords.items() if p.kind is p.KEYWORD_ONLY} == {"delimiter"}
+    assert [f.name for f in dataclasses.fields(lp.GeneralLp)] == [
+        "space", "lam", "c", "c0", "col_idx"
+    ]
+    # the tuple and scalar views the arrays replaced stay gone
+    for cls, gone in ((graph.WedgeIndex, "wedges"), (graph.WedgeIndex, "triangles"),
+                      (lp.FractionalSolution, "value"), (cluster.Clustering, "clusters")):
+        assert not hasattr(cls, gone)
 
 
 @pytest.mark.parametrize(

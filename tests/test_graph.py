@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lamcc import graph
 from lamcc.errors import EdgeListParseError, SizeCapError
 from lamcc.graph import (
     MAX_KEYED_VERTICES,
     Graph,
-    Wedge,
     count_wedges_and_triangles,
     enumerate_wedges,
     graph_stats,
@@ -71,10 +71,13 @@ def test_parse_comment_prefixes_and_delimiter():
 
 
 def test_parse_one_indexed():
-    g = parse_edge_list("1 2\n2 3\n", one_indexed=True)
+    # the 1-based reading parse_matrix_market uses; ids are renumbered by first
+    # appearance, so it gives the graph the 0-based reading gives
+    g = graph._parse_lines(["1 2", "2 3", ""], ("#", "%"), None, True)
     assert (g.n, g.m) == (3, 2)
+    assert g == parse_edge_list("1 2\n2 3\n")
     with pytest.raises(EdgeListParseError):
-        parse_edge_list("0 1\n", one_indexed=True)
+        graph._parse_lines(["0 1", ""], ("#", "%"), None, True)
 
 
 def test_parse_accepts_bytes_and_streams():
@@ -193,21 +196,32 @@ def test_serialize_parse_idempotent_on_normalized_graphs():
 # Wedge and triangle enumeration
 
 
+def _wedges(idx):
+    """(center, (lo, hi)) of each wedge row, in index order."""
+    rows = zip(idx.wedge_center.tolist(), idx.wedge_lo.tolist(), idx.wedge_hi.tolist())
+    return [(c, (a, b)) for c, a, b in rows]
+
+
+def _triangles(idx):
+    """(i, j, k) of each triangle row, in index order."""
+    return list(zip(idx.tri_i.tolist(), idx.tri_j.tolist(), idx.tri_k.tolist()))
+
+
 def test_path_has_single_wedge(path3):
     idx = enumerate_wedges(path3)
-    assert idx.wedges == [Wedge(1, (0, 2))]
-    assert idx.triangles == []
+    assert _wedges(idx) == [(1, (0, 2))]
+    assert _triangles(idx) == []
 
 
 def test_triangle_is_not_open(k3):
     idx = enumerate_wedges(k3)
-    assert idx.wedges == []
-    assert idx.triangles == [(0, 1, 2)]
+    assert _wedges(idx) == []
+    assert _triangles(idx) == [(0, 1, 2)]
 
 
 def test_star_wedges(star4):
     idx = enumerate_wedges(star4)
-    assert [(w.center, w.ends) for w in idx.wedges] == [
+    assert _wedges(idx) == [
         (0, (1, 2)),
         (0, (1, 3)),
         (0, (2, 3)),
@@ -218,7 +232,7 @@ def test_star_wedges(star4):
 def test_canonical_order_is_center_then_ends():
     g = Graph.from_edges(5, [(0, 2), (2, 4), (1, 2), (0, 1)])
     idx = enumerate_wedges(g)
-    keys = [(w.center, w.ends) for w in idx.wedges]
+    keys = _wedges(idx)
     assert keys == sorted(keys)
 
 
@@ -246,21 +260,19 @@ def _triples_by_brute_force(g):
 def test_enumeration_matches_exhaustive_triples(seed):
     g = erdos_renyi(4 + seed % 8, (0.2, 0.5, 0.8)[seed % 3], seed)
     idx = enumerate_wedges(g)
-    got_w = [(w.center, w.ends) for w in idx.wedges]
     want_w, want_t = _triples_by_brute_force(g)
-    assert got_w == want_w
-    assert idx.triangles == want_t
+    assert _wedges(idx) == want_w
+    assert _triangles(idx) == want_t
 
 
 def test_every_emitted_triple_matches_adjacency():
     g = erdos_renyi(12, 0.4, 99)
     idx = enumerate_wedges(g)
-    for w in idx.wedges:
-        i, k = w.ends
-        assert g.has_edge(i, w.center) and g.has_edge(w.center, k)
+    for c, (i, k) in _wedges(idx):
+        assert g.has_edge(i, c) and g.has_edge(c, k)
         assert not g.has_edge(i, k)
         assert i < k
-    for i, j, k in idx.triangles:
+    for i, j, k in _triangles(idx):
         assert i < j < k
         assert g.has_edge(i, j) and g.has_edge(i, k) and g.has_edge(j, k)
 

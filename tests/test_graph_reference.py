@@ -175,9 +175,18 @@ def _outcome(parse, source, kwargs):
         return type(exc), str(exc)
 
 
+def _bulk_parse(source, *, comment_prefixes=("#", "%"), delimiter=None, one_indexed=False):
+    """parse_edge_list, or for other comment prefixes or 1-based ids its body
+    ``graph._parse_lines``, which parse_matrix_market calls with those."""
+    if tuple(comment_prefixes) == ("#", "%") and not one_indexed:
+        return parse_edge_list(source, delimiter=delimiter)
+    raw = graph._text(source).split("\n")
+    return graph._parse_lines(raw, comment_prefixes, delimiter, one_indexed)
+
+
 def _assert_parsers_agree(source, **kwargs):
     want = _outcome(_reference_parse_edge_list, source, kwargs)
-    got = _outcome(parse_edge_list, source, kwargs)
+    got = _outcome(_bulk_parse, source, kwargs)
     assert got == want
     if isinstance(want, Graph):
         for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):

@@ -9,9 +9,9 @@ from lamcc.cluster import round_lambda_stc_lp
 from lamcc.errors import InfeasibleSolutionError, MwuConvergenceError, ParameterError
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
+    _TRIANGLE_SIGN,
     CoveringInstance,
     PairVariableSpace,
-    build_canonical_lp,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
@@ -63,9 +63,8 @@ def test_intermediate_lp_counts(path3, k3, cycle4, wedges_of):
     lp = build_intermediate_lp(cycle4, wedges_of(cycle4), 0.5)
     assert lp.num_variables == 6 and lp.num_constraints == 4
     # every row is x_a + x_b - x_c >= 0: one broadcast, read-only sign
-    for lp in (lp, build_canonical_lp(cycle4, 0.5)):
-        assert lp.col_sign.tolist() == [1.0, 1.0, -1.0]
-        assert not lp.col_sign.flags.writeable
+    assert _TRIANGLE_SIGN.tolist() == [1.0, 1.0, -1.0]
+    assert not _TRIANGLE_SIGN.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_verify_certificate_rejects_perturbed_primal_or_dual(star4, path3, wedge
     # distance-form intermediate LP of the path, whose x <= 1 bounds bind
     lp = build_intermediate_lp(path3, wedges_of(path3), 0.6)
     gres = solve_general_exact(lp)
-    dist = (lp.col_idx, lp.col_sign, 0.0, lp.c, 1.0)
+    dist = (lp.col_idx, _TRIANGLE_SIGN, 0.0, lp.c, 1.0)
     x = gres.solution.at(lp.space.keys)
     for args, primal, dual, c0 in ((cover, z, res.dual, 0.0), (dist, x, gres.dual, lp.c0)):
         bound = verify_certificate(*args, primal, dual, c0)
@@ -460,12 +459,16 @@ def test_row_checks_share_primal_tol_at_its_boundary(path3, solution_of, short, 
 
 def _certify_exhaustive(g, sol):
     x = sol.to_x(g)
+
+    def value(u, v):
+        return float(x.at(np.int64(min(u, v) * g.n + max(u, v))))
+
     for i in range(g.n):
         for j in range(g.n):
             for k in range(g.n):
                 if len({i, j, k}) < 3:
                     continue
-                if x.value(i, k) > x.value(i, j) + x.value(j, k) + 1e-9:
+                if value(i, k) > value(i, j) + value(j, k) + 1e-9:
                     return False
     return True
 

@@ -8,7 +8,7 @@ from lamcc import graph as graph_module
 from lamcc import stc
 from lamcc.certificate import dual_bound
 from lamcc.errors import InvalidLabelingError, ParameterError
-from lamcc.graph import Graph, _rows_by_column, enumerate_wedges, pair_key
+from lamcc.graph import Graph, _rows_by_column, enumerate_wedges
 from lamcc.oracle import exact_lambda_stc
 from lamcc.stc import (
     RESIDUAL_ZERO_TOL,
@@ -16,7 +16,6 @@ from lamcc.stc import (
     StcRegime,
     cover_label,
     is_feasible,
-    pair_cost,
     stc_objective,
     stc_regime,
 )
@@ -48,11 +47,6 @@ def test_lambda_validation(path3):
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ParameterError):
             stc_objective(path3, bad, lab(path3))
-
-
-def test_pair_cost():
-    assert pair_cost(0.3, True) == pytest.approx(0.7)
-    assert pair_cost(0.3, False) == pytest.approx(0.3)
 
 
 def test_feasibility_examples(path3, star4):
@@ -147,7 +141,7 @@ def test_cover_label_properties_random_graphs(lam):
                 )
         for key, total in contributions.items():
             u, v = key // g.n, key % g.n
-            assert total <= pair_cost(lam, g.has_edge(u, v)) + 1e-12
+            assert total <= (1.0 - lam if g.has_edge(u, v) else lam) + 1e-12
 
 
 def test_dual_lower_bound_below_exact_optimum():
@@ -236,7 +230,7 @@ def _cover_label_shuffled(g, widx, lam, shuffle_seed, minimal=False):
 def _reference_drop_redundant(widx, weak, missing, n):
     """The minimality pass as a double loop over wedges and pairs."""
     labeled = sorted(set(weak) | set(missing))
-    label_keys = {pair_key(n, u, v) for u, v in labeled}
+    label_keys = {u * n + v for u, v in labeled}
     keys3 = widx.wedge_pair_keys()
     cover_count = [0] * widx.wedge_count
     pair_to_wedges: dict[int, list[int]] = {}
@@ -247,7 +241,7 @@ def _reference_drop_redundant(widx, weak, missing, n):
                 pair_to_wedges.setdefault(k, []).append(w)
     kept_weak, kept_missing = set(weak), set(missing)
     for u, v in labeled:
-        ws = pair_to_wedges.get(pair_key(n, u, v), [])
+        ws = pair_to_wedges.get(u * n + v, [])
         if all(cover_count[w] >= 2 for w in ws):
             for w in ws:
                 cover_count[w] -= 1
@@ -625,8 +619,8 @@ def test_reduce_equals_plain_loop_property():
 
 def test_labeling_from_pairs_normalizes_and_views_match_keys():
     a = StcLabeling.from_pairs(5, weak=[(3, 1), (0, 2), (1, 3)], missing={(4, 0)})
-    assert a.weak_keys.tolist() == [pair_key(5, 0, 2), pair_key(5, 1, 3)]
-    assert a.missing_keys.tolist() == [pair_key(5, 0, 4)]
+    assert a.weak_keys.tolist() == [0 * 5 + 2, 1 * 5 + 3]
+    assert a.missing_keys.tolist() == [0 * 5 + 4]
     assert a.weak == frozenset({(0, 2), (1, 3)}) and a.missing == frozenset({(0, 4)})
     b = StcLabeling(5, np.array([2, 8]), np.array([4]))
     assert a == b and hash(a) == hash(b)
