@@ -67,14 +67,17 @@ def check_primal(idx, sign, b, u, x) -> None:
     """Check that x satisfies 0 <= x <= u exactly and every row within 1e-9.
 
     ``sign``, ``b`` and ``u`` may be scalars. Raises InfeasibleSolutionError
-    otherwise.
+    otherwise; a row violation names the first row that fails.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > u):
         raise InfeasibleSolutionError("primal value outside its bounds")
     short = b - row_activity(idx, sign, x)
-    if short.size and float(short.max()) > PRIMAL_TOL:
-        raise InfeasibleSolutionError(f"primal violates a row by {float(short.max()):.3e}")
+    bad = np.flatnonzero(short > PRIMAL_TOL)
+    if bad.size:
+        raise InfeasibleSolutionError(
+            f"primal violates a row by {short.max():.3e}, first row {bad[0]}"
+        )
 
 
 def verify_certificate(idx, sign, b, c, u, x, y, c0: float = 0.0) -> float:

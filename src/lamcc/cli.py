@@ -130,8 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="approximation parameter for the mwu LP engine")
     p.add_argument("--engine", default="highs", choices=ENGINES,
                    help="covering-LP engine for lp-round: exact HiGHS or (1+epsilon) mwu")
-    p.add_argument("--force", action="store_true",
-                   help="run cfp outside its guaranteed lambda >= 1/2 regime")
     p.add_argument("--multilevel", action="store_true", help="louvain aggregation levels")
     p.add_argument("--assignment-out", default=None,
                    help="write the best run's 'vertex cluster' assignment here")
@@ -259,6 +257,16 @@ def _emit_documents(args, docs: list[dict]) -> int:
     return EXIT_OK
 
 
+def _check_engine(args, intermediate: bool) -> None:
+    """Before the read: MWU needs a valid --epsilon, and the intermediate LP HiGHS."""
+    if args.engine == "mwu":
+        if intermediate:
+            raise ParameterError(
+                "the intermediate LP is not a covering program; only the highs engine solves it"
+            )
+        _check_epsilon(args.epsilon)
+
+
 def _solve_lp(args, g, widx, lam, phases, *, intermediate=False):
     """Build and solve the covering LP (or the intermediate LP) at one lambda."""
     if intermediate:
@@ -369,9 +377,7 @@ def _seed_run(args, g, widx, lam, phases):
     """Do the seed-independent work of one lambda; return the run for one seed."""
     if args.alg == "cfp":
         lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
-        return lambda seed: cover_flip_pivot(
-            g, widx, lam, seed, force=args.force, labeling=lab, certificate=cert
-        )
+        return lambda seed: cover_flip_pivot(g, widx, lam, seed, labeling=lab, certificate=cert)
     if args.alg == "pivot":
         return lambda seed: _pivot_run(
             "pivot", g, g, lam, seed, None, None, time.perf_counter()
@@ -396,14 +402,8 @@ def cmd_cluster(args) -> int:
         raise ParameterError("--seeds must be >= 1")
     if args.seed < 0:
         raise ParameterError("--seed must be >= 0")
-    if args.alg == "lp3-round" and any(l < 0.5 for l in lams):
-        raise ParameterError("lp3-round requires lambda >= 1/2")
-    if args.alg == "cfp" and not args.force and any(l < 0.5 for l in lams):
-        raise ParameterError(
-            "cfp's guarantee requires lambda >= 1/2 (use --force to run anyway)"
-        )
-    if args.alg == "lp-round" and args.engine == "mwu":
-        _check_epsilon(args.epsilon)
+    if args.alg in ("lp-round", "lp3-round"):
+        _check_engine(args, intermediate=args.alg == "lp3-round")
     if args.assignment_out and len(lams) > 1:
         raise ParameterError("--assignment-out takes a single lambda")
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
@@ -440,13 +440,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_lp_solve(args) -> int:
     lams = _parse_lambdas(args.lambdas)
-    if args.intermediate and args.engine == "mwu":
-        raise ParameterError(
-            "the intermediate LP is not a covering program; "
-            "only the highs engine solves it"
-        )
-    if args.engine == "mwu":
-        _check_epsilon(args.epsilon)
+    _check_engine(args, intermediate=args.intermediate)
     phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:
@@ -474,8 +468,7 @@ def cmd_lp_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     lams = _parse_lambdas(args.lambdas)
-    if args.engine == "mwu":
-        _check_epsilon(args.epsilon)
+    _check_engine(args, intermediate=False)
     phases, g, widx = _read(args.input, args.timings, wedges=True)
     docs = []
     for lam in lams:

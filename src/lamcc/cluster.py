@@ -19,6 +19,8 @@ difference of sorted pair keys). What varies is which pairs are toggled:
   (factor 7 - 2/lam for lam >= 1/2, 1 + 1/lam below);
 * round_intermediate_lp thresholds the wedge+triangle LP at 1/3
   (factor 3 for lam >= 1/2).
+
+All run at every lam in (0, 1): the lower bound each reports holds at every lam.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificate import PRIMAL_TOL
-from .errors import InfeasibleSolutionError, ParameterError
+from .certificate import check_primal
+from .errors import ParameterError
 from .graph import Graph, WedgeIndex
-from .lp import FractionalSolution
+from .lp import _TRIANGLE_SIGN, FractionalSolution, _intermediate_rows
 from .stc import DualCertificate, StcLabeling, check_lambda, cover_label
 
 __all__ = [
@@ -190,24 +192,19 @@ def cover_flip_pivot(
     lam: float,
     seed: int,
     *,
-    force: bool = False,
     labeling: StcLabeling | None = None,
     certificate: DualCertificate | None = None,
 ) -> RunReport:
     """Label wedges, flip the labeled pairs, pivot on the result.
 
     The labeling's dual certificate rides along as the report's lower
-    bound, giving every run an a-posteriori ratio. Guaranteed regime is
-    lam >= 1/2 (pass force=True to run outside it, without the guarantee).
+    bound, giving every run an a-posteriori ratio. The factor 6 holds for
+    lam >= 1/2; the bound holds at every lam, since any clustering's cut
+    edges and co-clustered non-edges are a feasible labeling of its cost.
     A precomputed labeling/certificate pair may be passed to amortize the
     cover step across seeds; passing only one of the two is an error.
     """
     lam = check_lambda(lam)
-    if lam < 0.5 and not force:
-        raise ParameterError(
-            "the flip-pivot guarantee needs lambda >= 1/2; "
-            "pass force=True to run anyway"
-        )
     if (labeling is None) != (certificate is None):
         raise ParameterError("pass labeling and certificate together, or neither")
     t0 = time.perf_counter()
@@ -240,23 +237,6 @@ def _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms=No
 
 # ---------------------------------------------------------------------------
 # LP roundings
-
-
-def _check_feasibility(widx: WedgeIndex, x: FractionalSolution, triangles: bool) -> None:
-    """Check c <= a + b + PRIMAL_TOL on each row (a, b, c): a wedge's two edges,
-    then its end pair; with ``triangles``, each rotation of a closed triple."""
-    keys, _, rows = widx.covering_layout
-    checks = [(x.at(keys)[rows], "solution violates an open-wedge triangle inequality")]
-    if triangles:
-        n = widx.n
-        i, j, k = (t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
-        tri = np.stack([x.at(a * n + b) for a, b in ((i, j), (i, k), (j, k))], axis=1)
-        # columns xij, xik, xjk; rows (xij, xjk, xik), (xij, xik, xjk), (xik, xjk, xij)
-        x3 = tri[:, [[0, 2, 1], [0, 1, 2], [1, 2, 0]]].reshape(-1, 3)
-        checks.append((x3, "solution violates a triangle inequality at a closed triple"))
-    for x3, message in checks:
-        if np.any(x3[:, 2] > x3[:, 0] + x3[:, 1] + PRIMAL_TOL):
-            raise InfeasibleSolutionError(message)
 
 
 def stc_rounding_threshold(lam: float) -> float:
@@ -293,7 +273,7 @@ def round_lambda_stc_lp(
         flip = lambda is_edge, x: is_edge & (x >= thr)  # edges that leave
     else:
         flip = lambda is_edge, x: ~is_edge & (x < thr)  # non-edges that join
-    return _round("lp-round", g, widx, lam, sol, seed, flip, triangles=False)
+    return _round("lp-round", g, widx, lam, sol, seed, flip, widx.covering_layout[2])
 
 
 def round_intermediate_lp(
@@ -303,26 +283,25 @@ def round_intermediate_lp(
     sol: FractionalSolution,
     seed: int,
 ) -> RunReport:
-    """Threshold the wedge+triangle LP at 1/3 and pivot (lam >= 1/2 only).
+    """Threshold the wedge+triangle LP at 1/3 and pivot.
 
     Every pair, edge or not, with x strictly below 1/3 becomes a derived
-    edge.
+    edge. The factor 3 needs lam >= 1/2; the LP value is a bound at every lam.
     """
     lam = check_lambda(lam)
-    if lam < 0.5:
-        raise ParameterError("intermediate-LP rounding requires lambda >= 1/2")
     flip = lambda is_edge, x: is_edge != (x < 1.0 / 3.0)
-    return _round("lp3-round", g, widx, lam, sol, seed, flip, triangles=True)
+    return _round("lp3-round", g, widx, lam, sol, seed, flip, _intermediate_rows(widx)[1])
 
 
-def _round(algorithm, g, widx, lam, sol, seed, flip, triangles) -> RunReport:
-    """Check sol's distances, toggle the pairs ``flip(is_edge, x)`` selects, pivot.
+def _round(algorithm, g, widx, lam, sol, seed, flip, rows) -> RunReport:
+    """Check sol's distances on ``rows``, toggle the pairs ``flip(is_edge, x)`` selects, pivot.
 
-    The report's lower bound is the solution's objective (``lp_value``).
+    Rows are GeneralLp rows over the covering layout's pairs. The report's
+    lower bound is the solution's objective (``lp_value``).
     """
     t0 = time.perf_counter()
     x = sol.to_x(g)
-    _check_feasibility(widx, x, triangles)
+    check_primal(rows, _TRIANGLE_SIGN, 0.0, 1.0, x.at(widx.covering_layout[0]))
     gh = g.toggled(x.keys[flip(g.edge_mask(x.keys), x.vals)])
     return _pivot_run(algorithm, g, gh, lam, seed, sol.objective, "lp_value", t0)
 

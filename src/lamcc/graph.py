@@ -175,12 +175,16 @@ class Graph:
 
 
 def _text(source: str | bytes | IO) -> str:
-    """The whole text of a str, of UTF-8 bytes, or of a text or binary stream."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    """The whole text of a str, of UTF-8 bytes or of a stream; bad UTF-8 names its line."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
     if isinstance(source, str):
         return source
-    return "".join(t.decode("utf-8") if isinstance(t, bytes) else t for t in source)
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = source.count(b"\n", 0, err.start) + 1
+        raise EdgeListParseError(f"not UTF-8 text ({err.reason})", line) from None
 
 
 def parse_edge_list(source: str | bytes | IO, *, delimiter: str | None = None) -> Graph:

@@ -271,16 +271,18 @@ def build_lambda_stc_lp(
     return space, CoveringInstance(space, lam, costs, rows)
 
 
+def _intermediate_rows(widx: WedgeIndex) -> tuple[PairVariableSpace, np.ndarray]:
+    """The intermediate LP's variables and rows: wedge rows, then center-j, -i, -k rows."""
+    keys, m, rows = widx.covering_layout
+    space = PairVariableSpace(widx.n, keys, m)
+    tri = _triangle_rows(space, widx.tri_i, widx.tri_j, widx.tri_k)
+    return space, np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
+
+
 def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
-    keys, m, rows = widx.covering_layout
-    space = PairVariableSpace(g.n, keys, m)
-    tri = _triangle_rows(
-        space, *(t.astype(np.int64) for t in (widx.tri_i, widx.tri_j, widx.tri_k))
-    )
-    # the wedge rows, then all center-j, all center-i and all center-k rows
-    col_idx = np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
+    space, col_idx = _intermediate_rows(widx)
     c, c0 = _distance_costs(space, lam)
     return GeneralLp(space, lam, c, c0, col_idx)
 

@@ -314,10 +314,10 @@ def test_cluster_bounds_and_objectives_sandwich_the_optimum(capsys, tmp_path, ar
     for graph_seed in range(300, 312):
         g = erdos_renyi(9, 0.45, graph_seed)
         f.write_text(to_edge_list_text(g))
-        optimum = exact_lambda_cc_sweep(g, (0.55, 0.75))
-        argv = ["cluster", str(f), "--lambda", "0.55,0.75", "--seeds", "2", *args]
+        optimum = exact_lambda_cc_sweep(g, (0.3, 0.55, 0.75))
+        argv = ["cluster", str(f), "--lambda", "0.3,0.55,0.75", "--seeds", "2", *args]
         records = run_json(capsys, argv)["records"]
-        assert len(records) == 4
+        assert len(records) == 6
         for rec in records:
             opt = optimum[rec["lambda"]].optimum
             assert opt <= rec["objective"] + 1e-9
@@ -463,31 +463,58 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert main(["stats", str(bad)]) == 2
 
 
+def test_non_utf8_input_exits_2_at_its_line(capsys, tmp_path):
+    txt, mtx, good = tmp_path / "bad.txt", tmp_path / "bad.mtx", tmp_path / "good.txt"
+    txt.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
+    mtx.write_bytes(b"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n\xff 2\n")
+    good.write_text("0 1\n1 2\n")
+    for f in (txt, mtx):
+        assert main(["stats", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 3: ")
+        assert captured.out == ""
+    # constraints names each unreadable file and keeps reading the others
+    assert main(["constraints", str(txt), str(good), str(mtx)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0].startswith(f"error: {txt}: line 3: ")
+    assert captured.err.splitlines()[1].startswith(f"error: {mtx}: line 3: ")
+    assert captured.out.splitlines()[2:] == ["good,3,2,1,1,3"]
+
+
 def test_exit_code_bad_lambda(capsys, path_file):
     assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "1.5"]) == 3
     assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "x"]) == 3
 
 
-def test_exit_code_parameter_regime(capsys, path_file):
-    assert main(["cluster", path_file, "--alg", "lp3-round", "--lambda", "0.4"]) == 3
-    assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "0.4"]) == 3
-    # --force lifts the cfp restriction
-    assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "0.4", "--force"]) == 0
-    capsys.readouterr()
+def test_exit_code_parameter_regime(capsys, tmp_path):
+    # cfp and lp3-round run below 1/2 too, with bounds below the optimum
+    f = tmp_path / "g.txt"
+    g = erdos_renyi(9, 0.45, 301)
+    f.write_text(to_edge_list_text(g))
+    optimum = exact_lambda_cc_sweep(g, (0.05, 0.4))
+    for alg in ("cfp", "lp3-round"):
+        argv = ["cluster", str(f), "--alg", alg, "--lambda", "0.05,0.4"]
+        for rec in run_json(capsys, argv)["records"]:
+            opt = optimum[rec["lambda"]].optimum
+            assert rec["lower_bound"] <= opt + 1e-9
+            assert opt <= rec["objective"] + 1e-9
 
 
 @pytest.mark.parametrize("exists", [True, False], ids=["real-path", "missing-path"])
 def test_exit_code_intermediate_mwu_rejected_before_reading(capsys, path_file, exists):
     # the rejection does not depend on the graph, so it comes before the parse
     path = path_file if exists else path_file + ".missing"
-    argv = ["lp-solve", path, "--lambda", "0.6", "--intermediate", "--engine", "mwu"]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: the intermediate LP is not a covering program; "
-        "only the highs engine solves it\n"
-    )
-    assert captured.out == ""
+    for argv in (
+        ["lp-solve", path, "--lambda", "0.6", "--intermediate", "--engine", "mwu"],
+        ["cluster", path, "--lambda", "0.6", "--alg", "lp3-round", "--engine", "mwu"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the intermediate LP is not a covering program; "
+            "only the highs engine solves it\n"
+        )
+        assert captured.out == ""
 
 
 _MWU = ["--lambda", "0.6", "--engine", "mwu", "--epsilon"]
@@ -592,7 +619,7 @@ def test_cli_options_are_exactly_these():
         "constraints": set(),
         "label": {"--lambda", "--minimal"},
         "cluster": {
-            "--lambda", "--alg", "--seed", "--seeds", "--epsilon", "--engine", "--force",
+            "--lambda", "--alg", "--seed", "--seeds", "--epsilon", "--engine",
             "--multilevel", "--assignment-out",
         },
         "lp-solve": {"--lambda", "--intermediate", "--engine", "--epsilon", "--certify"},
@@ -679,8 +706,9 @@ def test_public_names_are_exactly_these():
         (["cluster", "--alg", "louvain"], ["--max-passes", "16"]),
         (["label"], ["--shuffle-seed", "0"]),
         (["lp-solve"], ["--dump-instance", "inst.txt"]),
+        (["cluster", "--alg", "cfp"], ["--force"]),
     ],
-    ids=["fmt", "max-passes", "shuffle-seed", "dump-instance"],
+    ids=["fmt", "max-passes", "shuffle-seed", "dump-instance", "force"],
 )
 def test_removed_options_exit_2(capsys, path_file, argv, removed):
     with pytest.raises(SystemExit) as exit_:

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -423,6 +424,15 @@ def _loop_violation(widx, x, triangles):
     return None
 
 
+def _violated_kind(widx, rounding_call):
+    """Run a rounding that must fail; the kind of the first row its error names
+    (the wedge rows come before the triangle rows)."""
+    with pytest.raises(InfeasibleSolutionError, match="violates a row") as err:
+        rounding_call()
+    row = int(re.search(r"first row (\d+)$", str(err.value)).group(1))
+    return "open-wedge" if row < widx.wedge_count else "closed triple"
+
+
 def test_rounding_feasibility_checks_match_loop_reference(solution_of):
     rng = np.random.default_rng(8)
     verdicts = set()
@@ -441,11 +451,11 @@ def test_rounding_feasibility_checks_match_loop_reference(solution_of):
         for rounding, triangles in ((round_lambda_stc_lp, False), (round_intermediate_lp, True)):
             expected = _loop_violation(widx, bad, triangles)
             verdicts.add(expected)
+            call = lambda: rounding(g, widx, 0.75, bad, seed=trial)
             if expected is None:
-                rounding(g, widx, 0.75, bad, seed=trial)
+                call()
             else:
-                with pytest.raises(InfeasibleSolutionError, match=expected):
-                    rounding(g, widx, 0.75, bad, seed=trial)
+                assert _violated_kind(widx, call) == expected
     assert verdicts == {None, "open-wedge", "closed triple"}
 
 
@@ -479,11 +489,16 @@ def test_cfp_star_every_seed(star4, wedges_of):
         assert rep.objective == pytest.approx(1.5)
 
 
-def test_cfp_rejects_small_lambda(path3, wedges_of):
-    with pytest.raises(ParameterError):
-        cover_flip_pivot(path3, wedges_of(path3), 0.4, seed=0)
-    rep = cover_flip_pivot(path3, wedges_of(path3), 0.4, seed=0, force=True)
-    assert rep.objective >= 0.0
+def test_cfp_runs_below_half_with_a_valid_bound():
+    # no factor below 1/2, but the cover dual still bounds the optimum
+    for graph_seed in range(6):
+        g = erdos_renyi(8, 0.45, 900 + graph_seed)
+        widx = enumerate_wedges(g)
+        for lam in (0.05, 0.3, 0.45):
+            opt = exact_lambda_cc(g, lam).optimum
+            rep = cover_flip_pivot(g, widx, lam, seed=graph_seed)
+            assert rep.lower_bound <= opt + 1e-9
+            assert opt <= rep.objective + 1e-9
 
 
 def test_cfp_rejects_half_a_labeling_pair():
@@ -604,9 +619,10 @@ def test_round_intermediate_boundary_is_strict(path3, wedges_of, solution_of):
 
 
 def test_round_intermediate_rejects_triangle_infeasible(k3, wedges_of, solution_of):
+    widx = wedges_of(k3)
     bad = solution_of(k3, "x", 0.6, {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 1.0}, 0.0)
-    with pytest.raises(InfeasibleSolutionError, match="closed triple"):
-        round_intermediate_lp(k3, wedges_of(k3), 0.6, bad, seed=0)
+    call = lambda: round_intermediate_lp(k3, widx, 0.6, bad, seed=0)
+    assert _violated_kind(widx, call) == "closed triple"
 
 
 def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of, solution_of):
@@ -615,15 +631,21 @@ def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of, solution
     bad = solution_of(path3, "x", 0.6, {(0, 1): 0.25, (1, 2): 0.5}, 0.0)
     ok = solution_of(path3, "x", 0.6, {(0, 1): 0.5, (1, 2): 0.5}, 0.0)
     for rounding in (round_lambda_stc_lp, round_intermediate_lp):
-        with pytest.raises(InfeasibleSolutionError, match="open-wedge"):
-            rounding(path3, widx, 0.6, bad, seed=0)
+        assert _violated_kind(widx, lambda: rounding(path3, widx, 0.6, bad, seed=0)) == "open-wedge"
         rounding(path3, widx, 0.6, ok, seed=0)
 
 
-def test_round_intermediate_requires_large_lambda(path3, wedges_of, solution_of):
-    sol = solution_of(path3, "x", 0.4, {(0, 1): 1.0, (1, 2): 0.0, (0, 2): 1.0}, 0.0)
-    with pytest.raises(ParameterError):
-        round_intermediate_lp(path3, wedges_of(path3), 0.4, sol, seed=0)
+def test_round_intermediate_runs_below_half_with_a_valid_bound():
+    # no factor below 1/2, but the intermediate LP still relaxes every clustering
+    for graph_seed in range(6):
+        g = erdos_renyi(8, 0.45, 900 + graph_seed)
+        widx = enumerate_wedges(g)
+        for lam in (0.05, 0.3, 0.45):
+            opt = exact_lambda_cc(g, lam).optimum
+            sol = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
+            rep = round_intermediate_lp(g, widx, lam, sol, seed=graph_seed)
+            assert rep.lower_bound <= opt + 1e-9
+            assert opt <= rep.objective + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -453,7 +453,8 @@ def test_row_checks_share_primal_tol_at_its_boundary(path3, solution_of, short, 
     if ok:
         round_lambda_stc_lp(path3, enumerate_wedges(path3), 0.75, sol, seed=0)
     else:
-        with pytest.raises(InfeasibleSolutionError, match="open-wedge"):
+        # row 0 is path3's one wedge row
+        with pytest.raises(InfeasibleSolutionError, match="violates a row .*, first row 0$"):
             round_lambda_stc_lp(path3, enumerate_wedges(path3), 0.75, sol, seed=0)
 
 

@@ -200,7 +200,7 @@ def test_extreme_lambda_bounds_and_clusterings_bracket_the_optimum(lam):
         for multilevel in (False, True):
             louvain = lambda_louvain(g, lam, seed, multilevel=multilevel)
             assert louvain.objective >= opt - 1e-12
-        assert cover_flip_pivot(g, widx, lam, seed, force=True).objective >= opt - 1e-12
+        assert cover_flip_pivot(g, widx, lam, seed).objective >= opt - 1e-12
 
 
 def test_canonical_size_cap():
