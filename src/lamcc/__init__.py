@@ -12,7 +12,6 @@ scale.
 from .cluster import (
     Clustering,
     RunReport,
-    a_posteriori_ratio,
     cover_flip_pivot,
     lambda_cc_objective,
     lambda_louvain,

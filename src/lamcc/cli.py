@@ -25,12 +25,10 @@ import numpy as np
 from . import __version__
 from .cluster import (
     _pivot_run,
-    a_posteriori_ratio,
+    _rounded_graph,
     assignment_text,
-    cover_flip_pivot,
+    derived_graph_from_labeling,
     lambda_louvain,
-    round_intermediate_lp,
-    round_lambda_stc_lp,
 )
 from .errors import (
     EdgeListParseError,
@@ -374,26 +372,27 @@ def _aggregate(lam: float, reports, include_timing: bool) -> dict:
 
 
 def _seed_run(args, g, widx, lam, phases):
-    """Do the seed-independent work of one lambda; return the run for one seed."""
-    if args.alg == "cfp":
-        lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
-        return lambda seed: cover_flip_pivot(g, widx, lam, seed, labeling=lab, certificate=cert)
-    if args.alg == "pivot":
-        return lambda seed: _pivot_run(
-            "pivot", g, g, lam, seed, None, None, time.perf_counter()
-        )
+    """Fix one lambda's derived graph and lower bound; return the run for one seed."""
     if args.alg == "louvain":
         return lambda seed: lambda_louvain(g, lam, seed, multilevel=args.multilevel)
-    res = _solve_lp(args, g, widx, lam, phases, intermediate=args.alg == "lp3-round")
-    if args.alg == "lp-round":
-        xsol = res.solution.to_x(g)
+    if args.alg == "cfp":
+        lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
+        gh = derived_graph_from_labeling(g, lab)
+        lb, provenance = cert.lower_bound, "dual_certificate"
+    elif args.alg == "pivot":
+        gh, lb, provenance = g, None, None
+    else:
+        intermediate = args.alg == "lp3-round"
+        res = _solve_lp(args, g, widx, lam, phases, intermediate=intermediate)
+        gh = phases.run("round", lambda: _rounded_graph(
+            g, widx, lam, res.solution, intermediate=intermediate))
         if args.engine == "mwu":  # the bound is the checked dual, not the MWU primal
-            return lambda seed: a_posteriori_ratio(
-                round_lambda_stc_lp(g, widx, lam, xsol, seed),
-                res.dual_objective, "lp_dual",
-            )
-        return lambda seed: round_lambda_stc_lp(g, widx, lam, xsol, seed)
-    return lambda seed: round_intermediate_lp(g, widx, lam, res.solution, seed)
+            lb, provenance = res.dual_objective, "lp_dual"
+        else:
+            lb, provenance = res.solution.objective, "lp_value"
+    return lambda seed: _pivot_run(
+        args.alg, g, gh, lam, seed, lb, provenance, time.perf_counter()
+    )
 
 
 def cmd_cluster(args) -> int:

@@ -26,7 +26,7 @@ All run at every lam in (0, 1): the lower bound each reports holds at every lam.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "round_lambda_stc_lp",
     "round_intermediate_lp",
     "lambda_louvain",
-    "a_posteriori_ratio",
     "assignment_text",
 ]
 
@@ -268,12 +267,9 @@ def round_lambda_stc_lp(
     inequalities: a pair sitting exactly on the threshold is excluded.
     """
     lam = check_lambda(lam)
-    thr = stc_rounding_threshold(lam)
-    if lam >= 0.5:
-        flip = lambda is_edge, x: is_edge & (x >= thr)  # edges that leave
-    else:
-        flip = lambda is_edge, x: ~is_edge & (x < thr)  # non-edges that join
-    return _round("lp-round", g, widx, lam, sol, seed, flip, widx.covering_layout[2])
+    t0 = time.perf_counter()
+    gh = _rounded_graph(g, widx, lam, sol)
+    return _pivot_run("lp-round", g, gh, lam, seed, sol.objective, "lp_value", t0)
 
 
 def round_intermediate_lp(
@@ -289,21 +285,29 @@ def round_intermediate_lp(
     edge. The factor 3 needs lam >= 1/2; the LP value is a bound at every lam.
     """
     lam = check_lambda(lam)
-    flip = lambda is_edge, x: is_edge != (x < 1.0 / 3.0)
-    return _round("lp3-round", g, widx, lam, sol, seed, flip, _intermediate_rows(widx)[1])
-
-
-def _round(algorithm, g, widx, lam, sol, seed, flip, rows) -> RunReport:
-    """Check sol's distances on ``rows``, toggle the pairs ``flip(is_edge, x)`` selects, pivot.
-
-    Rows are GeneralLp rows over the covering layout's pairs. The report's
-    lower bound is the solution's objective (``lp_value``).
-    """
     t0 = time.perf_counter()
+    gh = _rounded_graph(g, widx, lam, sol, intermediate=True)
+    return _pivot_run("lp3-round", g, gh, lam, seed, sol.objective, "lp_value", t0)
+
+
+def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
+    """Check sol's distances on its program's rows; toggle the pairs its threshold selects.
+
+    The rows are the covering rows, or with ``intermediate`` the intermediate
+    program's, all over the covering layout's pairs. The derived graph
+    depends on sol and lam only, so one serves every seed.
+    """
     x = sol.to_x(g)
+    rows = _intermediate_rows(widx)[1] if intermediate else widx.covering_layout[2]
     check_primal(rows, _TRIANGLE_SIGN, 0.0, 1.0, x.at(widx.covering_layout[0]))
-    gh = g.toggled(x.keys[flip(g.edge_mask(x.keys), x.vals)])
-    return _pivot_run(algorithm, g, gh, lam, seed, sol.objective, "lp_value", t0)
+    is_edge = g.edge_mask(x.keys)
+    if intermediate:
+        flip = is_edge != (x.vals < 1.0 / 3.0)
+    elif lam >= 0.5:
+        flip = is_edge & (x.vals >= stc_rounding_threshold(lam))  # edges that leave
+    else:
+        flip = ~is_edge & (x.vals < stc_rounding_threshold(lam))  # non-edges that join
+    return g.toggled(x.keys[flip])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +331,7 @@ def lambda_louvain(
     converged clusters collapse into supernodes and the process recurses.
     Every level is a CSR graph with integer edge weights and vertex sizes
     (level 0 is g, all ones), so no cost delta depends on summation order.
-    No approximation guarantee: the report carries no lower bound
-    (``a_posteriori_ratio`` adds one).
+    No approximation guarantee: the report carries no lower bound.
     """
     lam = check_lambda(lam)
     t0 = time.perf_counter()
@@ -425,22 +428,6 @@ def _aggregate(indptr, indices, weights, sizes, labels, k):
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def a_posteriori_ratio(
-    report: RunReport, lower_bound: float, provenance: str
-) -> RunReport:
-    """Attach an external lower bound (and its provenance) to a run report."""
-    if lower_bound < 0:
-        raise ParameterError("lower bound must be nonnegative")
-    if lower_bound == 0 and report.objective > 0:
-        raise ParameterError(
-            "ratio undefined: lower bound 0 with positive objective"
-        )
-    return replace(
-        report, lower_bound=lower_bound, lb_provenance=provenance,
-        ratio=_ratio(report.objective, lower_bound),
-    )
 
 
 def assignment_text(c: Clustering) -> str:

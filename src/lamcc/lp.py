@@ -37,7 +37,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -171,11 +171,8 @@ class FractionalSolution:
 
     ``keys`` are the active pairs' int64 keys u*n + v (u < v), strictly
     increasing, and ``vals`` the aligned values; a pair not in ``keys`` is
-    inactive and reads x = 1 (z = 0). Orientation flips negate non-edge
-    values (z = 1 - x) and carry the objective through unchanged. A
-    flipped solution holds the one it came from as ``source``, and
-    flipping it back returns that object, so the round trip is
-    bit-identical (1-(1-v) alone would not be).
+    inactive and reads x = 1 (z = 0). ``to_x`` flips non-edge values
+    (x = 1 - z) and carries the objective through unchanged.
     """
 
     orientation: str
@@ -184,7 +181,6 @@ class FractionalSolution:
     keys: np.ndarray
     vals: np.ndarray
     objective: float
-    source: "FractionalSolution | None" = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.keys.shape != self.vals.shape or np.any(np.diff(self.keys) <= 0):
@@ -205,19 +201,11 @@ class FractionalSolution:
         pos = np.minimum(np.searchsorted(self.keys, query), self.keys.shape[0] - 1)
         return np.where(self.keys[pos] == query, self.vals[pos], default)
 
-    def _flipped(self, g: Graph, orientation: str) -> "FractionalSolution":
-        if self.source is not None and self.source.orientation == orientation:
-            return self.source
-        vals = np.where(g.edge_mask(self.keys), self.vals, 1.0 - self.vals)
-        return FractionalSolution(
-            orientation, self.lam, self.n, self.keys, vals, self.objective, self
-        )
-
     def to_x(self, g: Graph) -> "FractionalSolution":
-        return self if self.orientation == "x" else self._flipped(g, "x")
-
-    def to_z(self, g: Graph) -> "FractionalSolution":
-        return self if self.orientation == "z" else self._flipped(g, "z")
+        if self.orientation == "x":
+            return self
+        vals = np.where(g.edge_mask(self.keys), self.vals, 1.0 - self.vals)
+        return FractionalSolution("x", self.lam, self.n, self.keys, vals, self.objective)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,31 @@ import os
 import re
 import stat
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+import lamcc.cli
+import lamcc.cluster
+from lamcc.certificate import check_primal
 from lamcc.cli import CLUSTER_ALGS, _build_parser, _record, main
-from lamcc.cluster import Clustering, RunReport, lambda_cc_objective, pivot
+from lamcc.cluster import (
+    Clustering,
+    RunReport,
+    cover_flip_pivot,
+    lambda_cc_objective,
+    pivot,
+    round_intermediate_lp,
+    round_lambda_stc_lp,
+)
 from lamcc.graph import enumerate_wedges, load_graph, to_edge_list_text
-from lamcc.lp import build_intermediate_lp
+from lamcc.lp import (
+    build_intermediate_lp,
+    build_lambda_stc_lp,
+    solve_exact,
+    solve_general_exact,
+    solve_mwu,
+)
 from lamcc.oracle import exact_lambda_cc, exact_lambda_cc_sweep
 from lamcc.testing import erdos_renyi
 
@@ -158,24 +176,86 @@ def test_cluster_size_hist_counts_the_member_lists(labels):
 
 
 def test_cluster_pivot_records(capsys, tmp_path):
+    # each record equals the report of the matching per-seed library call
     f = tmp_path / "g.txt"
     f.write_text(to_edge_list_text(erdos_renyi(12, 0.35, 4)))
     g = load_graph(f)
-    argv = ["cluster", str(f), "--alg", "pivot", "--lambda", "0.4,0.75",
-            "--seeds", "2", "--seed", "5"]
-    records = run_json(capsys, argv)["records"]
-    assert [(r["lambda"], r["seed"]) for r in records] == [
-        (0.4, 5), (0.4, 6), (0.75, 5), (0.75, 6)
-    ]
-    for rec in records:
-        c = pivot(g, rec["seed"])
-        sizes = Counter(Counter(c.assignment).values())
-        assert rec["algorithm"] == "pivot"
-        assert rec["objective"] == lambda_cc_objective(g, rec["lambda"], c)
-        assert rec["num_clusters"] == c.num_clusters
-        assert rec["cluster_size_hist"] == {str(k): v for k, v in sizes.items()}
-        assert rec["lower_bound"] is None and rec["lb_provenance"] is None
-        assert rec["ratio"] is None
+    widx = enumerate_wedges(g)
+
+    def pivot_run(lam, seed):
+        return pivot(g, seed), None, None
+
+    def cfp(lam, seed):
+        rep = cover_flip_pivot(g, widx, lam, seed)
+        return rep.clustering, rep.lower_bound, rep.lb_provenance
+
+    def lp_round(lam, seed):
+        sol = solve_exact(build_lambda_stc_lp(g, widx, lam)[1]).solution
+        rep = round_lambda_stc_lp(g, widx, lam, sol.to_x(g), seed)
+        return rep.clustering, rep.lower_bound, rep.lb_provenance
+
+    def lp_round_mwu(lam, seed):
+        res = solve_mwu(build_lambda_stc_lp(g, widx, lam)[1], 0.2)
+        rep = round_lambda_stc_lp(g, widx, lam, res.solution.to_x(g), seed)
+        return rep.clustering, res.dual_objective, "lp_dual"
+
+    def lp3_round(lam, seed):
+        sol = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
+        rep = round_intermediate_lp(g, widx, lam, sol, seed)
+        return rep.clustering, rep.lower_bound, rep.lb_provenance
+
+    for alg, extra, library in [
+        ("pivot", [], pivot_run),
+        ("cfp", [], cfp),
+        ("lp-round", [], lp_round),
+        ("lp-round", ["--engine", "mwu", "--epsilon", "0.2"], lp_round_mwu),
+        ("lp3-round", [], lp3_round),
+    ]:
+        argv = ["cluster", str(f), "--alg", alg, "--lambda", "0.4,0.75",
+                "--seeds", "2", "--seed", "5", *extra]
+        records = run_json(capsys, argv)["records"]
+        assert [(r["lambda"], r["seed"]) for r in records] == [
+            (0.4, 5), (0.4, 6), (0.75, 5), (0.75, 6)
+        ]
+        for rec in records:
+            c, lb, provenance = library(rec["lambda"], rec["seed"])
+            objective = lambda_cc_objective(g, rec["lambda"], c)
+            sizes = Counter(Counter(c.assignment).values())
+            assert rec["algorithm"] == alg
+            assert rec["objective"] == objective
+            assert rec["lower_bound"] == lb and rec["lb_provenance"] == provenance
+            assert rec["ratio"] == (None if lb is None else objective / lb)
+            assert rec["num_clusters"] == c.num_clusters
+            assert rec["cluster_size_hist"] == {str(k): v for k, v in sizes.items()}
+
+
+@pytest.mark.parametrize("alg", ["lp-round", "lp3-round"])
+def test_cluster_checks_the_rounded_solution_once_per_lambda(capsys, monkeypatch, tmp_path, alg):
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(12, 0.35, 4)))
+    calls = []
+
+    def counted(*a):
+        calls.append(a)
+        return check_primal(*a)
+
+    monkeypatch.setattr(lamcc.cluster, "check_primal", counted)
+    run_json(capsys, ["cluster", str(f), "--alg", alg, "--lambda", "0.55,0.75", "--seeds", "4"])
+    assert len(calls) == 2
+
+
+def test_cluster_refuses_a_solution_that_violates_a_wedge_row(capsys, monkeypatch, path_file):
+    # the path 0-1-2 has one wedge; z = 0 on every pair leaves it uncovered
+    def solve_zero(inst):
+        res = solve_exact(inst)
+        return replace(res, solution=replace(res.solution, vals=0.0 * res.solution.vals))
+
+    monkeypatch.setattr(lamcc.cli, "solve_exact", solve_zero)
+    argv = ["cluster", path_file, "--alg", "lp-round", "--lambda", "0.6", "--seeds", "3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"violates a row .* first row 0$", captured.err.strip())
 
 
 def test_byte_identical_reports(tmp_path, capsys, path_file):
@@ -641,9 +721,8 @@ def test_public_names_are_exactly_these():
         k for k, v in vars(lamcc).items()
         if not k.startswith("_") and not isinstance(v, types.ModuleType)
     } == {
-        "Clustering", "RunReport", "a_posteriori_ratio", "cover_flip_pivot",
-        "lambda_cc_objective", "lambda_louvain", "pivot", "round_intermediate_lp",
-        "round_lambda_stc_lp",
+        "Clustering", "RunReport", "cover_flip_pivot", "lambda_cc_objective",
+        "lambda_louvain", "pivot", "round_intermediate_lp", "round_lambda_stc_lp",
         "EdgeListParseError", "InfeasibleSolutionError", "InvalidLabelingError",
         "LamccError", "MwuConvergenceError", "ParameterError", "SimplexError",
         "SizeCapError",
@@ -663,8 +742,8 @@ def test_public_names_are_exactly_these():
     )} == {
         "lamcc.certificate": {"check_primal", "dual_bound", "row_activity", "verify_certificate"},
         "lamcc.cluster": {
-            "Clustering", "RunReport", "a_posteriori_ratio", "assignment_text",
-            "cover_flip_pivot", "derived_graph_from_labeling", "lambda_cc_objective",
+            "Clustering", "RunReport", "assignment_text", "cover_flip_pivot",
+            "derived_graph_from_labeling", "lambda_cc_objective",
             "lambda_louvain", "pivot", "round_intermediate_lp", "round_lambda_stc_lp",
         },
         "lamcc.graph": {

@@ -331,17 +331,6 @@ def test_mwu_raises_when_its_dual_does_not_certify(monkeypatch):
 # Orientation and hierarchy
 
 
-def test_orientation_round_trip():
-    for seed in range(10):
-        g = erdos_renyi(9, 0.5, 40 + seed)
-        _, inst = build_lambda_stc_lp(g, enumerate_wedges(g), 0.65)
-        z = solve_exact(inst).solution
-        x = z.to_x(g)
-        back = x.to_z(g)
-        assert back.values == z.values
-        assert back.objective == z.objective
-
-
 def _dict_flip(g, values):
     """Reference orientation flip: one has_edge lookup per pair."""
     return {p: (val if g.has_edge(*p) else 1.0 - val) for p, val in values.items()}
@@ -391,10 +380,12 @@ def test_array_flip_and_certify_match_dict_references(lam, solution_of):
         for orientation, vals in (("z", zvals), ("z", _perturbed(rng, zvals)),
                                   ("x", _perturbed(rng, _dict_flip(g, zvals)))):
             sol = solution_of(g, orientation, lam, vals, z.objective)
-            flipped = sol.to_x(g) if orientation == "z" else sol.to_z(g)
-            assert flipped.values == _dict_flip(g, vals)
-            assert flipped.objective == sol.objective
-            xvals = vals if orientation == "x" else flipped.values
+            xvals = vals
+            if orientation == "z":
+                flipped = sol.to_x(g)
+                assert flipped.values == _dict_flip(g, vals)
+                assert flipped.objective == sol.objective
+                xvals = flipped.values
             expected = _loop_certify(g, xvals)
             got = certify_canonical_feasibility(g, sol)
             assert got.violations == expected
