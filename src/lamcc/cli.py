@@ -13,6 +13,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,11 +25,12 @@ import numpy as np
 
 from . import __version__
 from .cluster import (
-    _pivot_run,
+    _report,
     _rounded_graph,
     assignment_text,
     derived_graph_from_labeling,
     lambda_louvain,
+    pivot,
 )
 from .errors import (
     EdgeListParseError,
@@ -128,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="approximation parameter for the mwu LP engine")
     p.add_argument("--engine", default="highs", choices=ENGINES,
                    help="covering-LP engine for lp-round: exact HiGHS or (1+epsilon) mwu")
-    p.add_argument("--multilevel", action="store_true", help="louvain aggregation levels")
     p.add_argument("--assignment-out", default=None,
                    help="write the best run's 'vertex cluster' assignment here")
     p.set_defaults(func=cmd_cluster)
@@ -191,9 +192,11 @@ def _resolve_output(path_str: str | None) -> Path | None:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write through a temp file and a rename; a path that cannot be written exits 1."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
@@ -201,12 +204,13 @@ def _atomic_write(path: Path, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as e:
+        raise LamccError(f"cannot write {path}: {e.strerror or e}") from None
+    finally:
+        if tmp is not None:  # leave no temp file behind
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _emit(args, text: str) -> None:
@@ -249,8 +253,16 @@ def _read(path, timings: bool, wedges: bool = False):
     return phases, g, widx
 
 
-def _emit_documents(args, docs: list[dict]) -> int:
-    """Write one document as itself, and several (one per lambda) as a list."""
+def _per_lambda(args, doc, *, wedges=True, intermediate=None) -> int:
+    """Parse --lambda, check the LP engine (unless intermediate is None), read
+    once, and emit doc(phases, g, widx, lam) for each lambda: one document
+    as itself, several as a list."""
+    lams = _parse_lambdas(args.lambdas)
+    if intermediate is not None:
+        _check_engine(args, intermediate)
+    phases, g, widx = _read(args.input, args.timings, wedges)
+    docs = [{"schema_version": SCHEMA_VERSION, "lambda": lam, **doc(phases, g, widx, lam)}
+            for lam in lams]
     _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
     return EXIT_OK
 
@@ -276,6 +288,11 @@ def _solve_lp(args, g, widx, lam, phases, *, intermediate=False):
     return phases.run("solve", lambda: solve_exact(inst))
 
 
+def _certify(phases, g, res):
+    """Check a solution's distances against every triangle inequality."""
+    return phases.run("certify", lambda: certify_canonical_feasibility(g, res.solution.to_x(g)))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -283,8 +300,9 @@ def _solve_lp(args, g, widx, lam, phases, *, intermediate=False):
 def cmd_stats(args) -> int:
     phases, g, _ = _read(args.input, args.timings)
     stats = phases.run("wedges", lambda: graph_stats(g))
-    doc = {"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem, **stats}
-    return _emit_documents(args, [doc])
+    _emit(args, _dump_json({"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem,
+                            **stats}))
+    return EXIT_OK
 
 
 def cmd_constraints(args) -> int:
@@ -309,26 +327,22 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_label(args) -> int:
-    lams = _parse_lambdas(args.lambdas)
-    phases, g, widx = _read(args.input, args.timings, wedges=True)
-    docs = []
-    for lam in lams:
+    def doc(phases, g, widx, lam):
         lab, cert = phases.run(
             "label", lambda: cover_label(g, widx, lam, minimal=args.minimal)
         )
-        docs.append({
-            "schema_version": SCHEMA_VERSION,
-            "lambda": lam,
+        return {
             "weak": list(_key_pairs(lab.n, lab.weak_keys)),
             "miss": list(_key_pairs(lab.n, lab.missing_keys)),
             "objective": stc_objective(g, lam, lab),
             "lower_bound": cert.lower_bound,
             "regime": stc_regime(lam, g.m).value,
-        })
-    return _emit_documents(args, docs)
+        }
+
+    return _per_lambda(args, doc)
 
 
-def _record(report, include_timing: bool) -> dict:
+def _record(report, elapsed_ms: float | None) -> dict:
     # how many clusters have each size, without building the member tuples
     hist = np.bincount(np.bincount(report.clustering.assignment))
     return {
@@ -341,12 +355,12 @@ def _record(report, include_timing: bool) -> dict:
         "lb_provenance": report.lb_provenance,
         "ratio": report.ratio,
         "num_clusters": report.num_clusters,
-        "elapsed_ms": report.elapsed_ms if include_timing else None,
+        "elapsed_ms": elapsed_ms,
         "cluster_size_hist": {str(s): int(c) for s, c in enumerate(hist) if c},
     }
 
 
-def _aggregate(lam: float, reports, include_timing: bool) -> dict:
+def _aggregate(lam: float, reports, elapsed) -> dict:
     def stats_of(values):
         vals = [v for v in values if v is not None]
         if not vals:
@@ -365,16 +379,14 @@ def _aggregate(lam: float, reports, include_timing: bool) -> dict:
         "runs": len(reports),
         "objective": stats_of([r.objective for r in reports]),
         "ratio": stats_of([r.ratio for r in reports]),
-        "elapsed_ms": stats_of(
-            [r.elapsed_ms for r in reports] if include_timing else []
-        ),
+        "elapsed_ms": stats_of(elapsed),
     }
 
 
 def _seed_run(args, g, widx, lam, phases):
     """Fix one lambda's derived graph and lower bound; return the run for one seed."""
     if args.alg == "louvain":
-        return lambda seed: lambda_louvain(g, lam, seed, multilevel=args.multilevel)
+        return lambda seed: lambda_louvain(g, lam, seed)
     if args.alg == "cfp":
         lab, cert = phases.run("label", lambda: cover_label(g, widx, lam))
         gh = derived_graph_from_labeling(g, lab)
@@ -390,9 +402,7 @@ def _seed_run(args, g, widx, lam, phases):
             lb, provenance = res.dual_objective, "lp_dual"
         else:
             lb, provenance = res.solution.objective, "lp_value"
-    return lambda seed: _pivot_run(
-        args.alg, g, gh, lam, seed, lb, provenance, time.perf_counter()
-    )
+    return lambda seed: _report(args.alg, g, lam, seed, pivot(gh, seed), lb, provenance)
 
 
 def cmd_cluster(args) -> int:
@@ -413,14 +423,20 @@ def cmd_cluster(args) -> int:
     best = None
     for lam in lams:
         run = _seed_run(args, g, widx, lam, phases)
-        reports = [run(args.seed + r) for r in range(args.seeds)]
+        reports, elapsed = [], []
+        for r in range(args.seeds):
+            t0 = time.perf_counter()
+            reports.append(run(args.seed + r))
+            elapsed.append((time.perf_counter() - t0) * 1000.0)
         if args.alg != "louvain":
-            phases.add("pivot", sum(rep.pivot_ms for rep in reports) / 1000.0)
-        for rep in reports:
-            records.append(_record(rep, args.timings))
+            phases.add("pivot", sum(elapsed) / 1000.0)
+        if not args.timings:
+            elapsed = [None] * len(reports)
+        for rep, ms in zip(reports, elapsed):
+            records.append(_record(rep, ms))
             if best is None or rep.objective < best.objective:
                 best = rep
-        aggregates.append(_aggregate(lam, reports, args.timings))
+        aggregates.append(_aggregate(lam, reports, elapsed))
 
     if args.assignment_out and best is not None:
         _atomic_write(_resolve_output(args.assignment_out), assignment_text(best.clustering))
@@ -434,52 +450,33 @@ def cmd_cluster(args) -> int:
         "records": records,
         "aggregates": aggregates,
     }
-    return _emit_documents(args, [doc])
+    _emit(args, _dump_json(doc))
+    return EXIT_OK
 
 
 def cmd_lp_solve(args) -> int:
-    lams = _parse_lambdas(args.lambdas)
-    _check_engine(args, intermediate=args.intermediate)
-    phases, g, widx = _read(args.input, args.timings, wedges=True)
-    docs = []
-    for lam in lams:
+    def doc(phases, g, widx, lam):
         res = _solve_lp(args, g, widx, lam, phases, intermediate=args.intermediate)
-        certified = None
-        if args.certify:
-            cres = phases.run(
-                "certify",
-                lambda: certify_canonical_feasibility(g, res.solution.to_x(g)),
-            )
-            certified = cres.certified
         sol = res.solution
-        docs.append({
-            "schema_version": SCHEMA_VERSION,
-            "lambda": lam,
+        return {
             "orientation": sol.orientation,
             "objective": sol.objective,
             "values": _values_doc(sol),
-            "certified_canonical": certified,
+            "certified_canonical": _certify(phases, g, res).certified if args.certify else None,
             "engine": res.engine,
             "dual_bound": res.dual_objective,
-        })
-    return _emit_documents(args, docs)
+        }
+
+    return _per_lambda(args, doc, intermediate=args.intermediate)
 
 
 def cmd_certify(args) -> int:
-    lams = _parse_lambdas(args.lambdas)
-    _check_engine(args, intermediate=False)
-    phases, g, widx = _read(args.input, args.timings, wedges=True)
-    docs = []
-    for lam in lams:
+    def doc(phases, g, widx, lam):
         res = _solve_lp(args, g, widx, lam, phases)
-        cres = phases.run(
-            "certify", lambda: certify_canonical_feasibility(g, res.solution.to_x(g))
-        )
+        cres = _certify(phases, g, res)
         # only an optimal wedge-LP solution proves the canonical optimum
         proven = cres.certified and res.engine != "mwu"
-        docs.append({
-            "schema_version": SCHEMA_VERSION,
-            "lambda": lam,
+        return {
             "lp_value": res.solution.objective,
             "certified": cres.certified,
             "violation_count": len(cres.violations),
@@ -487,20 +484,19 @@ def cmd_certify(args) -> int:
             "engine": res.engine,
             "dual_bound": res.dual_objective,
             "epsilon": args.epsilon if res.engine == "mwu" else None,
-        })
-    return _emit_documents(args, docs)
+        }
+
+    return _per_lambda(args, doc, intermediate=False)
 
 
 def cmd_exact(args) -> int:
-    lams = _parse_lambdas(args.lambdas)
-    wedges = args.problem == "stc"
-    phases, g, widx = _read(args.input, args.timings, wedges)
-    if args.problem == "cc":
-        # one partition scan serves every lambda
-        sweep = phases.run("enumerate", lambda: exact_lambda_cc_sweep(g, lams))
-    docs = []
-    for lam in lams:
+    sweep: dict = {}
+
+    def doc(phases, g, widx, lam):
         if args.problem == "cc":
+            if not sweep:  # one partition scan serves every lambda
+                lams = _parse_lambdas(args.lambdas)
+                sweep.update(phases.run("enumerate", lambda: exact_lambda_cc_sweep(g, lams)))
             r = sweep[lam]
             witness = {"assignment": list(r.witness.assignment)}
         elif args.problem == "stc":
@@ -512,15 +508,14 @@ def cmd_exact(args) -> int:
         else:
             r = phases.run("solve", lambda: exact_canonical_lp(g, lam))
             witness = {"values": _values_doc(r.witness)}
-        docs.append({
-            "schema_version": SCHEMA_VERSION,
+        return {
             "problem": args.problem,
-            "lambda": lam,
             "optimum": r.optimum,
             "enumerated_count": r.enumerated_count,
             "witness": witness,
-        })
-    return _emit_documents(args, docs)
+        }
+
+    return _per_lambda(args, doc, wedges=args.problem == "stc")
 
 
 if __name__ == "__main__":

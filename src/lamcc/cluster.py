@@ -25,7 +25,6 @@ All run at every lam in (0, 1): the lower bound each reports holds at every lam.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +81,6 @@ class RunReport:
     lower_bound: float | None
     lb_provenance: str | None
     ratio: float | None
-    elapsed_ms: float
-    pivot_ms: float | None = None  # the part of elapsed_ms spent in pivot
 
     @property
     def num_clusters(self) -> int:
@@ -206,32 +203,18 @@ def cover_flip_pivot(
     lam = check_lambda(lam)
     if (labeling is None) != (certificate is None):
         raise ParameterError("pass labeling and certificate together, or neither")
-    t0 = time.perf_counter()
     if labeling is None:
         labeling, certificate = cover_label(g, widx, lam)
-    return _pivot_run(
-        "cfp", g, derived_graph_from_labeling(g, labeling), lam, seed,
-        certificate.lower_bound, "dual_certificate", t0,
-    )
+    clustering = pivot(derived_graph_from_labeling(g, labeling), seed)
+    return _report("cfp", g, lam, seed, clustering, certificate.lower_bound,
+                   "dual_certificate")
 
 
-def _pivot_run(
-    algorithm: str, g: Graph, gh: Graph, lam: float, seed: int,
-    lb: float | None, provenance: str | None, t0: float,
-) -> RunReport:
-    """Pivot on gh, g with some pairs toggled; report the run begun at t0."""
-    t1 = time.perf_counter()
-    clustering = pivot(gh, seed)
-    pivot_ms = (time.perf_counter() - t1) * 1000.0
-    return _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms)
-
-
-def _report(algorithm, g, lam, seed, clustering, lb, provenance, t0, pivot_ms=None):
-    """The report of a run begun at t0: its objective, and its ratio against lb."""
+def _report(algorithm, g, lam, seed, clustering, lb, provenance) -> RunReport:
+    """The report of a run: its objective, and its ratio against lb."""
     objective = lambda_cc_objective(g, lam, clustering)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(algorithm, lam, seed, clustering, objective, lb, provenance,
-                     _ratio(objective, lb), elapsed_ms, pivot_ms)
+                     _ratio(objective, lb))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +250,8 @@ def round_lambda_stc_lp(
     inequalities: a pair sitting exactly on the threshold is excluded.
     """
     lam = check_lambda(lam)
-    t0 = time.perf_counter()
-    gh = _rounded_graph(g, widx, lam, sol)
-    return _pivot_run("lp-round", g, gh, lam, seed, sol.objective, "lp_value", t0)
+    clustering = pivot(_rounded_graph(g, widx, lam, sol), seed)
+    return _report("lp-round", g, lam, seed, clustering, sol.objective, "lp_value")
 
 
 def round_intermediate_lp(
@@ -285,9 +267,8 @@ def round_intermediate_lp(
     edge. The factor 3 needs lam >= 1/2; the LP value is a bound at every lam.
     """
     lam = check_lambda(lam)
-    t0 = time.perf_counter()
-    gh = _rounded_graph(g, widx, lam, sol, intermediate=True)
-    return _pivot_run("lp3-round", g, gh, lam, seed, sol.objective, "lp_value", t0)
+    clustering = pivot(_rounded_graph(g, widx, lam, sol, intermediate=True), seed)
+    return _report("lp3-round", g, lam, seed, clustering, sol.objective, "lp_value")
 
 
 def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
@@ -317,9 +298,7 @@ def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
 LOUVAIN_MAX_PASSES = 16  # local-move passes per level
 
 
-def lambda_louvain(
-    g: Graph, lam: float, seed: int, *, multilevel: bool = False
-) -> RunReport:
+def lambda_louvain(g: Graph, lam: float, seed: int) -> RunReport:
     """Greedy node-move heuristic for the clustering objective.
 
     The LambdaCC Louvain method of Veldt, Gleich & Wirth (WWW 2018). It
@@ -327,14 +306,15 @@ def lambda_louvain(
     order and moves each to the neighboring cluster (or back to a
     singleton) with the best strictly-negative cost delta, computed in
     O(deg) per vertex. Passes repeat until no move improves or
-    ``LOUVAIN_MAX_PASSES`` passes have run. With multilevel=True,
-    converged clusters collapse into supernodes and the process recurses.
-    Every level is a CSR graph with integer edge weights and vertex sizes
-    (level 0 is g, all ones), so no cost delta depends on summation order.
+    ``LOUVAIN_MAX_PASSES`` passes have run. Then the clusters collapse
+    into supernodes and the passes repeat on them until a level merges
+    nothing; every later move lowers the cost, so the result is never
+    worse than level 0's labels. Every level is a CSR graph with integer
+    edge weights and vertex sizes (level 0 is g, all ones), so no cost
+    delta depends on summation order.
     No approximation guarantee: the report carries no lower bound.
     """
     lam = check_lambda(lam)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     indptr, indices = g.indptr, g.indices
@@ -344,14 +324,13 @@ def lambda_louvain(
         labels = _greedy_passes(indptr, indices, weights, sizes, lam, rng)
         assignment = labels[assignment]
         k = int(labels.max(initial=-1)) + 1
-        # stop unless asked to recurse and something merged
-        if not multilevel or k == sizes.shape[0]:
+        if k == sizes.shape[0]:  # nothing merged
             break
         indptr, indices, weights, sizes = _aggregate(
             indptr, indices, weights, sizes, labels, k
         )
     clustering = Clustering(tuple(assignment.tolist()))
-    return _report("louvain", g, lam, seed, clustering, None, None, t0)
+    return _report("louvain", g, lam, seed, clustering, None, None)
 
 
 def _greedy_passes(indptr, indices, weights, sizes, lam, rng):

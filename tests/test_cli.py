@@ -1,10 +1,12 @@
 import argparse
+import itertools
 import json
 import os
 import re
 import stat
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,9 +170,9 @@ def test_cluster_assignment_out(tmp_path, capsys, path_file):
 )
 def test_cluster_size_hist_counts_the_member_lists(labels):
     c = Clustering.from_assignment(labels)
-    rep = RunReport("pivot", 0.5, 0, c, 0.0, None, None, None, 0.0)
+    rep = RunReport("pivot", 0.5, 0, c, 0.0, None, None, None)
     want = Counter(Counter(c.assignment).values())  # member-list sizes
-    got = _record(rep, include_timing=False)["cluster_size_hist"]
+    got = _record(rep, None)["cluster_size_hist"]
     assert list(got.items()) == [(str(s), want[s]) for s in sorted(want)]
     assert all(type(v) is int for v in got.values())
 
@@ -700,7 +702,7 @@ def test_cli_options_are_exactly_these():
         "label": {"--lambda", "--minimal"},
         "cluster": {
             "--lambda", "--alg", "--seed", "--seeds", "--epsilon", "--engine",
-            "--multilevel", "--assignment-out",
+            "--assignment-out",
         },
         "lp-solve": {"--lambda", "--intermediate", "--engine", "--epsilon", "--certify"},
         "certify": {"--lambda", "--engine", "--epsilon"},
@@ -786,8 +788,9 @@ def test_public_names_are_exactly_these():
         (["label"], ["--shuffle-seed", "0"]),
         (["lp-solve"], ["--dump-instance", "inst.txt"]),
         (["cluster", "--alg", "cfp"], ["--force"]),
+        (["cluster", "--alg", "louvain"], ["--multilevel"]),
     ],
-    ids=["fmt", "max-passes", "shuffle-seed", "dump-instance", "force"],
+    ids=["fmt", "max-passes", "shuffle-seed", "dump-instance", "force", "multilevel"],
 )
 def test_removed_options_exit_2(capsys, path_file, argv, removed):
     with pytest.raises(SystemExit) as exit_:
@@ -830,6 +833,23 @@ def test_output_files_follow_the_umask(tmp_path, capsys, path_file, umask):
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+@pytest.mark.parametrize("option", ["-o", "--assignment-out"])
+def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys, path_file, option,
+                                                        target):
+    (tmp_path / "some_file").write_text("kept\n")
+    (tmp_path / "some_dir").mkdir()
+    path = tmp_path / ("some_file/x.json" if target == "under-a-file" else "some_dir")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["cluster", path_file, "--alg", "pivot", "--lambda", "0.75", option, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
+    assert (tmp_path / "some_file").read_text() == "kept\n"
+
+
 def test_no_output_file_on_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("x y\n")
@@ -854,6 +874,34 @@ def test_timings_go_to_stderr(capsys, path_file):
     assert rc == 0
     assert "[phase] parse" in captured.err
     json.loads(captured.out)  # stdout stays pure JSON
+
+
+@pytest.mark.parametrize("alg", ["cfp", "pivot", "lp-round", "lp3-round"])
+def test_cluster_pivot_line_sums_the_seeds_elapsed_ms(capsys, monkeypatch, tmp_path, alg):
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(12, 0.35, 4)))
+    argv = ["cluster", str(f), "--alg", alg, "--lambda", "0.6,0.8", "--seeds", "3"]
+    doc = run_json(capsys, argv)
+    assert {r["elapsed_ms"] for r in doc["records"]} == {None}
+    assert all(set(a["elapsed_ms"].values()) == {None} for a in doc["aggregates"])
+
+    def timed_run():
+        assert main([*argv, "--timings"]) == 0
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if l.startswith("[phase] pivot: ")]
+        return json.loads(captured.out)["records"], lines
+
+    records, lines = timed_run()
+    assert all(r["elapsed_ms"] > 0.0 for r in records)
+    for lam, line in zip((0.6, 0.8), lines, strict=True):
+        seconds = sum(r["elapsed_ms"] for r in records if r["lambda"] == lam) / 1000
+        assert line == f"[phase] pivot: {seconds:.3f}s"
+    # on a clock that ticks 0.125 s per reading, each seed spans exactly one tick
+    ticks = itertools.count()
+    monkeypatch.setattr(lamcc.cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 8))
+    records, lines = timed_run()
+    assert [r["elapsed_ms"] for r in records] == [125.0] * 6
+    assert lines == ["[phase] pivot: 0.375s"] * 2
 
 
 @pytest.mark.parametrize("alg", ["cfp", "pivot", "lp-round", "lp3-round", "louvain"])

@@ -1,6 +1,5 @@
 import itertools
 import re
-import time
 from collections import Counter
 from fractions import Fraction
 
@@ -389,20 +388,21 @@ def test_rounding_graphs_match_set_toggle(lam, monkeypatch):
     assert seen == []
 
 
-def test_pivot_ms_is_part_of_elapsed_ms():
+def test_equal_arguments_give_equal_reports():
+    # a report holds no wall-clock time, so a run is a function of its arguments
     g, lam = erdos_renyi(14, 0.35, 320), 0.6
     widx = enumerate_wedges(g)
     x = solve_exact(build_lambda_stc_lp(g, widx, lam)[1]).solution.to_x(g)
     x3 = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
-    reports = [  # the pivot run is built as cli's --alg pivot builds it
-        cover_flip_pivot(g, widx, lam, 1),
-        lamcc.cluster._pivot_run("pivot", g, g, lam, 1, None, None, time.perf_counter()),
-        round_lambda_stc_lp(g, widx, lam, x, 1),
-        round_intermediate_lp(g, widx, lam, x3, 1),
+    runs = [
+        lambda: cover_flip_pivot(g, widx, lam, 1),
+        lambda: round_lambda_stc_lp(g, widx, lam, x, 1),
+        lambda: round_intermediate_lp(g, widx, lam, x3, 1),
+        lambda: lambda_louvain(g, lam, 1),
     ]
-    assert [r.algorithm for r in reports] == ["cfp", "pivot", "lp-round", "lp3-round"]
-    for rep in reports:
-        assert 0.0 <= rep.pivot_ms <= rep.elapsed_ms
+    for run in runs:
+        assert run() == run()
+    assert [run().algorithm for run in runs] == ["cfp", "lp-round", "lp3-round", "louvain"]
 
 
 def _loop_violation(widx, x, triangles):
@@ -679,14 +679,15 @@ def test_louvain_never_worse_than_singletons():
         assert rep.objective <= singletons + 1e-9
 
 
-def test_louvain_multilevel_smoke():
-    g = erdos_renyi(20, 0.25, 5)
-    plain = lambda_louvain(g, 0.5, seed=2)
-    multi = lambda_louvain(g, 0.5, seed=2, multilevel=True)
-    assert multi.objective <= plain.objective + 1e-9
+def _level0_labels(g, lam, seed):
+    """The labels of Louvain's first level: local moves from singletons."""
+    return lamcc.cluster._greedy_passes(
+        g.indptr, g.indices, np.ones(g.indices.shape[0]), np.ones(g.n), lam,
+        np.random.default_rng(seed),
+    )
 
 
-# (n, p, graph seed, lambda, seed) -> (plain, multilevel) assignments
+# (n, p, graph seed, lambda, seed) -> (level 0, aggregated) assignments
 LOUVAIN_PINS = {
     (12, 0.3, 6, 0.3, 0): ("0 1 2 2 3 4 5 1 4 3 5 0", "0 1 2 2 3 1 0 1 1 3 0 0"),
     (12, 0.5, 0, 0.55, 0): ("0 1 0 0 2 3 1 3 2 1 2 1", "0 1 0 0 1 2 1 2 1 1 1 1"),
@@ -704,12 +705,15 @@ LOUVAIN_PINS = {
 
 
 @pytest.mark.parametrize("case", LOUVAIN_PINS)
-@pytest.mark.parametrize("multilevel", [False, True])
-def test_louvain_assignments_are_pinned(case, multilevel):
+@pytest.mark.parametrize("aggregated", [False, True])
+def test_louvain_assignments_are_pinned(case, aggregated):
     n, p, graph_seed, lam, seed = case
     g = erdos_renyi(n, p, graph_seed)
-    rep = lambda_louvain(g, lam, seed, multilevel=multilevel)
-    want = tuple(map(int, LOUVAIN_PINS[case][multilevel].split()))
+    want = tuple(map(int, LOUVAIN_PINS[case][aggregated].split()))
+    if not aggregated:  # the first level's RNG draws and tie rule
+        assert tuple(_level0_labels(g, lam, seed).tolist()) == want
+        return
+    rep = lambda_louvain(g, lam, seed)
     assert rep.clustering.assignment == want
     assert rep.objective == lambda_cc_objective(g, lam, Clustering(want))
     assert (rep.lower_bound, rep.lb_provenance, rep.ratio) == (None, None, None)
@@ -739,10 +743,26 @@ def test_louvain_aggregate_matches_dict_reference():
         assert got == ref and s.tolist() == ref_sizes
 
 
-def test_louvain_multilevel_finds_a_lower_objective():
+def test_louvain_is_never_worse_than_its_first_level():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def level0_objective(g, lam, seed):
+        return lambda_cc_objective(g, lam, Clustering.from_assignment(_level0_labels(g, lam, seed)))
+
+    # aggregating finds a lower objective than level 0 here
     g = erdos_renyi(10, 0.3, 1)
-    assert lambda_louvain(g, 0.3, seed=0).objective == 3.8
-    assert lambda_louvain(g, 0.3, seed=0, multilevel=True).objective == 3.5999999999999996
+    assert level0_objective(g, 0.3, 0) == 3.8
+    assert lambda_louvain(g, 0.3, seed=0).objective == 3.5999999999999996
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(1, 24), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1),
+                      st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+    def check(n, p, graph_seed, lam, seed):
+        g = erdos_renyi(n, p, graph_seed)
+        assert lambda_louvain(g, lam, seed).objective <= level0_objective(g, lam, seed)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

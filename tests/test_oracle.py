@@ -197,9 +197,7 @@ def test_extreme_lambda_bounds_and_clusterings_bracket_the_optimum(lam):
             assert is_feasible(g, widx, lab)
             assert cert.lower_bound <= stc_objective(g, lam, lab) + 1e-12
             assert cert.lower_bound <= opt + 1e-12
-        for multilevel in (False, True):
-            louvain = lambda_louvain(g, lam, seed, multilevel=multilevel)
-            assert louvain.objective >= opt - 1e-12
+        assert lambda_louvain(g, lam, seed).objective >= opt - 1e-12
         assert cover_flip_pivot(g, widx, lam, seed).objective >= opt - 1e-12
 
 
