@@ -687,6 +687,10 @@ def _level0_labels(g, lam, seed):
     )
 
 
+def _level0_objective(g, lam, seed):
+    return lambda_cc_objective(g, lam, Clustering.from_assignment(_level0_labels(g, lam, seed)))
+
+
 # (n, p, graph seed, lambda, seed) -> (level 0, aggregated) assignments
 LOUVAIN_PINS = {
     (12, 0.3, 6, 0.3, 0): ("0 1 2 2 3 4 5 1 4 3 5 0", "0 1 2 2 3 1 0 1 1 3 0 0"),
@@ -747,22 +751,26 @@ def test_louvain_is_never_worse_than_its_first_level():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def level0_objective(g, lam, seed):
-        return lambda_cc_objective(g, lam, Clustering.from_assignment(_level0_labels(g, lam, seed)))
-
-    # aggregating finds a lower objective than level 0 here
-    g = erdos_renyi(10, 0.3, 1)
-    assert level0_objective(g, 0.3, 0) == 3.8
-    assert lambda_louvain(g, 0.3, seed=0).objective == 3.5999999999999996
-
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.integers(1, 24), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1),
                       st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
     def check(n, p, graph_seed, lam, seed):
         g = erdos_renyi(n, p, graph_seed)
-        assert lambda_louvain(g, lam, seed).objective <= level0_objective(g, lam, seed)
+        assert lambda_louvain(g, lam, seed).objective <= _level0_objective(g, lam, seed)
 
     check()
+
+
+def test_louvain_multilevel_smoke():
+    g = erdos_renyi(20, 0.25, 5)
+    assert lambda_louvain(g, 0.5, seed=2).objective <= _level0_objective(g, 0.5, 2) + 1e-9
+
+
+def test_louvain_multilevel_finds_a_lower_objective():
+    # aggregating the level-0 clusters finds a lower objective here
+    g = erdos_renyi(10, 0.3, 1)
+    assert _level0_objective(g, 0.3, 0) == 3.8
+    assert lambda_louvain(g, 0.3, seed=0).objective == 3.5999999999999996
 
 
 # ---------------------------------------------------------------------------
