@@ -182,12 +182,16 @@ class _Phases:
 
 
 def _resolve_output(path_str: str | None) -> Path | None:
+    """The path to write (relative to $LAMCC_OUT_DIR if set); a file in its way exits 1."""
     if path_str is None:
         return None
     path = Path(path_str)
     base = os.environ.get("LAMCC_OUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
+    folder = next((p for p in path.parents if os.path.exists(p)), None)  # nearest that exists
+    if folder is not None and not os.path.isdir(folder):
+        raise LamccError(f"cannot write {path}: {folder} is not a directory")
     return path
 
 
@@ -398,10 +402,7 @@ def _seed_run(args, g, widx, lam, phases):
         res = _solve_lp(args, g, widx, lam, phases, intermediate=intermediate)
         gh = phases.run("round", lambda: _rounded_graph(
             g, widx, lam, res.solution, intermediate=intermediate))
-        if args.engine == "mwu":  # the bound is the checked dual, not the MWU primal
-            lb, provenance = res.dual_objective, "lp_dual"
-        else:
-            lb, provenance = res.solution.objective, "lp_value"
+        lb, provenance = res.solution.dual_objective, "lp_dual"
     return lambda seed: _report(args.alg, g, lam, seed, pivot(gh, seed), lb, provenance)
 
 
@@ -415,6 +416,7 @@ def cmd_cluster(args) -> int:
         _check_engine(args, intermediate=args.alg == "lp3-round")
     if args.assignment_out and len(lams) > 1:
         raise ParameterError("--assignment-out takes a single lambda")
+    assignment_out = args.assignment_out and _resolve_output(args.assignment_out)
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
     phases, g, widx = _read(args.input, args.timings, wedges)
 
@@ -438,8 +440,8 @@ def cmd_cluster(args) -> int:
                 best = rep
         aggregates.append(_aggregate(lam, reports, elapsed))
 
-    if args.assignment_out and best is not None:
-        _atomic_write(_resolve_output(args.assignment_out), assignment_text(best.clustering))
+    if assignment_out and best is not None:
+        _atomic_write(assignment_out, assignment_text(best.clustering))
 
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -32,7 +32,7 @@ import numpy as np
 from .certificate import check_primal
 from .errors import ParameterError
 from .graph import Graph, WedgeIndex
-from .lp import _TRIANGLE_SIGN, FractionalSolution, _intermediate_rows
+from .lp import _TRIANGLE_SIGN, FractionalSolution
 from .stc import DualCertificate, StcLabeling, check_lambda, cover_label
 
 __all__ = [
@@ -211,10 +211,10 @@ def cover_flip_pivot(
 
 
 def _report(algorithm, g, lam, seed, clustering, lb, provenance) -> RunReport:
-    """The report of a run: its objective, and its ratio against lb."""
+    """The report of a run: its objective, and its ratio against lb (no lb, no provenance)."""
     objective = lambda_cc_objective(g, lam, clustering)
-    return RunReport(algorithm, lam, seed, clustering, objective, lb, provenance,
-                     _ratio(objective, lb))
+    return RunReport(algorithm, lam, seed, clustering, objective, lb,
+                     None if lb is None else provenance, _ratio(objective, lb))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +248,11 @@ def round_lambda_stc_lp(
     x < 2*lam/(7*lam - 2) (non-edges never join); below 1/2 every graph
     edge stays and non-edges with x < lam/(1 + lam) join. Strict
     inequalities: a pair sitting exactly on the threshold is excluded.
+    The bound is sol's checked ``dual_objective``, if it carries one.
     """
     lam = check_lambda(lam)
     clustering = pivot(_rounded_graph(g, widx, lam, sol), seed)
-    return _report("lp-round", g, lam, seed, clustering, sol.objective, "lp_value")
+    return _report("lp-round", g, lam, seed, clustering, sol.dual_objective, "lp_dual")
 
 
 def round_intermediate_lp(
@@ -264,11 +265,12 @@ def round_intermediate_lp(
     """Threshold the wedge+triangle LP at 1/3 and pivot.
 
     Every pair, edge or not, with x strictly below 1/3 becomes a derived
-    edge. The factor 3 needs lam >= 1/2; the LP value is a bound at every lam.
+    edge. The factor 3 needs lam >= 1/2; sol's checked ``dual_objective``,
+    if it carries one, is a bound at every lam.
     """
     lam = check_lambda(lam)
     clustering = pivot(_rounded_graph(g, widx, lam, sol, intermediate=True), seed)
-    return _report("lp3-round", g, lam, seed, clustering, sol.objective, "lp_value")
+    return _report("lp3-round", g, lam, seed, clustering, sol.dual_objective, "lp_dual")
 
 
 def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
@@ -279,7 +281,7 @@ def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
     depends on sol and lam only, so one serves every seed.
     """
     x = sol.to_x(g)
-    rows = _intermediate_rows(widx)[1] if intermediate else widx.covering_layout[2]
+    rows = widx.intermediate_rows if intermediate else widx.covering_layout[2]
     check_primal(rows, _TRIANGLE_SIGN, 0.0, 1.0, x.at(widx.covering_layout[0]))
     is_edge = g.edge_mask(x.keys)
     if intermediate:

@@ -359,8 +359,8 @@ class WedgeIndex:
     triples (i < j < k); ``edge_keys`` is the graph's own read-only
     ``Graph.edge_keys()``. The raw arrays are the only representation:
     wedge w is (wedge_center[w], wedge_lo[w], wedge_hi[w]) and triangle t is
-    (tri_i[t], tri_j[t], tri_k[t]). The covering layout and its indexes are
-    built from them on first use and kept read-only.
+    (tri_i[t], tri_j[t], tri_k[t]). The covering layout, its indexes and the
+    intermediate rows are built from them on first use and kept read-only.
     """
 
     n: int
@@ -426,6 +426,15 @@ class WedgeIndex:
         return runs, touched
 
     @cached_property
+    def intermediate_rows(self) -> np.ndarray:
+        """The intermediate LP's rows, read-only: wedge rows, then center-j, -i, -k rows."""
+        tri = _triangle_rows(self.n, lambda q: np.searchsorted(self.edge_keys, q),
+                             self.tri_i, self.tri_j, self.tri_k)
+        rows = np.concatenate([self.covering_layout[2], tri.transpose(1, 0, 2).reshape(-1, 3)])
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def rows_by_column(self) -> tuple[np.ndarray, np.ndarray]:
         """``_rows_by_column`` of the covering rows, read-only."""
         keys, _, rows = self.covering_layout
@@ -433,6 +442,14 @@ class WedgeIndex:
         for arr in index:
             arr.setflags(write=False)
         return index
+
+
+def _triangle_rows(n: int, index_of, i, j, k) -> np.ndarray:
+    """(T, 3, 3) variable indices of x_uv + x_vw >= x_uw at triangles i < j < k, where
+    ``index_of`` maps pair keys to variable indices; axis 1 is the center v: j, i, k."""
+    e_ij, e_ik, e_jk = index_of(i * n + j), index_of(i * n + k), index_of(j * n + k)
+    rotations = ((e_ij, e_jk, e_ik), (e_ij, e_ik, e_jk), (e_ik, e_jk, e_ij))
+    return np.stack([np.stack(r, axis=1) for r in rotations], axis=1)
 
 
 def _row_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -37,7 +37,7 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -53,6 +53,7 @@ from .graph import (
     _neighbor_pair_chunks,
     _rows_by_column,
     _sorted_unique,
+    _triangle_rows,
 )
 from .stc import _local_ratio, _reduce, check_lambda
 
@@ -171,8 +172,10 @@ class FractionalSolution:
 
     ``keys`` are the active pairs' int64 keys u*n + v (u < v), strictly
     increasing, and ``vals`` the aligned values; a pair not in ``keys`` is
-    inactive and reads x = 1 (z = 0). ``to_x`` flips non-edge values
-    (x = 1 - z) and carries the objective through unchanged.
+    inactive and reads x = 1 (z = 0). ``dual_objective`` is the checked
+    lower bound of the solve that produced the solution (None for one built
+    by hand). ``to_x`` flips non-edge values (x = 1 - z) and carries the
+    objective and the bound through unchanged.
     """
 
     orientation: str
@@ -181,6 +184,7 @@ class FractionalSolution:
     keys: np.ndarray
     vals: np.ndarray
     objective: float
+    dual_objective: float | None = None
 
     def __post_init__(self):
         if self.keys.shape != self.vals.shape or np.any(np.diff(self.keys) <= 0):
@@ -205,7 +209,7 @@ class FractionalSolution:
         if self.orientation == "x":
             return self
         vals = np.where(g.edge_mask(self.keys), self.vals, 1.0 - self.vals)
-        return FractionalSolution("x", self.lam, self.n, self.keys, vals, self.objective)
+        return replace(self, orientation="x", vals=vals)
 
 
 @dataclass(frozen=True)
@@ -214,9 +218,13 @@ class SolveResult:
 
     solution: FractionalSolution
     dual: np.ndarray | None
-    dual_objective: float
     engine: str
     iterations: int
+
+    @property
+    def dual_objective(self) -> float:
+        """The checked lower bound, as the solution carries it."""
+        return self.solution.dual_objective
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +233,6 @@ class SolveResult:
 
 _TRIANGLE_SIGN = np.array([1.0, 1.0, -1.0])
 _TRIANGLE_SIGN.setflags(write=False)
-
-
-def _triangle_rows(
-    space: PairVariableSpace, i: np.ndarray, j: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    """(T, 3, 3) variable indices of x_uv + x_vw >= x_uw at triangles i < j < k.
-
-    Axis 1 is the choice of center v, in the order j, i, k.
-    """
-    n = space.n
-    e_ij = space.indices_of_keys(i * n + j)
-    e_ik = space.indices_of_keys(i * n + k)
-    e_jk = space.indices_of_keys(j * n + k)
-    return np.stack(
-        [
-            np.stack([e_ij, e_jk, e_ik], axis=1),  # center j
-            np.stack([e_ij, e_ik, e_jk], axis=1),  # center i
-            np.stack([e_ik, e_jk, e_ij], axis=1),  # center k
-        ],
-        axis=1,
-    )
 
 
 def build_lambda_stc_lp(
@@ -259,20 +246,13 @@ def build_lambda_stc_lp(
     return space, CoveringInstance(space, lam, costs, rows)
 
 
-def _intermediate_rows(widx: WedgeIndex) -> tuple[PairVariableSpace, np.ndarray]:
-    """The intermediate LP's variables and rows: wedge rows, then center-j, -i, -k rows."""
-    keys, m, rows = widx.covering_layout
-    space = PairVariableSpace(widx.n, keys, m)
-    tri = _triangle_rows(space, widx.tri_i, widx.tri_j, widx.tri_k)
-    return space, np.concatenate([rows, tri.transpose(1, 0, 2).reshape(-1, 3)])
-
-
 def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
-    space, col_idx = _intermediate_rows(widx)
+    keys, m, _ = widx.covering_layout
+    space = PairVariableSpace(g.n, keys, m)
     c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx)
+    return GeneralLp(space, lam, c, c0, widx.intermediate_rows)
 
 
 def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
@@ -293,7 +273,7 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     )
     ijk = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
     # the three rotations of each triple in turn
-    col_idx = _triangle_rows(space, ijk[:, 0], ijk[:, 1], ijk[:, 2]).reshape(-1, 3)
+    col_idx = _triangle_rows(n, space.indices_of_keys, *ijk.T).reshape(-1, 3)
     c, c0 = _distance_costs(space, lam)
     return GeneralLp(space, lam, c, c0, col_idx)
 
@@ -315,6 +295,7 @@ def _solution(
     lam: float,
     v: np.ndarray,
     objective: float,
+    dual_objective: float,
 ) -> FractionalSolution:
     """The solution whose variable-order values are ``v``, in key order.
 
@@ -322,12 +303,12 @@ def _solution(
     """
     skeys, order = space._sorted_keys
     return FractionalSolution(
-        orientation, lam, space.n, skeys, v[order] + 0.0, objective
+        orientation, lam, space.n, skeys, v[order] + 0.0, objective, dual_objective
     )
 
 
-def _covering_solution(inst: CoveringInstance, z: np.ndarray) -> FractionalSolution:
-    return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z))
+def _covering_solution(inst: CoveringInstance, z: np.ndarray, lb: float) -> FractionalSolution:
+    return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z), lb)
 
 
 def _highs():
@@ -412,9 +393,8 @@ def _solve_highs(
     y = np.asarray(sol.row_dual, dtype=float)
     dual = verify_certificate(idx, sign, b, c, u, x, y, c0)
     return SolveResult(
-        _solution(space, orientation, lam, x, float(c @ x) + c0),
+        _solution(space, orientation, lam, x, float(c @ x) + c0, dual),
         y,
-        dual,
         "highs",
         max(highs.getInfo().simplex_iteration_count, 0),
     )
@@ -485,9 +465,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     if np.any(np.all(inst.rows < 0, axis=1)):
         raise InfeasibleSolutionError("a covering row has no variable and reads 0 >= 1")
     if M == 0:
-        return SolveResult(
-            _covering_solution(inst, np.zeros(N)), np.zeros(0), 0.0, "mwu", 0
-        )
+        return SolveResult(_covering_solution(inst, np.zeros(N), 0.0), np.zeros(0), "mwu", 0)
     costs = inst.costs.astype(float)
     budget = int(math.ceil(MWU_BUDGET_CONSTANT * math.log(M + 2) / epsilon**2))
 
@@ -589,8 +567,8 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
 
     z = np.clip(best_z, 0.0, 1.0)
     check_primal(inst.rows, 1.0, 1.0, 1.0, z)
-    solution = _covering_solution(inst, z)
     bound = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
+    solution = _covering_solution(inst, z, bound)
     if not solution.objective <= (1.0 + epsilon) * bound:
         ratio = solution.objective / bound if bound > 0 else math.inf
         raise MwuConvergenceError(
@@ -599,7 +577,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
             best_solution=solution,
             certified_ratio=ratio,
         )
-    return SolveResult(solution, best_dual_vec, bound, "mwu", t)
+    return SolveResult(solution, best_dual_vec, "mwu", t)
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,9 @@ def test_cluster_pivot_records(capsys, tmp_path):
         return rep.clustering, rep.lower_bound, rep.lb_provenance
 
     def lp_round_mwu(lam, seed):
-        res = solve_mwu(build_lambda_stc_lp(g, widx, lam)[1], 0.2)
-        rep = round_lambda_stc_lp(g, widx, lam, res.solution.to_x(g), seed)
-        return rep.clustering, res.dual_objective, "lp_dual"
+        sol = solve_mwu(build_lambda_stc_lp(g, widx, lam)[1], 0.2).solution
+        rep = round_lambda_stc_lp(g, widx, lam, sol.to_x(g), seed)
+        return rep.clustering, rep.lower_bound, rep.lb_provenance
 
     def lp3_round(lam, seed):
         sol = solve_general_exact(build_intermediate_lp(g, widx, lam)).solution
@@ -366,7 +366,8 @@ def test_edge_case_inputs_report_a_bound(capsys, tmp_path, text, command):
 
 
 def test_lp_round_mwu_reports_the_checked_dual_as_its_bound(capsys, tmp_path):
-    # the MWU primal here (3.15) lies above the clustering optimum (2.8)
+    # the MWU primal here (3.15) lies above the clustering optimum (2.8);
+    # HiGHS reports its checked dual too
     g = erdos_renyi(8, 0.55, 9008)
     f = tmp_path / "g.txt"
     f.write_text(to_edge_list_text(g))
@@ -376,7 +377,9 @@ def test_lp_round_mwu_reports_the_checked_dual_as_its_bound(capsys, tmp_path):
     assert rec["ratio"] == rec["objective"] / rec["lower_bound"]
     assert rec["lower_bound"] <= exact_lambda_cc(g, 0.55).optimum == 2.8
     (rec,) = run_json(capsys, argv)["records"]
-    assert rec["lb_provenance"] == "lp_value"
+    res = solve_exact(build_lambda_stc_lp(g, enumerate_wedges(g), 0.55)[1])
+    assert (rec["lower_bound"], rec["lb_provenance"]) == (res.dual_objective, "lp_dual")
+    assert rec["lower_bound"] <= 2.8
 
 
 SANDWICH_ARGS = {
@@ -848,6 +851,35 @@ def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys, path_fi
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
     assert (tmp_path / "some_file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["stats"], "-o"),
+    (["cluster", "--alg", "cfp", "--lambda", "0.6"], "-o"),
+    (["cluster", "--alg", "cfp", "--lambda", "0.6"], "--assignment-out"),
+], ids=["stats-o", "cluster-o", "cluster-assignment-out"])
+@pytest.mark.parametrize("under", ["some_file", "some_file/sub"])
+def test_a_file_in_the_way_of_an_output_path_is_named(tmp_path, capsys, path_file, argv,
+                                                      option, under):
+    (tmp_path / "some_file").write_text("kept\n")
+    path = tmp_path / under / "x.json"
+    assert main([argv[0], path_file, *argv[1:], option, str(path)]) == 1
+    captured = capsys.readouterr()
+    in_the_way = tmp_path / "some_file"
+    assert captured.err == f"error: cannot write {path}: {in_the_way} is not a directory\n"
+    assert (captured.out, in_the_way.read_text()) == ("", "kept\n")
+
+
+def test_assignment_out_under_a_file_fails_before_the_read(tmp_path, capsys, path_file,
+                                                           monkeypatch):
+    (tmp_path / "some_file").write_text("kept\n")
+    path = tmp_path / "some_file" / "a.txt"
+    monkeypatch.setattr(lamcc.cli, "_read", lambda *a: pytest.fail("the input was read"))
+    argv = ["cluster", path_file, "--alg", "cfp", "--lambda", "0.6", "--assignment-out", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.count("\n")) == ("", 1)
+    assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 def test_no_output_file_on_failure(tmp_path, capsys):

@@ -27,8 +27,9 @@ from lamcc.lp import (
     build_lambda_stc_lp,
     solve_exact,
     solve_general_exact,
+    solve_mwu,
 )
-from lamcc.oracle import exact_lambda_cc
+from lamcc.oracle import exact_lambda_cc, exact_lambda_cc_sweep
 from lamcc.stc import StcLabeling, cover_label, stc_objective
 from lamcc.testing import erdos_renyi
 
@@ -632,6 +633,39 @@ def test_wedge_check_defaults_omitted_end_pair_to_one(path3, wedges_of, solution
     for rounding in (round_lambda_stc_lp, round_intermediate_lp):
         assert _violated_kind(widx, lambda: rounding(path3, widx, 0.6, bad, seed=0)) == "open-wedge"
         rounding(path3, widx, 0.6, ok, seed=0)
+
+
+# n <= 9; on erdos_renyi(8, 0.55, 9008) at lambda 0.55 the MWU primal (3.15)
+# lies above the clustering optimum (2.8), and its checked dual (2.786) below
+SANDWICH_GRAPHS = [(n, p, 9100 + 100 * (p > 0.5) + n) for n in (6, 7, 8, 9)
+                   for p in (0.35, 0.55)] + [(8, 0.55, 9008)]
+
+
+@pytest.mark.parametrize("n, p, graph_seed", SANDWICH_GRAPHS)
+def test_lp_roundings_report_the_checked_dual_below_the_optimum(n, p, graph_seed):
+    g = erdos_renyi(n, p, graph_seed)
+    widx = enumerate_wedges(g)
+    sweep = exact_lambda_cc_sweep(g, [0.3, 0.55, 0.75])
+    for lam, exact in sweep.items():
+        inst = build_lambda_stc_lp(g, widx, lam)[1]
+        for res, rounding in [
+            (solve_exact(inst), round_lambda_stc_lp),
+            (solve_mwu(inst, 0.2), round_lambda_stc_lp),
+            (solve_general_exact(build_intermediate_lp(g, widx, lam)), round_intermediate_lp),
+        ]:
+            rep = rounding(g, widx, lam, res.solution.to_x(g), seed=graph_seed)
+            assert (rep.lower_bound, rep.lb_provenance) == (res.dual_objective, "lp_dual")
+            assert rep.lower_bound <= exact.optimum + 1e-9 <= rep.objective + 2e-9
+            assert rep.ratio == rep.objective / rep.lower_bound
+
+
+def test_a_hand_built_solution_gives_no_bound(path3, wedges_of, solution_of):
+    widx = wedges_of(path3)
+    sol = solution_of(path3, "x", 0.6, {(0, 1): 0.5, (1, 2): 0.5}, 0.4)
+    assert sol.dual_objective is None
+    for rounding in (round_lambda_stc_lp, round_intermediate_lp):
+        rep = rounding(path3, widx, 0.6, sol, seed=0)
+        assert (rep.lower_bound, rep.lb_provenance, rep.ratio) == (None, None, None)
 
 
 def test_round_intermediate_runs_below_half_with_a_valid_bound():

@@ -316,6 +316,31 @@ def test_covering_layout_rows_are_the_wedge_pairs(g):
     assert np.array_equal(widx.wedge_pair_keys(), keys[rows])
 
 
+@pytest.mark.parametrize("g", [
+    parse_edge_list("0 1\n"),
+    parse_edge_list("0 1\n1 2\n0 2\n2 3\n"),  # one triangle, two open wedges
+    erdos_renyi(15, 0.3, 401),
+], ids=["single-edge", "triangle-and-tail", "gnp"])
+def test_intermediate_rows_are_built_once_and_match_a_loop_reference(g):
+    widx = enumerate_wedges(g)
+    assert "intermediate_rows" not in vars(widx)  # built on first use only
+    rows = widx.intermediate_rows
+    assert widx.intermediate_rows is rows
+    assert build_intermediate_lp(g, widx, 0.55).col_idx is rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    # the wedge rows, then x_uv + x_vw >= x_uw of every triangle i < j < k
+    # with center v = j, then with v = i, then with v = k
+    keys, _, wedge_rows = widx.covering_layout
+    n = g.n
+    tris = list(zip(widx.tri_i.tolist(), widx.tri_j.tolist(), widx.tri_k.tolist()))
+    want = keys[wedge_rows].tolist()
+    want += [[i * n + j, j * n + k, i * n + k] for i, j, k in tris]
+    want += [[i * n + j, i * n + k, j * n + k] for i, j, k in tris]
+    want += [[i * n + k, j * n + k, i * n + j] for i, j, k in tris]
+    assert rows.dtype == np.int64 and keys[rows].tolist() == want
+
+
 def test_one_covering_layout_serves_every_call():
     g = erdos_renyi(15, 0.3, 401)
     widx = enumerate_wedges(g)

@@ -394,6 +394,20 @@ def test_array_flip_and_certify_match_dict_references(lam, solution_of):
     assert violated > 0
 
 
+def test_a_solution_carries_its_checked_dual(solution_of):
+    g = erdos_renyi(8, 0.55, 9008)
+    widx = enumerate_wedges(g)
+    inst = build_lambda_stc_lp(g, widx, 0.55)[1]
+    for res in (solve_exact(inst), solve_mwu(inst, 0.2),
+                solve_general_exact(build_intermediate_lp(g, widx, 0.55))):
+        assert res.dual_objective is res.solution.dual_objective  # the one record
+        x = res.solution.to_x(g)
+        assert x.dual_objective == res.dual_objective <= 2.8 + 1e-9
+        assert (x.orientation, x.objective) == ("x", res.solution.objective)
+    z = solution_of(g, "z", 0.55, {(0, 1): 0.5}, 0.25)
+    assert z.dual_objective is None and z.to_x(g).dual_objective is None
+
+
 def test_lp_hierarchy_small_sample():
     for seed in range(12):
         g = erdos_renyi(7, (0.3, 0.5)[seed % 2], 800 + seed)
