@@ -40,8 +40,8 @@ from .graph import (
     to_edge_list_text,
 )
 from .lp import (
-    CoveringInstance,
     FractionalSolution,
+    LinearProgram,
     PairVariableSpace,
     SolveResult,
     build_canonical_lp,

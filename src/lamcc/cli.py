@@ -2,12 +2,12 @@
 
 Exit codes are stable: 0 success, 2 unreadable/malformed input, 3 invalid
 parameters, 4 size-cap exceeded, 1 anything else. Every subcommand checks
-its parameters (the lambda list first) before it reads the input, reads the
-graph and enumerates its wedges once, and builds one document per lambda.
-Output files are written atomically (temp file + rename), and JSON reports
-are byte-identical for identical configurations: wall-clock fields stay
-null unless --timings is given, which also prints per-phase timer lines to
-stderr.
+its parameters (the lambda list first) and its output paths before it reads
+the input, reads the graph and enumerates its wedges once, and builds one
+document per lambda. Output files are written atomically (temp file +
+rename), and JSON reports are byte-identical for identical configurations:
+wall-clock fields stay null unless --timings is given, which also prints
+per-phase timer lines to stderr.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .lp import (
     build_lambda_stc_lp,
     certify_canonical_feasibility,
     solve_exact,
-    solve_general_exact,
     solve_mwu,
 )
 from .oracle import exact_canonical_lp, exact_lambda_cc_sweep, exact_lambda_stc
@@ -182,13 +181,16 @@ class _Phases:
 
 
 def _resolve_output(path_str: str | None) -> Path | None:
-    """The path to write (relative to $LAMCC_OUT_DIR if set); a file in its way exits 1."""
+    """The path to write (relative to $LAMCC_OUT_DIR if set); a directory there or a
+    file in its way exits 1."""
     if path_str is None:
         return None
     path = Path(path_str)
     base = os.environ.get("LAMCC_OUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
+    if path.is_dir():
+        raise LamccError(f"cannot write {path}: {path} is a directory")
     folder = next((p for p in path.parents if os.path.exists(p)), None)  # nearest that exists
     if folder is not None and not os.path.isdir(folder):
         raise LamccError(f"cannot write {path}: {folder} is not a directory")
@@ -217,8 +219,8 @@ def _atomic_write(path: Path, text: str) -> None:
                 os.unlink(tmp)
 
 
-def _emit(args, text: str) -> None:
-    out = _resolve_output(getattr(args, "output", None))
+def _emit(out: Path | None, text: str) -> None:
+    """Print ``text``, or write it to ``out``, a path from ``_resolve_output``."""
     if out is None:
         try:
             print(text, end="" if text.endswith("\n") else "\n", flush=True)
@@ -264,10 +266,11 @@ def _per_lambda(args, doc, *, wedges=True, intermediate=None) -> int:
     lams = _parse_lambdas(args.lambdas)
     if intermediate is not None:
         _check_engine(args, intermediate)
+    out = _resolve_output(args.output)
     phases, g, widx = _read(args.input, args.timings, wedges)
     docs = [{"schema_version": SCHEMA_VERSION, "lambda": lam, **doc(phases, g, widx, lam)}
             for lam in lams]
-    _emit(args, _dump_json(docs[0] if len(docs) == 1 else docs))
+    _emit(out, _dump_json(docs[0] if len(docs) == 1 else docs))
     return EXIT_OK
 
 
@@ -285,11 +288,11 @@ def _solve_lp(args, g, widx, lam, phases, *, intermediate=False):
     """Build and solve the covering LP (or the intermediate LP) at one lambda."""
     if intermediate:
         lp = phases.run("build-lp", lambda: build_intermediate_lp(g, widx, lam))
-        return phases.run("solve", lambda: solve_general_exact(lp))
-    _, inst = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
+    else:
+        _, lp = phases.run("build-lp", lambda: build_lambda_stc_lp(g, widx, lam))
     if args.engine == "mwu":
-        return phases.run("solve", lambda: solve_mwu(inst, args.epsilon))
-    return phases.run("solve", lambda: solve_exact(inst))
+        return phases.run("solve", lambda: solve_mwu(lp, args.epsilon))
+    return phases.run("solve", lambda: solve_exact(lp))
 
 
 def _certify(phases, g, res):
@@ -302,14 +305,16 @@ def _certify(phases, g, res):
 
 
 def cmd_stats(args) -> int:
+    out = _resolve_output(args.output)
     phases, g, _ = _read(args.input, args.timings)
     stats = phases.run("wedges", lambda: graph_stats(g))
-    _emit(args, _dump_json({"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem,
+    _emit(out, _dump_json({"schema_version": SCHEMA_VERSION, "name": Path(args.input).stem,
                             **stats}))
     return EXIT_OK
 
 
 def cmd_constraints(args) -> int:
+    out = _resolve_output(args.output)
     lines = ["# lamcc-constraints v1"]
     lines.append("name,n,m,wedge_constraints,intermediate_constraints,canonical_constraints")
     failed = False
@@ -326,7 +331,7 @@ def cmd_constraints(args) -> int:
             f"{Path(inp).stem},{s['n']},{s['m']},{s['wedge_count']},"
             f"{inter},{s['canonical_constraint_count']}"
         )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(out, "\n".join(lines) + "\n")
     return EXIT_INPUT if failed else EXIT_OK
 
 
@@ -416,7 +421,8 @@ def cmd_cluster(args) -> int:
         _check_engine(args, intermediate=args.alg == "lp3-round")
     if args.assignment_out and len(lams) > 1:
         raise ParameterError("--assignment-out takes a single lambda")
-    assignment_out = args.assignment_out and _resolve_output(args.assignment_out)
+    out = _resolve_output(args.output)
+    assignment_out = _resolve_output(args.assignment_out)
     wedges = args.alg in ("cfp", "lp-round", "lp3-round")
     phases, g, widx = _read(args.input, args.timings, wedges)
 
@@ -440,7 +446,7 @@ def cmd_cluster(args) -> int:
                 best = rep
         aggregates.append(_aggregate(lam, reports, elapsed))
 
-    if assignment_out and best is not None:
+    if assignment_out is not None:
         _atomic_write(assignment_out, assignment_text(best.clustering))
 
     doc = {
@@ -452,7 +458,7 @@ def cmd_cluster(args) -> int:
         "records": records,
         "aggregates": aggregates,
     }
-    _emit(args, _dump_json(doc))
+    _emit(out, _dump_json(doc))
     return EXIT_OK
 
 

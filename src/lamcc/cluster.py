@@ -376,22 +376,15 @@ def _greedy_passes(indptr, indices, weights, sizes, lam, rng):
             if best_c != c0:
                 members_size[c0] -= sv
                 if best_c == -1:
-                    best_c = _fresh_label(members_size)
+                    # v's cluster keeps a member, so at most n - 1 of the n
+                    # ids are in use and some size is exactly 0.0
+                    best_c = members_size.index(0.0)
                 labels[v] = best_c
-                if best_c == len(members_size):
-                    members_size.append(0.0)
                 members_size[best_c] += sv
                 improved = True
         if not improved:
             break
     return np.array(_first_appearance(labels), dtype=np.int64)
-
-
-def _fresh_label(members_size) -> int:
-    for i, s in enumerate(members_size):
-        if s == 0.0:
-            return i
-    return len(members_size)
 
 
 def _aggregate(indptr, indices, weights, sizes, labels, k):

@@ -1,13 +1,20 @@
 """Relaxations of the clustering objective over wedge-restricted constraint sets.
 
-Two linear programs are built here, both sharing the clustering objective
-but constraining far fewer triples than the all-triples ("canonical")
-relaxation:
+Three linear programs are built here, all of one type, ``LinearProgram``:
+min costs.x + c0 subject to three-term signed rows >= b and 0 <= x <= u,
+the form ``lamcc.certificate`` checks. The first two constrain far fewer
+triples than the all-triples ("canonical") relaxation:
 
 * the covering LP: one constraint z_ij + z_jk + z_ik >= 1 per open wedge,
   in labeling orientation (z = 1 marks a pair weak/missing);
-* the intermediate LP: triangle inequalities in distance orientation at
-  every open wedge and, in all three rotations, at every triangle.
+* the intermediate LP: triangle inequalities x_a + x_b - x_c >= 0 in
+  distance orientation at every open wedge and, in all three rotations,
+  at every triangle;
+* the canonical LP: those inequalities at every triple of an all-pairs
+  variable space, the ground truth for small graphs.
+
+A program's orientation, "z" (covering) or "x" (distance), fixes its
+signs, right side and upper bound.
 
 Only *active* pairs carry variables: every edge, plus every non-adjacent
 wedge end pair. A non-adjacent pair with no common neighbor appears in no
@@ -19,12 +26,12 @@ Pairs are int64 keys u*n + v (u < v) throughout: a variable space is one
 key array and a solution is a sorted key array with an aligned value
 array, so orientation flips, lookups and certification are vectorized.
 
-Two solvers are provided: an exact one, scipy's HiGHS dual simplex loaded
-without ``scipy.optimize``, and a combinatorial multiplicative-weights
-solver that returns a (1+epsilon)-approximate solution certified against
-its own dual bound. Every bound they return has passed
-``lamcc.certificate``, which recomputes it from the program and the dual
-alone.
+Two solvers are provided: an exact one for every program, scipy's HiGHS
+dual simplex loaded without ``scipy.optimize``, and a combinatorial
+multiplicative-weights solver for covering programs that returns a
+(1+epsilon)-approximate solution certified against its own dual bound.
+Every bound they return has passed ``lamcc.certificate``, which
+recomputes it from the program and the dual alone.
 
 ``certify_canonical_feasibility`` checks whether a distance solution also
 satisfies every all-triples triangle inequality; when it does, the wedge
@@ -59,8 +66,7 @@ from .stc import _local_ratio, _reduce, check_lambda
 
 __all__ = [
     "PairVariableSpace",
-    "CoveringInstance",
-    "GeneralLp",
+    "LinearProgram",
     "FractionalSolution",
     "SolveResult",
     "build_lambda_stc_lp",
@@ -114,25 +120,48 @@ class PairVariableSpace:
         return order[pos]
 
 
-@dataclass(frozen=True)
-class CoveringInstance:
-    """min costs.z subject to (sum of z over each row's variables) >= 1, 0 <= z <= 1.
+_TRIANGLE_SIGN = np.array([1.0, 1.0, -1.0])
+_TRIANGLE_SIGN.setflags(write=False)
 
-    Rows hold up to three distinct variable indices, padded with -1.
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min costs.x + c0 subject to (sign . x[row]) >= b per row and 0 <= x <= u.
+
+    Rows hold three variable indices; a covering row may pad with -1. The
+    orientation fixes the rest of the form:
+
+    * "z", the covering program: sign 1, b = 1, u = inf, positive costs;
+    * "x", a distance program: sign ``_TRIANGLE_SIGN`` (row (a, b, c)
+      reads x[a] + x[b] - x[c] >= 0), b = 0, u = 1.
     """
 
     space: PairVariableSpace
     lam: float
+    orientation: str
     costs: np.ndarray
     rows: np.ndarray
+    c0: float = 0.0
 
     def __post_init__(self):
-        if np.any(self.costs <= 0):
+        if self.orientation == "z" and np.any(self.costs <= 0):
             raise ParameterError("covering costs must be positive")
         if self.rows.size and (
             self.rows.shape[1] != 3 or self.rows.max() >= self.costs.shape[0]
         ):
             raise ParameterError("malformed constraint rows")
+
+    @property
+    def sign(self) -> float | np.ndarray:
+        return 1.0 if self.orientation == "z" else _TRIANGLE_SIGN
+
+    @property
+    def b(self) -> float:
+        return 1.0 if self.orientation == "z" else 0.0
+
+    @property
+    def u(self) -> float:
+        return np.inf if self.orientation == "z" else 1.0
 
     @property
     def num_variables(self) -> int:
@@ -141,29 +170,6 @@ class CoveringInstance:
     @property
     def num_constraints(self) -> int:
         return int(self.rows.shape[0])
-
-
-@dataclass(frozen=True)
-class GeneralLp:
-    """min c.x + c0 subject to signed three-term rows >= 0 and 0 <= x <= 1.
-
-    Row (a, b, c) of ``col_idx`` reads x[a] + x[b] - x[c] >= 0: every row
-    has the signs ``_TRIANGLE_SIGN``.
-    """
-
-    space: PairVariableSpace
-    lam: float
-    c: np.ndarray
-    c0: float
-    col_idx: np.ndarray  # (M, 3) variable indices
-
-    @property
-    def num_variables(self) -> int:
-        return int(self.c.shape[0])
-
-    @property
-    def num_constraints(self) -> int:
-        return int(self.col_idx.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,31 +237,25 @@ class SolveResult:
 # Builders
 
 
-_TRIANGLE_SIGN = np.array([1.0, 1.0, -1.0])
-_TRIANGLE_SIGN.setflags(write=False)
-
-
 def build_lambda_stc_lp(
     g: Graph, widx: WedgeIndex, lam: float
-) -> tuple[PairVariableSpace, CoveringInstance]:
+) -> tuple[PairVariableSpace, LinearProgram]:
     """Covering LP in labeling orientation: one constraint per open wedge."""
     lam = check_lambda(lam)
     keys, m, rows = widx.covering_layout
     space = PairVariableSpace(g.n, keys, m)
     costs = np.where(space.is_edge_mask(), 1.0 - lam, lam)
-    return space, CoveringInstance(space, lam, costs, rows)
+    return space, LinearProgram(space, lam, "z", costs, rows)
 
 
-def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> GeneralLp:
+def build_intermediate_lp(g: Graph, widx: WedgeIndex, lam: float) -> LinearProgram:
     """Distance-orientation LP constrained at wedges and (all rotations of) triangles."""
     lam = check_lambda(lam)
     keys, m, _ = widx.covering_layout
-    space = PairVariableSpace(g.n, keys, m)
-    c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, widx.intermediate_rows)
+    return _distance_lp(PairVariableSpace(g.n, keys, m), lam, widx.intermediate_rows)
 
 
-def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
+def build_canonical_lp(g: Graph, lam: float) -> LinearProgram:
     """All-pairs, all-triples relaxation: 3 * C(n, 3) triangle inequalities.
 
     Exists as ground truth for the wedge-restricted programs; n is expected
@@ -273,42 +273,33 @@ def build_canonical_lp(g: Graph, lam: float) -> GeneralLp:
     )
     ijk = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
     # the three rotations of each triple in turn
-    col_idx = _triangle_rows(n, space.indices_of_keys, *ijk.T).reshape(-1, 3)
-    c, c0 = _distance_costs(space, lam)
-    return GeneralLp(space, lam, c, c0, col_idx)
+    rows = _triangle_rows(n, space.indices_of_keys, *ijk.T).reshape(-1, 3)
+    return _distance_lp(space, lam, rows)
 
 
-def _distance_costs(space: PairVariableSpace, lam: float) -> tuple[np.ndarray, float]:
+def _distance_lp(space: PairVariableSpace, lam: float, rows: np.ndarray) -> LinearProgram:
+    """The distance program over ``rows``: a non-edge costs lam (1 - x), so -lam
+    per variable plus lam per non-edge in the constant."""
     is_edge = space.is_edge_mask()
-    c = np.where(is_edge, 1.0 - lam, -lam)
-    c0 = lam * float((~is_edge).sum())
-    return c, c0
+    costs = np.where(is_edge, 1.0 - lam, -lam)
+    return LinearProgram(space, lam, "x", costs, rows, lam * float((~is_edge).sum()))
 
 
 # ---------------------------------------------------------------------------
 # Exact solvers
 
 
-def _solution(
-    space: PairVariableSpace,
-    orientation: str,
-    lam: float,
-    v: np.ndarray,
-    objective: float,
-    dual_objective: float,
-) -> FractionalSolution:
-    """The solution whose variable-order values are ``v``, in key order.
+def _solution(lp: LinearProgram, v: np.ndarray, dual: float) -> FractionalSolution:
+    """The solution of ``lp`` whose variable-order values are ``v``, in key
+    order, with its value costs.v + c0 and the checked bound ``dual``.
 
     Adding 0.0 turns a signed zero from a solver or a grid snap into 0.0.
     """
-    skeys, order = space._sorted_keys
+    skeys, order = lp.space._sorted_keys
     return FractionalSolution(
-        orientation, lam, space.n, skeys, v[order] + 0.0, objective, dual_objective
+        lp.orientation, lp.lam, lp.space.n, skeys, v[order] + 0.0,
+        float(lp.costs @ v) + lp.c0, dual,
     )
-
-
-def _covering_solution(inst: CoveringInstance, z: np.ndarray, lb: float) -> FractionalSolution:
-    return _solution(inst.space, "z", inst.lam, z, float(inst.costs @ z), lb)
 
 
 def _highs():
@@ -343,37 +334,34 @@ def _highs():
     return sys.modules[name]
 
 
-def _solve_highs(
-    space: PairVariableSpace,
-    orientation: str,
-    lam: float,
-    c: np.ndarray,
-    idx: np.ndarray,
-    sign,
-    b: float,
-    u: float,
-    c0: float = 0.0,
-) -> SolveResult:
-    """min c.x + c0 s.t. A x >= b, 0 <= x <= u, by HiGHS; verified before return.
+def solve_exact(lp: LinearProgram) -> SolveResult:
+    """Exact solve of any program by HiGHS, with a verified dual.
 
-    Row i of A holds ``sign[i]`` at the columns ``idx[i]`` (-1 pads); it
-    goes to HiGHS as row-wise CSR. HiGHS runs with its defaults (dual
-    simplex after presolve) and its log off. The returned primal is
-    clipped to [0, 1], where every variable of these programs lies, and
-    its value and the dual bound pass ``verify_certificate``.
+    The rows go to HiGHS as row-wise CSR (-1 pads dropped). HiGHS runs
+    with its defaults (dual simplex after presolve) and its log off. The
+    returned primal is clipped to [0, 1], where every variable of these
+    programs lies, and its value and the dual bound pass
+    ``verify_certificate``.
+
+    A covering program leaves its z <= 1 bounds out (u = inf): with
+    positive costs no optimum exceeds them (clamping a variable to 1 keeps
+    every >= 1 row satisfied and lowers cost), so the row duals are the
+    whole dual. A distance program keeps x <= 1, and the verified bound
+    counts those column duals through the reduced costs.
     """
     h = _highs()
-    M, N = idx.shape[0], c.shape[0]
-    sign = np.broadcast_to(sign, idx.shape)
+    idx, c, b, u = lp.rows, lp.costs, lp.b, lp.u
+    M, N = lp.num_constraints, lp.num_variables
+    sign = np.broadcast_to(lp.sign, idx.shape)
     ok = idx >= 0
-    lp = h.HighsLp()
-    lp.num_col_, lp.num_row_ = N, M
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(N)
-    lp.col_upper_ = np.full(N, u)
-    lp.row_lower_ = np.full(M, b)
-    lp.row_upper_ = np.full(M, np.inf)
-    a = lp.a_matrix_
+    model = h.HighsLp()
+    model.num_col_, model.num_row_ = N, M
+    model.col_cost_ = c
+    model.col_lower_ = np.zeros(N)
+    model.col_upper_ = np.full(N, u)
+    model.row_lower_ = np.full(M, b)
+    model.row_upper_ = np.full(M, np.inf)
+    a = model.a_matrix_
     a.format_ = h.MatrixFormat.kRowwise
     a.num_col_, a.num_row_ = N, M
     a.start_ = np.concatenate([[0], np.cumsum(ok.sum(axis=1))])
@@ -381,7 +369,7 @@ def _solve_highs(
     a.value_ = sign[ok]
     highs = h._Highs()
     highs.setOptionValue("output_flag", False)
-    highs.passModel(lp)
+    highs.passModel(model)
     highs.run()
     status = highs.getModelStatus()
     if status not in (h.HighsModelStatus.kOptimal, h.HighsModelStatus.kModelEmpty):
@@ -391,37 +379,14 @@ def _solve_highs(
     sol = highs.getSolution()
     x = np.clip(np.asarray(sol.col_value, dtype=float), 0.0, 1.0)
     y = np.asarray(sol.row_dual, dtype=float)
-    dual = verify_certificate(idx, sign, b, c, u, x, y, c0)
+    dual = verify_certificate(idx, sign, b, c, u, x, y, lp.c0)
     return SolveResult(
-        _solution(space, orientation, lam, x, float(c @ x) + c0, dual),
-        y,
-        "highs",
-        max(highs.getInfo().simplex_iteration_count, 0),
+        _solution(lp, x, dual), y, "highs", max(highs.getInfo().simplex_iteration_count, 0)
     )
 
 
-def solve_exact(inst: CoveringInstance) -> SolveResult:
-    """Exact covering solve by HiGHS, with a verified dual.
-
-    The z <= 1 bounds are left out of the program: with positive costs
-    no optimum exceeds them (clamping a variable to 1 keeps every >= 1
-    row satisfied and lowers cost), so the row duals are the whole dual.
-    """
-    return _solve_highs(inst.space, "z", inst.lam, inst.costs, inst.rows, 1.0, 1.0, np.inf)
-
-
-solve_exact_sparse = solve_exact  # former name, kept for callers
-
-
-def solve_general_exact(lp: GeneralLp) -> SolveResult:
-    """Exact solve of an intermediate/canonical LP (distance form) by HiGHS.
-
-    The x <= 1 bounds stay in the program; the verified dual bound counts
-    their column duals through the reduced costs.
-    """
-    return _solve_highs(
-        lp.space, "x", lp.lam, lp.c, lp.col_idx, _TRIANGLE_SIGN, 0.0, 1.0, lp.c0
-    )
+# former names, kept for callers
+solve_exact_sparse = solve_general_exact = solve_exact
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +402,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
+def solve_mwu(lp: LinearProgram, epsilon: float) -> SolveResult:
     """Combinatorial (1+epsilon)-approximate covering solve, certified or raised.
 
     The engine keeps a potential per constraint, repeatedly increments the
@@ -458,21 +423,24 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
     as ``lamcc.certificate.dual_bound`` checks and sums it. If the
     iteration budget ceil(24 ln(M+2) / epsilon^2) ends first,
     MwuConvergenceError is raised with the best feasible iterate and its
-    certified ratio (primal / dual bound).
+    certified ratio (primal / dual bound). A distance program raises
+    ParameterError.
     """
+    if lp.orientation != "z":
+        raise ParameterError("the mwu engine solves covering programs only")
     _check_epsilon(epsilon)
-    M, N = inst.num_constraints, inst.num_variables
-    if np.any(np.all(inst.rows < 0, axis=1)):
+    M, N = lp.num_constraints, lp.num_variables
+    if np.any(np.all(lp.rows < 0, axis=1)):
         raise InfeasibleSolutionError("a covering row has no variable and reads 0 >= 1")
     if M == 0:
-        return SolveResult(_covering_solution(inst, np.zeros(N), 0.0), np.zeros(0), "mwu", 0)
-    costs = inst.costs.astype(float)
+        return SolveResult(_solution(lp, np.zeros(N), 0.0), np.zeros(0), "mwu", 0)
+    costs = lp.costs.astype(float)
     budget = int(math.ceil(MWU_BUDGET_CONSTANT * math.log(M + 2) / epsilon**2))
 
     # the constraint matrix as a column -> rows index, and as COO in the
     # same order; each bincount over it adds a column's rows in ascending
     # order, as it would over the rows in row order
-    row_ids, col_ptr = _rows_by_column(inst.rows, N)
+    row_ids, col_ptr = _rows_by_column(lp.rows, N)
     col_ids = np.repeat(np.arange(N), np.diff(col_ptr))
 
     best_dual = 0.0
@@ -503,12 +471,12 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
             y = y * factor
             ly *= factor
         order = np.argsort(-y)
-        pos, vals, _ = _local_ratio(inst.rows, costs - ly, order)
+        pos, vals, _ = _local_ratio(lp.rows, costs - ly, order)
         y[order[pos]] += vals
         return y, float(y.sum())
 
     def _tighten(z: np.ndarray, quantum: float | None = None) -> tuple[np.ndarray, float]:
-        z = _reduce(inst.rows, row_ids, col_ptr, z, np.argsort(-costs * z), quantum)
+        z = _reduce(lp.rows, row_ids, col_ptr, z, np.argsort(-costs * z), quantum)
         return z, float(costs @ z)
 
     def _polished_primal() -> tuple[np.ndarray, float] | None:
@@ -520,7 +488,7 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
         onto a grid (feasibility-preserving) and reducing in grid steps
         can.
         """
-        smin = row_activity(inst.rows, 1.0, counts).min()
+        smin = row_activity(lp.rows, 1.0, counts).min()
         if smin <= 0:
             return None
         z0 = np.minimum(counts / smin, 1.0)
@@ -566,9 +534,9 @@ def solve_mwu(inst: CoveringInstance, epsilon: float) -> SolveResult:
             check = min(int(check * 1.3) + 1, 256)
 
     z = np.clip(best_z, 0.0, 1.0)
-    check_primal(inst.rows, 1.0, 1.0, 1.0, z)
-    bound = dual_bound(inst.rows, 1.0, 1.0, costs, np.inf, best_dual_vec)
-    solution = _covering_solution(inst, z, bound)
+    check_primal(lp.rows, lp.sign, lp.b, 1.0, z)
+    bound = dual_bound(lp.rows, lp.sign, lp.b, costs, lp.u, best_dual_vec)
+    solution = _solution(lp, z, bound)
     if not solution.objective <= (1.0 + epsilon) * bound:
         ratio = solution.objective / bound if bound > 0 else math.inf
         raise MwuConvergenceError(

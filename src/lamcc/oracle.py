@@ -24,7 +24,7 @@ import numpy as np
 from .cluster import Clustering
 from .errors import SizeCapError
 from .graph import Graph, WedgeIndex
-from .lp import build_canonical_lp, build_lambda_stc_lp, solve_general_exact
+from .lp import build_canonical_lp, build_lambda_stc_lp, solve_exact
 from .stc import StcLabeling, _labeling_of_mask, check_lambda
 
 __all__ = [
@@ -208,6 +208,5 @@ def exact_canonical_lp(g: Graph, lam: float) -> OracleResult:
     lam = check_lambda(lam)
     if g.n > MAX_CANONICAL_N:
         raise SizeCapError(f"canonical LP oracle capped at n={MAX_CANONICAL_N}, got {g.n}")
-    lp = build_canonical_lp(g, lam)
-    res = solve_general_exact(lp)
+    res = solve_exact(build_canonical_lp(g, lam))
     return OracleResult(res.solution.objective, res.solution, res.iterations)

@@ -571,6 +571,19 @@ def test_exit_code_bad_lambda(capsys, path_file):
     assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "x"]) == 3
 
 
+@pytest.mark.parametrize("lambdas", [",", " , "])
+def test_an_empty_lambda_list_exits_3(capsys, path_file, lambdas):
+    assert main(["label", path_file, "--lambda", lambdas]) == 3
+    assert capsys.readouterr() == ("", "error: no lambda values given\n")
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_exit_code_no_seeds(capsys, path_file, seeds):
+    argv = ["cluster", path_file, "--alg", "pivot", "--lambda", "0.75", "--seeds", seeds]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: --seeds must be >= 1\n")
+
+
 def test_exit_code_parameter_regime(capsys, tmp_path):
     # cfp and lp3-round run below 1/2 too, with bounds below the optimum
     f = tmp_path / "g.txt"
@@ -733,7 +746,7 @@ def test_public_names_are_exactly_these():
         "SizeCapError",
         "Graph", "WedgeIndex", "enumerate_wedges", "graph_stats", "load_graph",
         "parse_edge_list", "parse_matrix_market", "to_edge_list_text",
-        "CoveringInstance", "FractionalSolution", "PairVariableSpace", "SolveResult",
+        "FractionalSolution", "LinearProgram", "PairVariableSpace", "SolveResult",
         "build_canonical_lp", "build_intermediate_lp", "build_lambda_stc_lp",
         "certify_canonical_feasibility", "solve_exact", "solve_exact_sparse",
         "solve_general_exact", "solve_mwu",
@@ -757,7 +770,7 @@ def test_public_names_are_exactly_these():
             "to_edge_list_text",
         },
         "lamcc.lp": {
-            "CoveringInstance", "FractionalSolution", "GeneralLp", "PairVariableSpace",
+            "FractionalSolution", "LinearProgram", "PairVariableSpace",
             "SolveResult", "build_canonical_lp", "build_intermediate_lp",
             "build_lambda_stc_lp", "certify_canonical_feasibility", "solve_exact",
             "solve_exact_sparse", "solve_general_exact", "solve_mwu",
@@ -774,9 +787,13 @@ def test_public_names_are_exactly_these():
     }
     keywords = inspect.signature(graph.parse_edge_list).parameters
     assert {k for k, p in keywords.items() if p.kind is p.KEYWORD_ONLY} == {"delimiter"}
-    assert [f.name for f in dataclasses.fields(lp.GeneralLp)] == [
-        "space", "lam", "c", "c0", "col_idx"
+    assert [f.name for f in dataclasses.fields(lp.LinearProgram)] == [
+        "space", "lam", "orientation", "costs", "rows", "c0"
     ]
+    # one exact entry under three names; the two program types it replaced stay gone
+    assert lp.solve_general_exact is lp.solve_exact is lp.solve_exact_sparse
+    for gone in ("CoveringInstance", "GeneralLp", "_solve_highs", "_covering_solution"):
+        assert not hasattr(lp, gone)
     # the tuple and scalar views the arrays replaced stay gone
     for cls, gone in ((graph.WedgeIndex, "wedges"), (graph.WedgeIndex, "triangles"),
                       (lp.FractionalSolution, "value"), (cluster.Clustering, "clusters")):
@@ -849,6 +866,8 @@ def test_an_output_path_that_cannot_be_written_exits_1(tmp_path, capsys, path_fi
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if target == "a-directory":
+        assert err == f"error: cannot write {path}: {path} is a directory\n"
     assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
     assert (tmp_path / "some_file").read_text() == "kept\n"
 
@@ -868,6 +887,37 @@ def test_a_file_in_the_way_of_an_output_path_is_named(tmp_path, capsys, path_fil
     in_the_way = tmp_path / "some_file"
     assert captured.err == f"error: cannot write {path}: {in_the_way} is not a directory\n"
     assert (captured.out, in_the_way.read_text()) == ("", "kept\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"],
+    ["constraints"],
+    ["label", "--lambda", "0.6"],
+    ["cluster", "--alg", "cfp", "--lambda", "0.6", "--timings"],
+    ["cluster", "--alg", "pivot", "--lambda", "0.6", "--assignment-out", "a.txt"],
+    ["lp-solve", "--lambda", "0.6"],
+    ["certify", "--lambda", "0.6"],
+    ["exact", "--problem", "cc", "--lambda", "0.6"],
+], ids=["stats", "constraints", "label", "cluster-timings", "cluster-assignment-out",
+        "lp-solve", "certify", "exact"])
+@pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+def test_an_unwritable_output_fails_before_the_read(tmp_path, capsys, monkeypatch, path_file,
+                                                    argv, target):
+    (tmp_path / "some_file").write_text("kept\n")
+    (tmp_path / "some_dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / ("some_file/x.json" if target == "under-a-file" else "some_dir")
+    reason = (f"{tmp_path / 'some_file'} is not a directory" if target == "under-a-file"
+              else f"{path} is a directory")
+    argv = [argv[0], path_file, *argv[1:], "-o", str(path)]
+    before = sorted(tmp_path.rglob("*"))
+    if "--lambda" in argv:  # the lambda list is still checked first
+        assert main([a if a != "0.6" else "1.5" for a in argv]) == 3
+        assert "lambda" in capsys.readouterr().err
+    monkeypatch.setattr(lamcc.cli, "_read", lambda *a: pytest.fail("the input was read"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_assignment_out_under_a_file_fails_before_the_read(tmp_path, capsys, path_file,

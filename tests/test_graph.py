@@ -326,7 +326,7 @@ def test_intermediate_rows_are_built_once_and_match_a_loop_reference(g):
     assert "intermediate_rows" not in vars(widx)  # built on first use only
     rows = widx.intermediate_rows
     assert widx.intermediate_rows is rows
-    assert build_intermediate_lp(g, widx, 0.55).col_idx is rows
+    assert build_intermediate_lp(g, widx, 0.55).rows is rows
     with pytest.raises(ValueError):
         rows[0, 0] = 0
     # the wedge rows, then x_uv + x_vw >= x_uw of every triangle i < j < k

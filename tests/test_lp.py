@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from lamcc.errors import InfeasibleSolutionError, MwuConvergenceError, Parameter
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     _TRIANGLE_SIGN,
-    CoveringInstance,
+    FractionalSolution,
+    LinearProgram,
     PairVariableSpace,
     build_intermediate_lp,
     build_lambda_stc_lp,
@@ -65,6 +67,47 @@ def test_intermediate_lp_counts(path3, k3, cycle4, wedges_of):
     # every row is x_a + x_b - x_c >= 0: one broadcast, read-only sign
     assert _TRIANGLE_SIGN.tolist() == [1.0, 1.0, -1.0]
     assert not _TRIANGLE_SIGN.flags.writeable
+
+
+def test_the_orientation_fixes_the_form(path3, wedges_of):
+    _, cover = build_lambda_stc_lp(path3, wedges_of(path3), 0.6)
+    dist = build_intermediate_lp(path3, wedges_of(path3), 0.6)
+    assert (cover.orientation, cover.sign, cover.b, cover.u, cover.c0) == (
+        "z", 1.0, 1.0, math.inf, 0.0
+    )
+    assert (dist.orientation, dist.b, dist.u) == ("x", 0.0, 1.0)
+    assert dist.sign is _TRIANGLE_SIGN
+    # the non-edge (0, 2) costs lambda (1 - x): -0.6 on x and 0.6 in c0
+    assert dist.costs.tolist() == [0.4, 0.4, -0.6] and dist.c0 == 0.6
+
+
+def test_a_covering_program_refuses_a_cost_that_is_not_positive():
+    with pytest.raises(ParameterError, match="^covering costs must be positive$"):
+        replace(_toy_instance(), costs=np.array([0.4, 0.0, 0.6]))
+    # a distance program's non-edges cost -lambda
+    assert replace(_toy_instance(), orientation="x", costs=np.array([0.4, 0.4, -0.6])).u == 1.0
+
+
+@pytest.mark.parametrize("orientation", ["z", "x"])
+@pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1, 3]]], ids=["width-2", "index-N"])
+def test_every_program_refuses_malformed_rows(orientation, rows):
+    with pytest.raises(ParameterError, match="^malformed constraint rows$"):
+        replace(_toy_instance(), orientation=orientation, rows=np.array(rows))
+
+
+def test_a_solution_refuses_keys_that_do_not_increase():
+    vals = np.array([0.5, 0.5])
+    for keys in ([2, 1], [1, 1], [1, 2, 5]):
+        with pytest.raises(ParameterError, match="^solution keys must be strictly increasing"):
+            FractionalSolution("x", 0.5, 3, np.array(keys, dtype=np.int64), vals, 0.0)
+
+
+@pytest.mark.parametrize("query", [3, 9], ids=["between-keys", "past-the-last"])
+def test_indices_of_keys_refuses_an_inactive_pair(query):
+    space = _toy_instance().space  # keys 1, 5, 2
+    assert space.indices_of_keys(np.array([2, 5, 1])).tolist() == [2, 1, 0]
+    with pytest.raises(KeyError, match="query contains an inactive pair"):
+        space.indices_of_keys(np.array([1, query]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +228,14 @@ def test_solve_general_exact_degenerate_intermediate_value():
 
 
 def test_verify_certificate_rejects_perturbed_primal_or_dual(star4, path3, wedges_of):
-    # covering LP of the star: x = 1/2 on the edges, y = 1/4 per wedge
-    _, inst = build_lambda_stc_lp(star4, wedges_of(star4), 0.5)
-    res = solve_exact(inst)
-    cover = (inst.rows, 1.0, 1.0, inst.costs, np.inf)
-    z = res.solution.at(inst.space.keys)
-    # distance-form intermediate LP of the path, whose x <= 1 bounds bind
-    lp = build_intermediate_lp(path3, wedges_of(path3), 0.6)
-    gres = solve_general_exact(lp)
-    dist = (lp.col_idx, _TRIANGLE_SIGN, 0.0, lp.c, 1.0)
-    x = gres.solution.at(lp.space.keys)
-    for args, primal, dual, c0 in ((cover, z, res.dual, 0.0), (dist, x, gres.dual, lp.c0)):
+    # the covering LP of the star (z = 1/2 on the edges, y = 1/4 per wedge)
+    # and the distance-form intermediate LP of the path, whose x <= 1 bounds
+    # bind; each program gives its own form
+    for lp in (build_lambda_stc_lp(star4, wedges_of(star4), 0.5)[1],
+               build_intermediate_lp(path3, wedges_of(path3), 0.6)):
+        res = solve_exact(lp)
+        primal, dual = res.solution.at(lp.space.keys), res.dual
+        *args, c0 = (lp.rows, lp.sign, lp.b, lp.costs, lp.u, lp.c0)
         bound = verify_certificate(*args, primal, dual, c0)
         assert bound == pytest.approx(float(args[3] @ primal) + c0, abs=1e-12)
         for j in range(primal.shape[0]):
@@ -216,8 +256,7 @@ def test_verify_certificate_rejects_perturbed_primal_or_dual(star4, path3, wedge
 def test_exact_solve_of_an_infeasible_program_raises():
     # a row padded to no variable at all reads 0 >= 1
     inst = _toy_instance()
-    rows = np.array([[0, 1, 2], [-1, -1, -1]])
-    bad = CoveringInstance(inst.space, inst.lam, inst.costs, rows)
+    bad = replace(inst, rows=np.array([[0, 1, 2], [-1, -1, -1]]))
     with pytest.raises(InfeasibleSolutionError, match="HiGHS solve failed: Infeasible"):
         solve_exact(bad)
     with pytest.raises(InfeasibleSolutionError, match="row has no variable"):
@@ -241,6 +280,26 @@ def test_dual_bound_rejects_an_overloaded_cover_dual(star4, wedges_of):
         dual_bound(inst.rows, 1.0, 1.0, inst.costs, np.inf, y + 1e-11, tol=1e-12)
 
 
+def test_dual_bound_refuses_a_dual_of_the_wrong_shape():
+    inst = _toy_instance()
+    with pytest.raises(InfeasibleSolutionError, match=r"^dual of shape \(2,\) for 1 rows$"):
+        dual_bound(inst.rows, inst.sign, inst.b, inst.costs, inst.u, np.zeros(2))
+
+
+def test_dual_bound_refuses_a_negative_row_dual():
+    inst = _toy_instance()
+    assert dual_bound(inst.rows, inst.sign, inst.b, inst.costs, inst.u, [-1e-8]) == -1e-8
+    with pytest.raises(InfeasibleSolutionError, match="^negative row dual -1.000e-06$"):
+        dual_bound(inst.rows, inst.sign, inst.b, inst.costs, inst.u, [-1e-6])
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12], ids=["below-0", "above-u"])
+def test_check_primal_refuses_a_value_outside_its_bounds(bad):
+    check_primal(np.array([[0, 1, 2]]), 1.0, 1.0, 1.0, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(InfeasibleSolutionError, match="^primal value outside its bounds$"):
+        check_primal(np.array([[0, 1, 2]]), 1.0, 1.0, 1.0, np.array([1.0, 0.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # MWU solver
 
@@ -249,7 +308,7 @@ def _toy_instance():
     space = PairVariableSpace(3, np.array([1, 5, 2], dtype=np.int64), 2)
     costs = np.array([0.4, 0.4, 0.6])
     rows = np.array([[0, 1, 2]])
-    return CoveringInstance(space, 0.6, costs, rows)
+    return LinearProgram(space, 0.6, "z", costs, rows)
 
 
 def test_mwu_single_constraint():
@@ -268,6 +327,11 @@ def test_mwu_star(star4, wedges_of):
     assert 0.75 - 1e-9 <= res.solution.objective <= 0.75 * 1.01 + 1e-9
     # the reported bound is the checked fsum of the dual
     assert res.dual_objective == math.fsum(res.dual) <= res.solution.objective
+
+
+def test_mwu_refuses_a_distance_program(path3, wedges_of):
+    with pytest.raises(ParameterError, match="^the mwu engine solves covering programs only$"):
+        solve_mwu(build_intermediate_lp(path3, wedges_of(path3), 0.6), 0.1)
 
 
 def test_mwu_epsilon_validation():
