@@ -233,12 +233,23 @@ def _emit(out: Path | None, text: str) -> None:
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def _values_doc(sol) -> list[tuple]:
-    """A solution's (u, v, value) triples, walking its sorted pair keys."""
-    return [(u, v, x) for (u, v), x in zip(_key_pairs(sol.n, sol.keys), sol.vals.tolist())]
+    """``json.dumps(doc, sort_keys=True, indent=2)``, a FractionalSolution standing
+    for its (u, v, value) triples. json indents in pure Python, so a solution is
+    dumped as a placeholder, then replaced by its triples as json prints them at
+    that depth, one %-template each with ``float.__repr__`` values."""
+    sols = []
+    pieces = json.dumps(doc, sort_keys=True, indent=2,
+                        default=lambda sol: sols.append(sol) or "\0").split('"\\u0000"')
+    out = pieces[:1]
+    for sol, after in zip(sols, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        pad = " " * (len(line) - len(line.lstrip(" ")))
+        row = f"{pad}  [\n{pad}    %d,\n{pad}    %d,\n{pad}    %s\n{pad}  ]"
+        u, v = np.divmod(sol.keys, sol.n)
+        vals = map(float.__repr__, sol.vals.tolist())
+        body = ",\n".join(map(row.__mod__, zip(u.tolist(), v.tolist(), vals)))
+        out += [f"[\n{body}\n{pad}]" if body else "[]", after]
+    return "".join(out)
 
 
 def _parse_lambdas(spec: str) -> list[float]:
@@ -469,7 +480,7 @@ def cmd_lp_solve(args) -> int:
         return {
             "orientation": sol.orientation,
             "objective": sol.objective,
-            "values": _values_doc(sol),
+            "values": sol,
             "certified_canonical": _certify(phases, g, res).certified if args.certify else None,
             "engine": res.engine,
             "dual_bound": res.dual_objective,
@@ -515,7 +526,7 @@ def cmd_exact(args) -> int:
             }
         else:
             r = phases.run("solve", lambda: exact_canonical_lp(g, lam))
-            witness = {"values": _values_doc(r.witness)}
+            witness = {"values": r.witness}
         return {
             "problem": args.problem,
             "optimum": r.optimum,

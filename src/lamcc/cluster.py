@@ -32,7 +32,7 @@ import numpy as np
 from .certificate import check_primal
 from .errors import ParameterError
 from .graph import Graph, WedgeIndex
-from .lp import _TRIANGLE_SIGN, FractionalSolution
+from .lp import _FORMS, FractionalSolution
 from .stc import DualCertificate, StcLabeling, check_lambda, cover_label
 
 __all__ = [
@@ -282,7 +282,7 @@ def _rounded_graph(g, widx, lam, sol, *, intermediate=False) -> Graph:
     """
     x = sol.to_x(g)
     rows = widx.intermediate_rows if intermediate else widx.covering_layout[2]
-    check_primal(rows, _TRIANGLE_SIGN, 0.0, 1.0, x.at(widx.covering_layout[0]))
+    check_primal(rows, *_FORMS["x"], x.at(widx.covering_layout[0]))
     is_edge = g.edge_mask(x.keys)
     if intermediate:
         flip = is_edge != (x.vals < 1.0 / 3.0)

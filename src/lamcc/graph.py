@@ -479,25 +479,26 @@ def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 def _neighbor_pair_chunks(g: Graph, chunk_pairs: int = 2_000_000):
     """Yield (center, lo, hi) id arrays covering every sorted neighbor pair.
 
-    Centers are grouped by degree so a single triu template serves a whole
-    batch; work per chunk is capped at roughly ``chunk_pairs`` pairs.
+    A chunk is a run of consecutive centers holding about ``chunk_pairs``
+    pairs (at least that many, unless it ends the graph); a center is never
+    split. Each center's pairs are a ragged triu over its sorted CSR slots:
+    slot s pairs with every later slot of its center, s ascending. So the
+    pairs come out in canonical order, by center, then lo, then hi.
     """
-    deg = g.degree
-    for d in _sorted_unique(deg):
-        d = int(d)
-        if d < 2:
-            continue
-        verts = np.flatnonzero(deg == d)
-        ii, jj = np.triu_indices(d, 1)
-        per = ii.shape[0]
-        step = max(1, chunk_pairs // per)
-        for s in range(0, verts.shape[0], step):
-            vs = verts[s:s + step]
-            base = g.indptr[vs]
-            lo = g.indices[base[:, None] + ii[None, :]].ravel()
-            hi = g.indices[base[:, None] + jj[None, :]].ravel()
-            centers = np.repeat(vs, per)
-            yield centers, lo, hi
+    indptr, deg = g.indptr, g.degree
+    ends = np.cumsum(deg * (deg - 1) // 2)  # pairs up to and including each center
+    v0, done = 0, 0
+    while done < (int(ends[-1]) if g.n else 0):
+        v1 = min(int(np.searchsorted(ends, done + chunk_pairs)) + 1, g.n)
+        rows = np.repeat(np.arange(v0, v1), deg[v0:v1])  # center of each slot
+        slots = np.arange(indptr[v0], indptr[v1])
+        later = indptr[rows + 1] - slots - 1  # slots after s in its center
+        # the k-th pair of slot s pairs it with slot s + 1 + k
+        hi = np.repeat(slots + 1 - (np.cumsum(later) - later), later)
+        hi += np.arange(hi.shape[0])
+        hi = g.indices[hi]
+        yield np.repeat(rows, later), g.indices[np.repeat(slots, later)], hi
+        v0, done = v1, int(ends[v1 - 1])
 
 
 def _classified_pairs(g: Graph):
@@ -517,27 +518,19 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     Runs in O(sum of squared degrees): every sorted neighbor pair of every
     center is classified open/closed by ``_classified_pairs``.
 
-    The canonical order (center, then lo, then hi) comes from one stable
-    sort on the center: all neighbor pairs of a center come from a single
-    chunk, centers ascend inside a chunk, and a center's pairs come out of
-    ``triu_indices`` over its sorted neighbor list, so they are already in
-    (lo, hi) order. Triangles (center < lo < hi) follow by the same argument.
+    The canonical order (center, then lo, then hi) needs no sort: the
+    chunks of ``_neighbor_pair_chunks`` are runs of consecutive centers,
+    each center whole and with its pairs in (lo, hi) order, so masking each
+    chunk and concatenating the parts in chunk order keeps that order.
+    Triangles (center < lo < hi) follow by the same argument.
     """
-    w_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    t_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for centers, lo, hi, open_mask, tri_mask in _classified_pairs(g):
-        w_parts.append((centers[open_mask], lo[open_mask], hi[open_mask]))
-        t_parts.append((centers[tri_mask], lo[tri_mask], hi[tri_mask]))
-
-    def _gather(parts):
-        empty = [np.zeros(0, dtype=np.int64)] * 3
-        c, a, b = [np.concatenate(col) for col in zip(*parts)] or empty
-        order = np.argsort(c, kind="stable")
-        return c[order], a[order], b[order]
-
-    wc, wa, wb = _gather(w_parts)
-    tc, ta, tb = _gather(t_parts)
-    return WedgeIndex(g.n, wc, wa, wb, tc, ta, tb, g.edge_keys())
+    parts = ([], [])  # open wedges, triangles
+    for centers, lo, hi, *masks in _classified_pairs(g):
+        for got, mask in zip(parts, masks):
+            got.append((centers[mask], lo[mask], hi[mask]))
+    empty = [np.zeros(0, dtype=np.int64)] * 3
+    w, t = ([np.concatenate(col) for col in zip(*p)] or empty for p in parts)
+    return WedgeIndex(g.n, *w, *t, g.edge_keys())
 
 
 def count_wedges_and_triangles(g: Graph) -> tuple[int, int]:

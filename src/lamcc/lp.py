@@ -122,6 +122,7 @@ class PairVariableSpace:
 
 _TRIANGLE_SIGN = np.array([1.0, 1.0, -1.0])
 _TRIANGLE_SIGN.setflags(write=False)
+_FORMS = {"z": (1.0, 1.0, np.inf), "x": (_TRIANGLE_SIGN, 0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class LinearProgram:
     """min costs.x + c0 subject to (sign . x[row]) >= b per row and 0 <= x <= u.
 
     Rows hold three variable indices; a covering row may pad with -1. The
-    orientation fixes the rest of the form:
+    orientation fixes the rest of the form, (sign, b, u) in ``_FORMS``:
 
     * "z", the covering program: sign 1, b = 1, u = inf, positive costs;
     * "x", a distance program: sign ``_TRIANGLE_SIGN`` (row (a, b, c)
@@ -153,15 +154,15 @@ class LinearProgram:
 
     @property
     def sign(self) -> float | np.ndarray:
-        return 1.0 if self.orientation == "z" else _TRIANGLE_SIGN
+        return _FORMS[self.orientation][0]
 
     @property
     def b(self) -> float:
-        return 1.0 if self.orientation == "z" else 0.0
+        return _FORMS[self.orientation][1]
 
     @property
     def u(self) -> float:
-        return np.inf if self.orientation == "z" else 1.0
+        return _FORMS[self.orientation][2]
 
     @property
     def num_variables(self) -> int:

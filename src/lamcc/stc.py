@@ -132,15 +132,25 @@ def _keys_of(n: int, pairs, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Per-wedge dual values y_w >= 0 (canonical wedge order) and their sum.
+    """Wedge duals y_w > 0 at ascending canonical wedge ``positions``, and their sum.
 
-    Feasibility: for every node pair p, the y-values of wedges containing
-    p sum to at most the pair's labeling cost. The total is therefore a
-    lower bound on any feasible labeling's cost.
+    y is 0 at the other of the ``wedge_count`` wedges; ``wedge_values``, the
+    dense y, is built on each access and not kept. Feasibility: for every
+    node pair p, the y-values of wedges containing p sum to at most the
+    pair's labeling cost. The total is therefore a lower bound on any
+    feasible labeling's cost.
     """
 
-    wedge_values: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+    wedge_count: int
     lower_bound: float
+
+    @property
+    def wedge_values(self) -> np.ndarray:
+        y = np.zeros(self.wedge_count)
+        y[self.positions] = self.values
+        return y
 
 
 class StcRegime(enum.Enum):
@@ -234,8 +244,6 @@ def cover_label(
     cost = np.full(keys.shape[0], lam)
     cost[:m] = 1.0 - lam
     pos, vals, residual = _local_ratio(rows, cost, runs=runs)
-    y = np.zeros(rows.shape[0])
-    y[pos] = vals
 
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
     labeled = residual <= RESIDUAL_ZERO_TOL
@@ -248,9 +256,10 @@ def cover_label(
     lab = _labeling_of_mask(g.n, keys, m, labeled)
 
     # costs are at most 1, so the 1e-12 overload allowance is relative;
-    # the bound is the fsum of y, as the covering rows have right side 1
-    lower_bound = dual_bound(rows, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
-    return lab, DualCertificate(y, lower_bound)
+    # the bound is the fsum of y, as the covering rows have right side 1;
+    # dual_bound reads only the rows with y != 0, at pos
+    lower_bound = dual_bound(rows[pos], 1.0, 1.0, cost, np.inf, vals, tol=1e-12)
+    return lab, DualCertificate(pos, vals, rows.shape[0], lower_bound)
 
 
 def _labeling_of_mask(n: int, keys: np.ndarray, edge_count: int, mask) -> StcLabeling:

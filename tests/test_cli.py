@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import lamcc.cli
@@ -25,6 +26,7 @@ from lamcc.cluster import (
 )
 from lamcc.graph import enumerate_wedges, load_graph, to_edge_list_text
 from lamcc.lp import (
+    FractionalSolution,
     build_intermediate_lp,
     build_lambda_stc_lp,
     solve_exact,
@@ -293,6 +295,33 @@ def test_lp_solve_and_dump(capsys, tmp_path, path_file):
     assert doc["engine"] == "highs"
     assert main([*argv, "-o", str(out)]) == 0
     assert out.read_text() == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _solution(n, pairs, vals):
+    keys = np.array([u * n + v for u, v in pairs], dtype=np.int64)
+    return FractionalSolution("x", 0.5, n, keys, np.array(vals, dtype=float), 0.0)
+
+
+def _triples(doc):
+    """The document json itself would print: each solution as its (u, v, x) triples."""
+    if isinstance(doc, FractionalSolution):
+        return [(int(k) // doc.n, int(k) % doc.n, x) for k, x in zip(doc.keys, doc.vals.tolist())]
+    if isinstance(doc, dict):
+        return {k: _triples(v) for k, v in doc.items()}
+    return [_triples(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def test_dump_json_splices_the_values_as_json_prints_them():
+    odd = _solution(1000, [(0, 1), (2, 999), (5, 7), (998, 999)], [1e-05, 0.1 + 0.2, 1.0, 0.0])
+    plain = _solution(3, [(0, 2)], [1 / 3])
+    empty = _solution(4, [], [])
+    one = {"schema_version": 1, "lambda": 0.05, "values": odd, "z": None, "engine": "highs"}
+    several = [one, {**one, "values": plain, "lambda": 1e-05}, {**one, "values": empty}]
+    nested = {"witness": {"values": plain}, "optimum": 0.1 + 0.2, "a": [empty, odd]}
+    for doc in (one, several, nested, odd, [odd]):
+        want = json.dumps(_triples(doc), sort_keys=True, indent=2)
+        assert lamcc.cli._dump_json(doc) == want
+    assert "1e-05" in want and "0.30000000000000004" in want
 
 
 def test_lp_solve_mwu_engine(capsys, path_file):

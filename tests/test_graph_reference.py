@@ -1,22 +1,26 @@
-"""The bulk edge-list parser and the one-sort wedge enumeration against
-line-by-line and three-key-lexsort references kept here."""
+"""The bulk edge-list parser and the chunked wedge enumeration against
+line-by-line and double-loop references kept here."""
 
 import functools
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lamcc import graph
+from lamcc import graph, lp
 from lamcc.errors import EdgeListParseError
 from lamcc.graph import (
     Graph,
     _neighbor_pair_chunks,
+    count_wedges_and_triangles,
     enumerate_wedges,
     parse_edge_list,
     parse_matrix_market,
     to_edge_list_text,
 )
+from lamcc.lp import FractionalSolution, certify_canonical_feasibility
+from lamcc.stc import cover_label
 from lamcc.testing import erdos_renyi
 
 WEDGE_FIELDS = ("wedge_center", "wedge_lo", "wedge_hi", "tri_i", "tri_j", "tri_k")
@@ -27,26 +31,22 @@ WEDGE_FIELDS = ("wedge_center", "wedge_lo", "wedge_hi", "tri_i", "tri_j", "tri_k
 
 
 def _reference_enumerate_wedges(g):
-    """Every chunk's open and closed pairs, put in order by a three-key lexsort."""
-    w_parts, t_parts = [], []
-    for centers, lo, hi in _neighbor_pair_chunks(g):
-        closed = g.edge_mask(lo * g.n + hi)
-        open_mask = ~closed
-        w_parts.append((centers[open_mask], lo[open_mask], hi[open_mask]))
-        tri_mask = closed & (centers < lo)
-        t_parts.append((centers[tri_mask], lo[tri_mask], hi[tri_mask]))
-
-    def _gather(parts):
-        if parts:
-            c = np.concatenate([p[0] for p in parts])
-            a = np.concatenate([p[1] for p in parts])
-            b = np.concatenate([p[2] for p in parts])
-        else:
-            c = a = b = np.zeros(0, dtype=np.int64)
-        order = np.lexsort((b, a, c))
-        return c[order], a[order], b[order]
-
-    return (*_gather(w_parts), *_gather(t_parts))
+    """A double loop over each center's sorted neighbor list, the definition of
+    the canonical order: center, then lo, then hi."""
+    edges = set(g.edges())
+    wedges, triangles = [], []
+    for j in range(g.n):
+        nbrs = g.neighbors(j).tolist()
+        for a, i in enumerate(nbrs):
+            for k in nbrs[a + 1:]:
+                if (i, k) not in edges:
+                    wedges.append((j, i, k))
+                elif j < i:
+                    triangles.append((j, i, k))
+    return tuple(
+        np.array([t[c] for t in found], dtype=np.int64)
+        for found in (wedges, triangles) for c in range(3)
+    )
 
 
 def _assert_enumeration_matches_reference(g):
@@ -95,18 +95,67 @@ def test_enumeration_equals_lexsort_reference_on_overlapping_cliques(seed):
     _assert_enumeration_matches_reference(g)
 
 
+def _distances(g, seed):
+    """A distance solution on g's pairs with some sub-unit values, so the
+    canonical certification scans two-paths and finds violations."""
+    keys = np.array([u * g.n + v for u in range(g.n) for v in range(u + 1, g.n)], dtype=np.int64)
+    vals = np.random.default_rng(seed).choice([0.0, 0.3, 0.6, 1.0], keys.shape[0])
+    return FractionalSolution("x", 0.5, g.n, keys, vals, 0.0)
+
+
 @pytest.mark.parametrize("chunk_pairs", [1, 3, 10])
-def test_enumeration_equals_reference_with_degree_classes_split_over_chunks(
-    monkeypatch, chunk_pairs
-):
+def test_enumeration_equals_reference_with_whole_centers_per_chunk(monkeypatch, chunk_pairs):
     g = _overlapping_cliques(7)
+    sol = _distances(g, 7)
+    default = (enumerate_wedges(g), count_wedges_and_triangles(g),
+               certify_canonical_feasibility(g, sol))
+    assert not default[2].certified
     small = functools.partial(_neighbor_pair_chunks, chunk_pairs=chunk_pairs)
-    chunks = list(small(g))
-    # more chunks than degree classes: some class is split over several
-    assert len(chunks) > np.unique(g.degree[g.degree >= 2]).shape[0]
-    # the reference keeps the default chunks: it imported the chunker itself
+    chunks = [c for c, _, _ in small(g)]
+    assert len(chunks) > 1
+    # every center's pairs, centers ascending, each center whole in one chunk
+    assert np.array_equal(np.concatenate(chunks),
+                          np.repeat(np.arange(g.n), g.degree * (g.degree - 1) // 2))
+    assert all(a[-1] < b[0] for a, b in zip(chunks, chunks[1:]))
+    # about chunk_pairs pairs each: a chunk reaches it only with its last center
+    assert all((c != c[-1]).sum() < chunk_pairs <= c.shape[0] for c in chunks[:-1])
     monkeypatch.setattr(graph, "_neighbor_pair_chunks", small)
+    monkeypatch.setattr(lp, "_neighbor_pair_chunks", small)
     _assert_enumeration_matches_reference(g)
+    got = enumerate_wedges(g)
+    for name in WEDGE_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(default[0], name)), name
+    assert count_wedges_and_triangles(g) == default[1]
+    assert certify_canonical_feasibility(g, sol) == default[2]
+
+
+# ---------------------------------------------------------------------------
+# Memory of the wedge arrays and of the cover dual
+
+
+def test_enumeration_peak_stays_near_its_output(monkeypatch):
+    """No full-size copy beside the masked parts and their concatenation."""
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    monkeypatch.setattr(graph, "_neighbor_pair_chunks",
+                        functools.partial(_neighbor_pair_chunks, chunk_pairs=4096))
+    tracemalloc.start()
+    try:
+        widx = enumerate_wedges(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(getattr(widx, name).nbytes for name in WEDGE_FIELDS)
+    assert widx.wedge_count > 50_000
+    assert peak <= 2.5 * out
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_a_cover_certificate_keeps_16_bytes_per_positive_dual(lam):
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    _, cert = cover_label(g, enumerate_wedges(g), lam)
+    positive = int(np.count_nonzero(cert.wedge_values > 0))
+    held = sum(v.nbytes for v in vars(cert).values() if isinstance(v, np.ndarray))
+    assert 0 < positive and held <= 16 * positive
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,9 @@ def _cover_label_shuffled(g, widx, lam, shuffle_seed, minimal=False):
         labeled = stc._reduce(rows, *widx.rows_by_column, labeled.astype(float),
                               cand[np.argsort(keys[cand])]) > 0.0
     lower_bound = dual_bound(rows, 1.0, 1.0, cost, np.inf, y, tol=1e-12)
-    return stc._labeling_of_mask(g.n, keys, m, labeled), stc.DualCertificate(y, lower_bound)
+    positions = np.flatnonzero(y)
+    cert = stc.DualCertificate(positions, y[positions], rows.shape[0], lower_bound)
+    return stc._labeling_of_mask(g.n, keys, m, labeled), cert
 
 
 def _reference_drop_redundant(widx, weak, missing, n):
