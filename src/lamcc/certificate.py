@@ -56,7 +56,8 @@ def dual_bound(idx, sign, b, c, u, y, c0: float = 0.0, *, tol: float = DUAL_TOL)
     weights = np.broadcast_to(sign, idx.shape)[live] * yl[:, None]
     # pads (-1) count in bin 0; each column adds its rows in row order
     load = np.bincount(idx[live].ravel() + 1, weights=weights.ravel(), minlength=c.shape[0] + 1)
-    r = c - load[1:]
+    r = load.astype(float, copy=False)[1:]  # int64 when no row has y != 0
+    np.subtract(c, r, out=r)
     over, boxed = (r, r[:0]) if math.isinf(u) else (r[:0], np.minimum(r, 0.0) * u)
     if (over < -tol).any():
         raise InfeasibleSolutionError(f"dual overloads a column by {float(-over.min()):.3e}")

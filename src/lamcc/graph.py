@@ -16,6 +16,7 @@ is counted exactly once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -216,7 +217,9 @@ def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
     """The body of parse_edge_list over the file's lines, raw[i] being line i+1.
 
     Lines starting with one of ``prefixes`` are comments; with ``one_based``
-    (MatrixMarket) every id must be at least 1.
+    (MatrixMarket) every id must be at least 1. The lines are tokenized as
+    one text; only if a regex finds a line of under two tokens, or the count
+    or ``int`` fails, are they split one by one to name the first bad line.
     """
     stripped = list(map(str.strip, raw))
     prefixes = tuple(prefixes)
@@ -226,20 +229,19 @@ def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
     if not linenos:
         raise EdgeListParseError("empty input: no edge lines found")
     lines = [stripped[i - 1] for i in linenos]
+    text = "\n".join(["", *lines, ""])
     if delimiter:
-        tokens = [[t for t in s.split(delimiter) if t] for s in lines]
-    else:
-        tokens = list(map(str.split, lines))
-    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    # lines[:ok] are well formed; lines[ok], if any, is the first line with
-    # the wrong token count or a non-integer token
-    bad = np.flatnonzero(counts != 2)
-    ok = int(bad[0]) if bad.shape[0] else len(lines)
-    try:
-        vals = list(map(int, chain.from_iterable(tokens[:ok])))
-    except ValueError:
-        ok = next(k for k in range(ok) if not _all_int(tokens[k]))
-        vals = list(map(int, chain.from_iterable(tokens[:ok])))
+        d = re.escape(delimiter)  # with "\n" in it, the count fails
+        flat = [t for t in text.replace(delimiter, "\n").split("\n") if t]
+        short = rf"\n(?:{d})*(?:(?!{d})[^\n])*(?:{d})*\n"
+    else:  # the lines are stripped: one of at most one token holds no space
+        flat, short = text.split(), r"\n\S*\n"
+    ok = len(lines)  # lines[:ok] are well formed
+    vals = _ints(flat) if len(flat) == 2 * ok and not re.search(short, text) else None
+    if vals is None:  # lines[ok] is the first with the wrong count or a non-integer
+        tokens = [[t for t in s.split(delimiter or None) if t] for s in lines]
+        ok = next((k for k, t in enumerate(tokens) if len(t) != 2 or _ints(t) is None), ok)
+        vals = _ints(chain.from_iterable(tokens[:ok]))
     us, vs = vals[0::2], vals[1::2]
     # ids are renumbered by first appearance below, so 1-based ids need no shift
     if one_based and vals and min(vals) < 1:
@@ -248,9 +250,9 @@ def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
             f"token < 1 in one-indexed input: {lines[k]!r}", linenos[k]
         )
     if ok < len(lines):
-        if counts[ok] != 2:
+        if len(tokens[ok]) != 2:
             raise EdgeListParseError(
-                f"expected two integer tokens, got {int(counts[ok])}", linenos[ok]
+                f"expected two integer tokens, got {len(tokens[ok])}", linenos[ok]
             )
         raise EdgeListParseError(f"non-integer token in {tokens[ok]!r}", linenos[ok])
     keep = list(map(ne, us, vs))
@@ -265,12 +267,11 @@ def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
     return Graph.from_keys(n, _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v)))
 
 
-def _all_int(tokens: list[str]) -> bool:
+def _ints(tokens) -> list[int] | None:
     try:
-        list(map(int, tokens))
+        return list(map(int, tokens))
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def parse_matrix_market(source: str | bytes | IO) -> Graph:
@@ -297,7 +298,7 @@ def parse_matrix_market(source: str | bytes | IO) -> Graph:
     else:
         raise EdgeListParseError("missing dimensions line")
     tokens = line.split()
-    if len(tokens) != 3 or not _all_int(tokens):
+    if len(tokens) != 3 or _ints(tokens) is None:
         raise EdgeListParseError(
             f"dimensions line must hold three integers, got {line!r}", dims + 1
         )
@@ -390,16 +391,26 @@ class WedgeIndex:
         pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
         cover a wedge, so every labeling and LP over wedges lives on them.
         It does not depend on lambda, so it is built once and kept read-only.
+        Column 0 is filled per run of rows on one edge (``_run_heads``, shared
+        with ``cover_runs``): each (center, lo) starts one, except that a
+        (c', c) right after a (c, c') continues its run.
         """
-        n, edge_keys = self.n, self.edge_keys
+        heads, first = self._run_heads
+        n, edge_keys, w = self.n, self.edge_keys, self.wedge_count
         c, a, b = self.wedge_center, self.wedge_lo, self.wedge_hi  # int64
         m = int(edge_keys.shape[0])
-        end_keys, end_idx = np.unique(a * n + b, return_inverse=True)
-        rows = np.empty((self.wedge_count, 3), dtype=np.int64)
-        rows[:, 0] = np.searchsorted(edge_keys, np.minimum(c, a) * n + np.maximum(c, a))
+        ends = a * n + b
+        perm = np.argsort(ends)
+        ends = ends[perm]
+        new = np.diff(ends, prepend=-1) != 0
+        keys = np.concatenate([edge_keys, ends[new]])
+        np.cumsum(new, out=ends)  # of the first-occurrence mask:
+        ends += m - 1  # the sorted wedges' end variables
+        rows = np.empty((w, 3), dtype=np.int64)
+        rows[perm, 2] = ends
+        del perm, ends, new
         rows[:, 1] = np.searchsorted(edge_keys, np.minimum(c, b) * n + np.maximum(c, b))
-        rows[:, 2] = end_idx + m
-        keys = np.concatenate([edge_keys, end_keys])
+        rows[:, 0] = np.repeat(first, np.diff(heads, append=w))
         keys.setflags(write=False)
         rows.setflags(write=False)
         return keys, m, rows
@@ -414,13 +425,23 @@ class WedgeIndex:
         return keys[rows]
 
     @cached_property
+    def _run_heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, first): run i of the covering rows starts at heads[i], on edge first[i]."""
+        c, a = self.wedge_center, self.wedge_lo
+        heads = np.flatnonzero(np.append(c.shape[0] > 0, (c[1:] != c[:-1]) | (a[1:] != a[:-1])))
+        c, a = c[heads], a[heads]
+        first = np.searchsorted(self.edge_keys, np.minimum(c, a) * self.n + np.maximum(c, a))
+        new = np.flatnonzero(np.append(first.shape[0] > 0, first[1:] != first[:-1]))
+        return heads[new], first[new]
+
+    @cached_property
     def cover_runs(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(runs, touched): ``_row_runs`` of the covering rows in row order, and
-        the mask of the edges on some wedge, for ``lamcc.stc.cover_label``."""
+        """(runs, touched): ``_row_runs`` of the covering rows at the layout's heads,
+        and the mask of the edges on some wedge, for ``lamcc.stc.cover_label``."""
         _, m, rows = self.covering_layout
+        runs = _row_runs(*rows.T, self._run_heads[0])
         touched = np.zeros(m, dtype=bool)
-        touched[rows[:, :2]] = True
-        runs = _row_runs(*rows.T)
+        touched[runs[1]] = touched[rows[:, 1]] = True
         for arr in (*runs, touched):
             arr.setflags(write=False)
         return runs, touched
@@ -452,11 +473,12 @@ def _triangle_rows(n: int, index_of, i, j, k) -> np.ndarray:
     return np.stack([np.stack(r, axis=1) for r in rotations], axis=1)
 
 
-def _row_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+def _row_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, heads=None) -> tuple[np.ndarray, ...]:
     """(heads, first, ends, second, third): run i is the rows heads[i]:ends[i]
-    that share a = first[i]; a run of one row also names its b and c in
-    second/third (-1, a pad, for a longer run)."""
-    heads = np.flatnonzero(np.append(a.shape[0] > 0, a[1:] != a[:-1]))
+    that share a = first[i] (heads, unless given, where a changes); a run of
+    one row also names its b and c in second/third (-1, a pad, if longer)."""
+    if heads is None:
+        heads = np.flatnonzero(np.append(a.shape[0] > 0, a[1:] != a[:-1]))
     ends = np.append(heads[1:], a.shape[0])
     one = ends - heads == 1
     return heads, a[heads], ends, np.where(one, b[heads], -1), np.where(one, c[heads], -1)
@@ -510,6 +532,7 @@ def _classified_pairs(g: Graph):
     for centers, lo, hi in _neighbor_pair_chunks(g):
         closed = g.edge_mask(lo * g.n + hi)
         yield centers, lo, hi, ~closed, closed & (centers < lo)
+        del centers, lo, hi, closed
 
 
 def enumerate_wedges(g: Graph) -> WedgeIndex:
@@ -528,6 +551,7 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     for centers, lo, hi, *masks in _classified_pairs(g):
         for got, mask in zip(parts, masks):
             got.append((centers[mask], lo[mask], hi[mask]))
+        del centers, lo, hi, masks, mask
     empty = [np.zeros(0, dtype=np.int64)] * 3
     w, t = ([np.concatenate(col) for col in zip(*p)] or empty for p in parts)
     return WedgeIndex(g.n, *w, *t, g.edge_keys())

@@ -67,17 +67,16 @@ def _overlapping_cliques(seed, authors=60, papers=40):
     return Graph.from_edges(authors, edges)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        Graph.from_edges(0, []),
-        Graph.from_edges(5, []),
-        Graph.from_edges(6, [(0, k) for k in range(1, 6)]),
-        Graph.from_edges(6, [(5, k) for k in range(5)]),
-        Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
-    ],
-    ids=["empty", "edgeless", "star", "star-last-center", "complete"],
-)
+SMALL_SHAPES = {
+    "empty": Graph.from_edges(0, []),
+    "edgeless": Graph.from_edges(5, []),
+    "star": Graph.from_edges(6, [(0, k) for k in range(1, 6)]),
+    "star-last-center": Graph.from_edges(6, [(5, k) for k in range(5)]),
+    "complete": Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)]),
+}
+
+
+@pytest.mark.parametrize("g", SMALL_SHAPES.values(), ids=SMALL_SHAPES.keys())
 def test_enumeration_equals_lexsort_reference_on_small_shapes(g):
     _assert_enumeration_matches_reference(g)
 
@@ -130,7 +129,79 @@ def test_enumeration_equals_reference_with_whole_centers_per_chunk(monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# Memory of the wedge arrays and of the cover dual
+# Covering layout and run index
+
+
+def _reference_row_runs(a, b, c):
+    """(heads, first, ends, second, third) of the runs of rows that share a:
+    a compare of every row with the one before it."""
+    heads = np.flatnonzero(np.append(a.shape[0] > 0, a[1:] != a[:-1]))
+    ends = np.append(heads[1:], a.shape[0])
+    one = ends - heads == 1
+    return heads, a[heads], ends, np.where(one, b[heads], -1), np.where(one, c[heads], -1)
+
+
+def _reference_covering_layout(widx):
+    """(keys, m, rows, runs, touched) by ``np.unique`` of the end keys, one
+    binary search per wedge and edge, the run index of the rows in row order
+    and a scatter of both edge columns."""
+    n, edge_keys = widx.n, widx.edge_keys
+    c, a, b = widx.wedge_center, widx.wedge_lo, widx.wedge_hi
+    m = int(edge_keys.shape[0])
+    end_keys, end_idx = np.unique(a * n + b, return_inverse=True)
+    rows = np.empty((widx.wedge_count, 3), dtype=np.int64)
+    rows[:, 0] = np.searchsorted(edge_keys, np.minimum(c, a) * n + np.maximum(c, a))
+    rows[:, 1] = np.searchsorted(edge_keys, np.minimum(c, b) * n + np.maximum(c, b))
+    rows[:, 2] = end_idx + m
+    touched = np.zeros(m, dtype=bool)
+    touched[rows[:, :2]] = True
+    keys = np.concatenate([edge_keys, end_keys])
+    return keys, m, rows, _reference_row_runs(*rows.T), touched
+
+
+def _assert_layout_matches_reference(g):
+    widx = enumerate_wedges(g)
+    keys, m, rows, runs, touched = _reference_covering_layout(widx)
+    got_runs, got_touched = widx.cover_runs
+    assert widx.covering_layout[1] == m and type(widx.covering_layout[1]) is int
+    got = (widx.covering_layout[0], widx.covering_layout[2], *got_runs, got_touched)
+    for a, b in zip(got, (keys, rows, *runs, touched)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+# wedges (0; 1, 5) and (1; 0, 2): two (center, lo) heads, both on edge (0, 1)
+MERGED_RUN = Graph.from_edges(6, [(0, 1), (0, 5), (1, 2)])
+
+
+@pytest.mark.parametrize("g", [*SMALL_SHAPES.values(), MERGED_RUN],
+                         ids=[*SMALL_SHAPES.keys(), "merged-run"])
+def test_covering_layout_and_runs_equal_reference_on_small_shapes(g):
+    _assert_layout_matches_reference(g)
+
+
+def test_two_center_lo_stretches_on_one_edge_form_one_run():
+    widx = enumerate_wedges(MERGED_RUN)
+    assert widx.wedge_center.tolist() == [0, 1] and widx.wedge_lo.tolist() == [1, 0]
+    heads, first, ends, second, third = widx.cover_runs[0]
+    assert (heads.tolist(), first.tolist(), ends.tolist()) == ([0], [0], [2])
+    assert (second.tolist(), third.tolist()) == ([-1], [-1])
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("seed", range(3))
+def test_covering_layout_and_runs_equal_reference_on_gnp(p, seed):
+    _assert_layout_matches_reference(erdos_renyi(40, p, 300 + seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_layout_and_runs_equal_reference_on_overlapping_cliques(seed):
+    _assert_layout_matches_reference(_overlapping_cliques(seed))
+
+
+# ---------------------------------------------------------------------------
+# Memory of the wedge arrays, the covering layout and the cover dual
 
 
 def test_enumeration_peak_stays_near_its_output(monkeypatch):
@@ -147,6 +218,19 @@ def test_enumeration_peak_stays_near_its_output(monkeypatch):
     out = sum(getattr(widx, name).nbytes for name in WEDGE_FIELDS)
     assert widx.wedge_count > 50_000
     assert peak <= 2.5 * out
+
+
+def test_covering_layout_peak_stays_near_its_output():
+    """The end-key sort, its variables and the edge searches do not all live at once."""
+    widx = enumerate_wedges(_overlapping_cliques(46, authors=300, papers=300))
+    tracemalloc.start()
+    try:
+        keys, _, rows = widx.covering_layout
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widx.wedge_count > 50_000
+    assert peak <= 1.9 * (keys.nbytes + rows.nbytes)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
@@ -282,6 +366,26 @@ PARSE_CASES = {
         "1 2\n1 x\n0 2\n", {"one_indexed": True}),
     "first error wins: count before one-indexed": (
         "1 2\n3\n0 2\n", {"one_indexed": True}),
+    # two tokens per line in total, but not on every line
+    "three and one tokens": ("1 2 3\n4\n", {}),
+    "two, one and three tokens": ("0 1\n2\n3 4 5\n", {}),
+    "zero and four fields": (",,\n1,2,3,4\n", {"delimiter": ","}),
+    "first error wins: int before count, even total": ("0 x\n1\n2 3 4\n", {}),
+    "first error wins: count before int, even total": ("1\n0 x\n2 3 4\n", {}),
+    "first error wins: one-indexed before count, even total": (
+        "1 2\n0 2\n3\n4 5 6\n", {"one_indexed": True}),
+    # fields of a delimiter
+    "empty field between": ("1,,2\n", {"delimiter": ","}),
+    "delimiters at both ends": (",1,2,\n", {"delimiter": ","}),
+    "space inside a field": ("1 ,2\n", {"delimiter": ","}),
+    "self-overlapping delimiter": ("1--2-\n3--4\n", {"delimiter": "--"}),
+    "newline delimiter": ("0 1\n", {"delimiter": "\n"}),
+    # whitespace beyond space and tab, as str.split and str.strip see it
+    "file separator": ("0\x1c1\n", {}),
+    "no-break space": ("0\xa01\n", {}),
+    "em space": ("0\u20031\n", {}),
+    "next line at the end": ("0 1\x85\n", {}),
+    "lone cr inside a line": ("0 1\r2 3\n", {}),
 }
 
 
@@ -331,7 +435,7 @@ def test_parse_equals_reference_property():
     st = hypothesis.strategies
     ident = st.integers(-3, 12) | st.sampled_from([2**63, -(2**63) - 1, 10**22])
     spelled = ident.map(str) | st.sampled_from(["+3", "1_0", "-0", "x", "1.5", "0x1", ""])
-    space = st.sampled_from([" ", "\t", "  ", " \t ", ","])
+    space = st.sampled_from([" ", "\t", "  ", " \t ", ",", "\x1c", "\xa0", "\r"])
     line = st.one_of(
         st.tuples(spelled, space, spelled).map("".join),
         st.tuples(spelled, space, spelled, space, spelled).map("".join),
