@@ -364,7 +364,7 @@ def cmd_label(args) -> int:
 
 def _record(report, elapsed_ms: float | None) -> dict:
     # how many clusters have each size, without building the member tuples
-    hist = np.bincount(np.bincount(report.clustering.assignment))
+    hist = np.bincount(np.bincount(report.clustering.labels))
     return {
         "record": "run",
         "algorithm": report.algorithm,

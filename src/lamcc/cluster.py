@@ -49,24 +49,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Partition of 0..n-1; cluster ids are contiguous 0..k-1."""
+    """Partition of 0..n-1; cluster ids are contiguous 0..k-1.
 
-    assignment: tuple[int, ...]
+    ``labels`` is the read-only int64 array of cluster ids (a copy of any
+    sequence given), ``assignment`` the same ids as a tuple, built on each
+    access. Two clusterings are equal when their labels are.
+    """
+
+    labels: np.ndarray
+
+    def __post_init__(self):
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_assignment(cls, labels) -> "Clustering":
         """The partition of ``labels``, renumbered by first appearance."""
-        return cls(tuple(_first_appearance(labels)))
+        return cls(_first_appearance(labels))
+
+    @property
+    def assignment(self) -> tuple[int, ...]:
+        return tuple(self.labels.tolist())
 
     @property
     def num_clusters(self) -> int:
-        return max(self.assignment) + 1 if self.assignment else 0
+        return int(self.labels.max()) + 1 if self.labels.shape[0] else 0
 
     @property
     def n(self) -> int:
-        return len(self.assignment)
+        return int(self.labels.shape[0])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Clustering) and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self):
+        return hash(self.labels.tobytes())
 
 
 @dataclass(frozen=True)
@@ -116,7 +136,7 @@ def lambda_cc_objective(g: Graph, lam: float, c: Clustering) -> float:
         raise ParameterError(
             f"clustering covers {c.n} vertices, graph has {g.n}"
         )
-    asg = np.asarray(c.assignment, dtype=np.int64)
+    asg = c.labels
     ek = g.edge_keys()
     u = ek // g.n
     internal = int((asg[u] == asg[ek - u * g.n]).sum())
@@ -167,7 +187,7 @@ def pivot(gh: Graph, seed: int) -> Clustering:
     first[1:] = tb[1:] != tb[:-1]  # so a taken vertex's first is its earliest pivot
     owner = np.arange(n)
     owner[tb[first]] = ta[first]
-    return Clustering(tuple((np.cumsum(piv) - 1)[owner[rank]].tolist()))
+    return Clustering((np.cumsum(piv) - 1)[owner[rank]])
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +351,7 @@ def lambda_louvain(g: Graph, lam: float, seed: int) -> RunReport:
         indptr, indices, weights, sizes = _aggregate(
             indptr, indices, weights, sizes, labels, k
         )
-    clustering = Clustering(tuple(assignment.tolist()))
+    clustering = Clustering(assignment)
     return _report("louvain", g, lam, seed, clustering, None, None)
 
 
@@ -406,4 +426,4 @@ def _aggregate(indptr, indices, weights, sizes, labels, k):
 
 def assignment_text(c: Clustering) -> str:
     """Two-column 'vertex cluster' dump."""
-    return "".join(f"{v} {cid}\n" for v, cid in enumerate(c.assignment))
+    return "".join(f"{v} {cid}\n" for v, cid in enumerate(c.labels.tolist()))

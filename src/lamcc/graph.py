@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, product
 from operator import ne
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -43,6 +43,14 @@ __all__ = [
 
 # the largest n with n*n - 1 (the largest pair key) within int64
 MAX_KEYED_VERTICES = 3_037_000_499
+# the most variables that int32 program rows can index
+MAX_ROW_INDEX = int(np.iinfo(np.int32).max)
+_SEARCH_CHUNK = 1 << 15  # wedges per binary-search batch of the covering layout
+
+
+def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The keys min * n + max of the id pairs (u[i], v[i])."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 def _key_pairs(n: int, keys: np.ndarray):
@@ -264,7 +272,7 @@ def _parse_lines(raw: list[str], prefixes, delimiter, one_based) -> Graph:
     n = len(remap)
     u = np.fromiter(map(remap.__getitem__, us), dtype=np.int64, count=len(us))
     v = np.fromiter(map(remap.__getitem__, vs), dtype=np.int64, count=len(vs))
-    return Graph.from_keys(n, _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v)))
+    return Graph.from_keys(n, _sorted_unique(_pair_keys(n, u, v)))
 
 
 def _ints(tokens) -> list[int] | None:
@@ -385,15 +393,16 @@ class WedgeIndex:
     def covering_layout(self) -> tuple[np.ndarray, int, np.ndarray]:
         """Variables and rows of the wedge covering program: (keys, edge_count, rows).
 
-        The variables are the pairs ``keys``: the edge_count edges in key
-        order, then the wedge end pairs (never edges) in key order. Row w of
-        the (wedge_count, 3) int64 ``rows`` holds the variables of wedge w's
-        pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
+        The variables are the int64 pairs ``keys``: the edge_count edges in
+        key order, then the wedge end pairs (never edges) in key order. Row w
+        of the (wedge_count, 3) int32 ``rows`` holds the variables of wedge
+        w's pairs (center, lo), (center, hi), (lo, hi). Only these pairs can
         cover a wedge, so every labeling and LP over wedges lives on them.
         It does not depend on lambda, so it is built once and kept read-only.
-        Column 0 is filled per run of rows on one edge (``_run_heads``, shared
-        with ``cover_runs``): each (center, lo) starts one, except that a
-        (c', c) right after a (c, c') continues its run.
+        Raises SizeCapError when the variables outnumber ``MAX_ROW_INDEX``.
+        Column 0 is filled per run of rows on one edge
+        (``_run_heads``, shared with ``cover_runs``): each (center, lo)
+        starts one, except that a (c', c) right after a (c, c') continues.
         """
         heads, first = self._run_heads
         n, edge_keys, w = self.n, self.edge_keys, self.wedge_count
@@ -401,15 +410,25 @@ class WedgeIndex:
         m = int(edge_keys.shape[0])
         ends = a * n + b
         perm = np.argsort(ends)
-        ends = ends[perm]
-        new = np.diff(ends, prepend=-1) != 0
+        ends.sort()
+        new = np.ones(w, dtype=bool)
+        np.not_equal(ends[1:], ends[:-1], out=new[1:])
         keys = np.concatenate([edge_keys, ends[new]])
-        np.cumsum(new, out=ends)  # of the first-occurrence mask:
-        ends += m - 1  # the sorted wedges' end variables
-        rows = np.empty((w, 3), dtype=np.int64)
-        rows[perm, 2] = ends
-        del perm, ends, new
-        rows[:, 1] = np.searchsorted(edge_keys, np.minimum(c, b) * n + np.maximum(c, b))
+        del ends
+        if keys.shape[0] > MAX_ROW_INDEX:
+            raise SizeCapError(f"the covering program has {keys.shape[0]} variables; int32 "
+                               f"program rows index at most {MAX_ROW_INDEX}")
+        var = np.cumsum(new, dtype=np.int32)  # of the first-occurrence mask:
+        var += m - 1  # the sorted wedges' end variables
+        third = np.empty(w, dtype=np.int32)
+        third[perm] = var
+        del new, perm, var
+        rows = np.empty((w, 3), dtype=np.int32)
+        rows[:, 2] = third
+        del third
+        for s in range(0, w, _SEARCH_CHUNK):
+            cs, bs = c[s:s + _SEARCH_CHUNK], b[s:s + _SEARCH_CHUNK]
+            rows[s:s + _SEARCH_CHUNK, 1] = np.searchsorted(edge_keys, _pair_keys(n, cs, bs))
         rows[:, 0] = np.repeat(first, np.diff(heads, append=w))
         keys.setflags(write=False)
         rows.setflags(write=False)
@@ -430,7 +449,7 @@ class WedgeIndex:
         c, a = self.wedge_center, self.wedge_lo
         heads = np.flatnonzero(np.append(c.shape[0] > 0, (c[1:] != c[:-1]) | (a[1:] != a[:-1])))
         c, a = c[heads], a[heads]
-        first = np.searchsorted(self.edge_keys, np.minimum(c, a) * self.n + np.maximum(c, a))
+        first = np.searchsorted(self.edge_keys, _pair_keys(self.n, c, a)).astype(np.int32)
         new = np.flatnonzero(np.append(first.shape[0] > 0, first[1:] != first[:-1]))
         return heads[new], first[new]
 
@@ -466,9 +485,9 @@ class WedgeIndex:
 
 
 def _triangle_rows(n: int, index_of, i, j, k) -> np.ndarray:
-    """(T, 3, 3) variable indices of x_uv + x_vw >= x_uw at triangles i < j < k, where
+    """(T, 3, 3) int32 variable indices of x_uv + x_vw >= x_uw at triangles i < j < k, where
     ``index_of`` maps pair keys to variable indices; axis 1 is the center v: j, i, k."""
-    e_ij, e_ik, e_jk = index_of(i * n + j), index_of(i * n + k), index_of(j * n + k)
+    e_ij, e_ik, e_jk = (index_of(q).astype(np.int32) for q in (i * n + j, i * n + k, j * n + k))
     rotations = ((e_ij, e_jk, e_ik), (e_ij, e_ik, e_jk), (e_ik, e_jk, e_ij))
     return np.stack([np.stack(r, axis=1) for r in rotations], axis=1)
 
@@ -488,7 +507,7 @@ def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Column -> rows CSR of a (M, 3) index array whose -1 entries pad.
 
     Variable j lies on rows ``row_of[ptr[j]:ptr[j + 1]]``, in ascending
-    row order.
+    row order. Row ids stay int64: numpy gathers 3-6x slower by int32 ones.
     """
     row_ids = np.repeat(np.arange(rows.shape[0], dtype=np.int64), 3)
     col_ids = rows.ravel()
@@ -547,14 +566,16 @@ def enumerate_wedges(g: Graph) -> WedgeIndex:
     chunk and concatenating the parts in chunk order keeps that order.
     Triangles (center < lo < hi) follow by the same argument.
     """
-    parts = ([], [])  # open wedges, triangles
+    parts = [[] for _ in range(6)]  # center, lo, hi of the open wedges, then of the triangles
     for centers, lo, hi, *masks in _classified_pairs(g):
-        for got, mask in zip(parts, masks):
-            got.append((centers[mask], lo[mask], hi[mask]))
-        del centers, lo, hi, masks, mask
-    empty = [np.zeros(0, dtype=np.int64)] * 3
-    w, t = ([np.concatenate(col) for col in zip(*p)] or empty for p in parts)
-    return WedgeIndex(g.n, *w, *t, g.edge_keys())
+        for col, (mask, x) in zip(parts, product(masks, (centers, lo, hi))):
+            col.append(x[mask])
+        del centers, lo, hi, masks, mask, x
+    joined = []
+    while parts:  # one column at a time, its parts freed before the next is joined
+        col = parts.pop(0)
+        joined.append(np.concatenate(col) if col else np.zeros(0, dtype=np.int64))
+    return WedgeIndex(g.n, *joined, g.edge_keys())
 
 
 def count_wedges_and_triangles(g: Graph) -> tuple[int, int]:

@@ -58,6 +58,7 @@ from .graph import (
     WedgeIndex,
     _key_pairs,
     _neighbor_pair_chunks,
+    _pair_keys,
     _rows_by_column,
     _sorted_unique,
     _triangle_rows,
@@ -129,7 +130,9 @@ _FORMS = {"z": (1.0, 1.0, np.inf), "x": (_TRIANGLE_SIGN, 0.0, 1.0)}
 class LinearProgram:
     """min costs.x + c0 subject to (sign . x[row]) >= b per row and 0 <= x <= u.
 
-    Rows hold three variable indices; a covering row may pad with -1. The
+    Rows hold three integer variable indices (int32 from ``build_*``); a
+    covering row may pad with -1, and any other index below 0 or past the
+    last variable, or a non-integer dtype, raises ParameterError. The
     orientation fixes the rest of the form, (sign, b, u) in ``_FORMS``:
 
     * "z", the covering program: sign 1, b = 1, u = inf, positive costs;
@@ -147,9 +150,11 @@ class LinearProgram:
     def __post_init__(self):
         if self.orientation == "z" and np.any(self.costs <= 0):
             raise ParameterError("covering costs must be positive")
-        if self.rows.size and (
-            self.rows.shape[1] != 3 or self.rows.max() >= self.costs.shape[0]
-        ):
+        rows, N = self.rows, self.costs.shape[0]
+        if rows.dtype.kind not in "iu":
+            raise ParameterError(f"constraint rows must hold integer indices, got {rows.dtype}")
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != 3
+                          or not -1 <= rows.min() <= rows.max() < N):
             raise ParameterError("malformed constraint rows")
 
     @property
@@ -576,15 +581,11 @@ def certify_canonical_feasibility(g: Graph, sol: FractionalSolution) -> CertifyR
     """
     x = sol.to_x(g)
     n = g.n
-
-    def key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.minimum(a, b) * n + np.maximum(a, b)
-
     # every two-path i - j - k (i < k) through pairs below 1
     sub = Graph.from_keys(n, x.keys[x.vals < 1.0 - 1e-12])
     found = [np.zeros((0, 3), dtype=np.int64)]
     for j, i, k in _neighbor_pair_chunks(sub):
-        bad = x.at(i * n + k) > x.at(key(i, j)) + x.at(key(j, k)) + PRIMAL_TOL
+        bad = x.at(i * n + k) > x.at(_pair_keys(n, i, j)) + x.at(_pair_keys(n, j, k)) + PRIMAL_TOL
         found.append(np.sort(np.stack([i[bad], j[bad], k[bad]], axis=1), axis=1))
     # (i, j, k) records sort like rows; np.unique(axis=0) would import numpy.ma
     triples = _sorted_unique(np.concatenate(found).view("i8,i8,i8")[:, 0]).tolist()

@@ -248,6 +248,7 @@ def cover_label(
     # only pairs on some wedge can be labeled: an edge on none keeps 1 - lam
     labeled = residual <= RESIDUAL_ZERO_TOL
     labeled[:m] &= touched
+    del residual  # freed before dual_bound allocates its loads
     if minimal:
         cand = np.flatnonzero(labeled)
         z = _reduce(rows, *widx.rows_by_column, labeled.astype(float),
@@ -275,14 +276,15 @@ def _labeling_of_mask(n: int, keys: np.ndarray, edge_count: int, mask) -> StcLab
 def _local_ratio(rows, residual, order=None, runs=None):
     """One sequential local-ratio pass over covering rows (Bar-Yehuda & Even).
 
-    ``rows`` is (M, 3) int64 with -1 pads, ``residual`` one start value per
-    variable. Each row, in ``order`` (default: row order), takes the least
-    residual m of its variables and, if m > 0, subtracts m from each of
-    them. Returns the visit positions where m > 0, those m, and the final
-    residuals. ``runs``, if given, is ``lamcc.graph._row_runs`` of the rows in order.
-    ``cover_label`` passes the canonical row order with its kept run index;
-    MWU's dual ascent passes its own ``order`` and no runs, so the pass
-    builds the run index of that order.
+    ``rows`` is (M, 3) integer (int32 from the layout) with -1 pads,
+    ``residual`` one start value per variable. Each row, in ``order``
+    (default: row order), takes the least residual m of its variables and,
+    if m > 0, subtracts m from each of them. Returns the visit positions
+    where m > 0, those m, and the final residuals. ``runs``, if given, is
+    ``lamcc.graph._row_runs`` of the rows in order. ``cover_label`` passes
+    the canonical row order with its kept run index; MWU's dual ascent
+    passes its own ``order`` and no runs, so the pass builds the run index
+    of that order.
 
     A residual r only ever loses an m <= r, and r - m never rounds below
     0.0, so residuals never rise; the one that attains m drops to exactly

@@ -13,6 +13,7 @@ import pytest
 
 import lamcc.cli
 import lamcc.cluster
+import lamcc.graph
 from lamcc.certificate import check_primal
 from lamcc.cli import CLUSTER_ALGS, _build_parser, _record, main
 from lamcc.cluster import (
@@ -539,6 +540,35 @@ sys.exit(main(["label", {str(f)!r}, "--lambda", "0.55"]))
     assert r.stderr == ""
 
 
+# the 'vertex cluster' lines of the best of seeds 0-2 at lambda 0.6 on G(9, 0.4, 5)
+ASSIGNMENT_PINS = {
+    "cfp": "0 4;1 3;2 0;3 2;4 0;5 1;6 1;7 0;8 3",
+    "pivot": "0 0;1 0;2 1;3 0;4 0;5 1;6 1;7 0;8 2",
+    "louvain": "0 0;1 0;2 1;3 2;4 0;5 3;6 3;7 1;8 2",
+}
+
+
+@pytest.mark.parametrize("alg", ASSIGNMENT_PINS)
+def test_assignment_out_bytes_are_pinned(capsys, tmp_path, alg):
+    f, out = tmp_path / "g.txt", tmp_path / "a.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(9, 0.4, 5)))
+    run_json(capsys, ["cluster", str(f), "--alg", alg, "--lambda", "0.6", "--seeds", "3",
+                      "--assignment-out", str(out)])
+    assert out.read_bytes() == ASSIGNMENT_PINS[alg].replace(";", "\n").encode() + b"\n"
+
+
+def test_exact_cc_bytes_are_pinned(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text(to_edge_list_text(erdos_renyi(9, 0.4, 5)))
+    assert main(["exact", str(f), "--problem", "cc", "--lambda", "0.6"]) == 0
+    witness = "".join(f"\n      {c}," for c in (0, 0, 0, 1, 2, 3, 3, 2, 1))[:-1]
+    assert capsys.readouterr().out == (
+        '{\n  "enumerated_count": 21147,\n  "lambda": 0.6,\n  "optimum": 3.6,\n'
+        '  "problem": "cc",\n  "schema_version": 1,\n  "witness": {\n'
+        f'    "assignment": [{witness}\n    ]\n  }}\n}}\n'
+    )
+
+
 def test_exact_problems(capsys, path_file):
     doc = run_json(capsys, ["exact", path_file, "--problem", "cc", "--lambda", "0.7"])
     assert doc["optimum"] == pytest.approx(0.3)
@@ -854,6 +884,14 @@ def test_exit_code_size_cap(capsys, tmp_path):
     big = tmp_path / "big.txt"
     big.write_text("".join(f"{i} {i+1}\n" for i in range(14)))
     assert main(["exact", str(big), "--problem", "cc", "--lambda", "0.5"]) == 4
+
+
+def test_exit_code_int32_row_cap(capsys, monkeypatch, path_file):
+    # the path's covering program has 3 variables
+    monkeypatch.setattr(lamcc.graph, "MAX_ROW_INDEX", 2)
+    assert main(["cluster", path_file, "--alg", "cfp", "--lambda", "0.6"]) == 4
+    assert capsys.readouterr() == (
+        "", "error: the covering program has 3 variables; int32 program rows index at most 2\n")
 
 
 def test_output_written_atomically(tmp_path, capsys, path_file):

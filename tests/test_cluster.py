@@ -104,6 +104,26 @@ def _spy_pivot(monkeypatch):
 # Objective
 
 
+def test_a_clustering_keeps_its_labels_as_one_read_only_array():
+    c, d = Clustering((0, 0, 1)), Clustering(np.array([0, 0, 1]))
+    assert c == d and hash(c) == hash(d)
+    assert c != Clustering((0, 1, 1)) and c != Clustering((0, 0))
+    for x in (c, d, Clustering(np.array([0, 0, 1], dtype=np.int32))):
+        assert x.labels.dtype == np.int64 and x.labels.tolist() == [0, 0, 1]
+        assert not x.labels.flags.writeable
+        assert x.assignment == (0, 0, 1) and type(x.assignment[0]) is int
+        assert (x.n, x.num_clusters) == (3, 2)
+    # a given array is copied, so the caller's stays writable and its own
+    given = np.array([0, 1, 1])
+    e = Clustering(given)
+    given[0] = 1
+    assert given.flags.writeable and e.assignment == (0, 1, 1)
+    empty = Clustering(())
+    assert (empty.labels.dtype, empty.assignment, empty.n, empty.num_clusters) == (
+        np.int64, (), 0, 0)
+    assert Clustering.from_assignment(["b", "a", "b"]) == Clustering((0, 1, 0))
+
+
 def test_objective_examples(path3, k3, star4):
     assert lambda_cc_objective(k3, 0.8, Clustering((0, 0, 0))) == 0.0
     assert lambda_cc_objective(path3, 0.3, Clustering((0, 0, 0))) == pytest.approx(0.3)

@@ -301,7 +301,7 @@ def test_counting_pass_agrees_with_materialized_index():
 def test_covering_layout_rows_are_the_wedge_pairs(g):
     widx = enumerate_wedges(g)
     keys, m, rows = widx.covering_layout
-    assert rows.dtype == np.int64 and rows.shape == (widx.wedge_count, 3)
+    assert rows.dtype == np.int32 and rows.shape == (widx.wedge_count, 3)
     assert np.array_equal(keys[:m], g.edge_keys())
     assert np.all(np.diff(keys[m:]) > 0) and not g.edge_mask(keys[m:]).any()
     # the wedge's pairs (center, lo), (center, hi), (lo, hi), keyed here
@@ -338,7 +338,7 @@ def test_intermediate_rows_are_built_once_and_match_a_loop_reference(g):
     want += [[i * n + j, j * n + k, i * n + k] for i, j, k in tris]
     want += [[i * n + j, i * n + k, j * n + k] for i, j, k in tris]
     want += [[i * n + k, j * n + k, i * n + j] for i, j, k in tris]
-    assert rows.dtype == np.int64 and keys[rows].tolist() == want
+    assert rows.dtype == np.int32 and keys[rows].tolist() == want
 
 
 def test_one_covering_layout_serves_every_call():
@@ -405,3 +405,16 @@ def test_from_keys_refuses_n_whose_pair_keys_overflow_int64():
     assert MAX_KEYED_VERTICES**2 - 1 <= 2**63 - 1 < (MAX_KEYED_VERTICES + 1) ** 2 - 1
     with pytest.raises(SizeCapError, match="overflow int64"):
         Graph.from_keys(MAX_KEYED_VERTICES + 1, np.zeros(0, dtype=np.int64))
+
+
+def test_covering_layout_refuses_variables_beyond_int32(monkeypatch):
+    g = erdos_renyi(15, 0.3, 401)  # 101 variables on 109 rows
+    keys, _, rows = enumerate_wedges(g).covering_layout
+    N = keys.shape[0]
+    assert graph.MAX_ROW_INDEX == 2**31 - 1 and N < rows.shape[0]
+    monkeypatch.setattr(graph, "MAX_ROW_INDEX", N)
+    assert np.array_equal(enumerate_wedges(g).covering_layout[2], rows)
+    monkeypatch.setattr(graph, "MAX_ROW_INDEX", N - 1)
+    with pytest.raises(SizeCapError, match=f"^the covering program has {N} variables; "
+                                           f"int32 program rows index at most {N - 1}$"):
+        enumerate_wedges(g).covering_layout

@@ -19,6 +19,7 @@ from lamcc.graph import (
     parse_matrix_market,
     to_edge_list_text,
 )
+from lamcc.cluster import cover_flip_pivot, derived_graph_from_labeling
 from lamcc.lp import FractionalSolution, certify_canonical_feasibility
 from lamcc.stc import cover_label
 from lamcc.testing import erdos_renyi
@@ -165,8 +166,10 @@ def _assert_layout_matches_reference(g):
     got_runs, got_touched = widx.cover_runs
     assert widx.covering_layout[1] == m and type(widx.covering_layout[1]) is int
     got = (widx.covering_layout[0], widx.covering_layout[2], *got_runs, got_touched)
-    for a, b in zip(got, (keys, rows, *runs, touched)):
-        assert a.dtype == b.dtype and a.shape == b.shape
+    # the reference keeps int64 formulas; variable indices are int32, positions int64
+    dtypes = (np.int64, np.int32, np.int64, np.int32, np.int64, np.int32, np.int32, bool)
+    for a, b, dtype in zip(got, (keys, rows, *runs, touched), dtypes):
+        assert a.dtype == dtype and a.shape == b.shape
         assert np.array_equal(a, b)
         assert not a.flags.writeable
 
@@ -205,7 +208,7 @@ def test_covering_layout_and_runs_equal_reference_on_overlapping_cliques(seed):
 
 
 def test_enumeration_peak_stays_near_its_output(monkeypatch):
-    """No full-size copy beside the masked parts and their concatenation."""
+    """No full-size copy beside the masked parts and one joined column at a time."""
     g = _overlapping_cliques(46, authors=300, papers=300)
     monkeypatch.setattr(graph, "_neighbor_pair_chunks",
                         functools.partial(_neighbor_pair_chunks, chunk_pairs=4096))
@@ -217,7 +220,7 @@ def test_enumeration_peak_stays_near_its_output(monkeypatch):
         tracemalloc.stop()
     out = sum(getattr(widx, name).nbytes for name in WEDGE_FIELDS)
     assert widx.wedge_count > 50_000
-    assert peak <= 2.5 * out
+    assert peak <= 1.6 * out  # 2.02 when all six columns are joined at once
 
 
 def test_covering_layout_peak_stays_near_its_output():
@@ -240,6 +243,47 @@ def test_a_cover_certificate_keeps_16_bytes_per_positive_dual(lam):
     positive = int(np.count_nonzero(cert.wedge_values > 0))
     held = sum(v.nbytes for v in vars(cert).values() if isinstance(v, np.ndarray))
     assert 0 < positive and held <= 16 * positive
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_cover_label_peak_holds_no_residuals_beside_the_loads(lam):
+    """The final residuals are dropped before ``dual_bound`` allocates its loads:
+    about 18 bytes per variable (26 with the residuals) and 110 per positive dual."""
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    widx = enumerate_wedges(g)
+    widx.cover_runs
+    tracemalloc.start()
+    try:
+        _, cert = cover_label(g, widx, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    variables, positive = widx.covering_layout[0].shape[0], cert.positions.shape[0]
+    assert positive > 1000
+    assert peak <= 21 * variables + 120 * positive
+
+
+def test_cfp_reports_hold_8_bytes_per_vertex_and_no_tuple():
+    """30 reports keep each clustering as one int64 array. At these lambdas most
+    clusters are singletons, so cluster ids pass 256, past Python's cached small
+    ints, as on a HepPh-size graph: a tuple would also hold one int per vertex."""
+    g = _overlapping_cliques(46, authors=300, papers=300)
+    widx = enumerate_wedges(g)
+    labelings = [(lam, *cover_label(g, widx, lam)) for lam in (0.9, 0.95)]
+    for _, lab, _ in labelings:
+        derived_graph_from_labeling(g, lab)  # kept on the labeling, not on a report
+    tracemalloc.start()
+    try:
+        reports = [cover_flip_pivot(g, widx, lam, seed, labeling=lab, certificate=cert)
+                   for lam, lab, cert in labelings for seed in range(15)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert min(r.num_clusters for r in reports) > 257
+    assert held <= 30 * (8 * g.n + 1024)
+    for r in reports:
+        assert r.clustering.labels.nbytes == 8 * g.n
+        assert not any(isinstance(v, tuple) for v in vars(r.clustering).values())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lamcc.lp import (
     FractionalSolution,
     LinearProgram,
     PairVariableSpace,
+    build_canonical_lp,
     build_intermediate_lp,
     build_lambda_stc_lp,
     certify_canonical_feasibility,
@@ -89,10 +90,26 @@ def test_a_covering_program_refuses_a_cost_that_is_not_positive():
 
 
 @pytest.mark.parametrize("orientation", ["z", "x"])
-@pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1, 3]]], ids=["width-2", "index-N"])
+@pytest.mark.parametrize("rows", [[[0, 1]], [0, 1, 2], [[0, 1, 3]], [[-2, 0, 1]]],
+                         ids=["width-2", "one-dimensional", "index-N", "index-below-pad"])
 def test_every_program_refuses_malformed_rows(orientation, rows):
     with pytest.raises(ParameterError, match="^malformed constraint rows$"):
         replace(_toy_instance(), orientation=orientation, rows=np.array(rows))
+
+
+@pytest.mark.parametrize("orientation", ["z", "x"])
+@pytest.mark.parametrize("dtype", [float, bool, object])
+def test_every_program_refuses_rows_that_are_not_integers(orientation, dtype):
+    rows = np.array([[0, 1, 2]], dtype=dtype)
+    with pytest.raises(ParameterError, match="^constraint rows must hold integer indices"):
+        replace(_toy_instance(), orientation=orientation, rows=rows)
+
+
+def test_every_build_function_gives_int32_rows(path3, wedges_of):
+    widx = wedges_of(path3)
+    assert build_lambda_stc_lp(path3, widx, 0.6)[1].rows.dtype == np.int32
+    assert build_intermediate_lp(path3, widx, 0.6).rows.dtype == np.int32
+    assert build_canonical_lp(path3, 0.6).rows.dtype == np.int32
 
 
 def test_a_solution_refuses_keys_that_do_not_increase():
