@@ -167,17 +167,18 @@ def test_solve_exact_dual_certificate_random():
             assert np.all(res.dual >= -1e-9)
 
 
-def _dense_ipm_value(inst) -> float:
-    """Covering LP optimum from a dense constraint matrix, by HiGHS' interior
+def _dense_ipm_value(lp) -> float:
+    """The optimum of ``lp`` from a dense constraint matrix, by HiGHS' interior
     point method: another algorithm than the dual simplex under test."""
-    A = np.zeros((inst.num_constraints, inst.num_variables))
+    A = np.zeros((lp.num_constraints, lp.num_variables))
+    sign = np.broadcast_to(lp.sign, lp.rows.shape)
     for col in range(3):
-        ok = inst.rows[:, col] >= 0
-        A[np.flatnonzero(ok), inst.rows[ok, col]] = 1.0
-    ref = linprog(inst.costs, A_ub=-A, b_ub=-np.ones(inst.num_constraints),
+        ok = lp.rows[:, col] >= 0
+        A[np.flatnonzero(ok), lp.rows[ok, col]] = sign[ok, col]
+    ref = linprog(lp.costs, A_ub=-A, b_ub=np.full(lp.num_constraints, -lp.b),
                   bounds=(0.0, 1.0), method="highs-ipm")
     assert ref.status == 0
-    return float(ref.fun)
+    return float(ref.fun) + lp.c0
 
 
 def test_sparse_backend_matches_dense():
@@ -210,6 +211,37 @@ def test_sparse_backend_with_active_bound_matches_dense():
         assert sparse.dual_objective == pytest.approx(
             sparse.solution.objective, abs=1e-6
         )
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.55, 0.75])
+def test_distance_programs_match_dense(lam):
+    # the intermediate and all-triples programs: signs (1, 1, -1), b = 0,
+    # u = 1 and a constant c0
+    for seed in range(8):
+        g = erdos_renyi(8, 0.4, 70 + seed)
+        for lp in (build_intermediate_lp(g, enumerate_wedges(g), lam), build_canonical_lp(g, lam)):
+            ref = _dense_ipm_value(lp)
+            res = solve_exact(lp)
+            assert res.solution.objective == pytest.approx(ref, abs=1e-6)
+            assert res.dual_objective == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("orientation, edges", [
+    ("z", [(0, 1), (1, 2), (0, 2)]),  # K3: variables, no rows
+    ("x", [(0, 1), (2, 3)]),  # two disjoint edges: variables, no rows
+    ("z", []),  # edgeless: no variables, no rows
+    ("x", []),
+], ids=["z-k3", "x-two-edges", "z-edgeless", "x-edgeless"])
+def test_solve_exact_of_a_program_without_rows_or_variables(orientation, edges):
+    g = Graph.from_edges(4, edges)
+    widx = enumerate_wedges(g)
+    lp = build_lambda_stc_lp(g, widx, 0.6)[1] if orientation == "z" else \
+        build_intermediate_lp(g, widx, 0.6)
+    assert lp.num_constraints == 0 and lp.num_variables == len(edges)
+    res = solve_exact(lp)
+    assert res.solution.objective == 0.0 and res.dual_objective == 0.0
+    assert res.dual.shape == (0,) and res.iterations == 0
+    assert res.solution.vals.tolist() == [0.0] * len(edges)
 
 
 def test_solve_general_exact_k3(k3, wedges_of):
@@ -310,7 +342,71 @@ def test_dual_bound_refuses_a_negative_row_dual():
         dual_bound(inst.rows, inst.sign, inst.b, inst.costs, inst.u, [-1e-6])
 
 
-@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12], ids=["below-0", "above-u"])
+def test_solve_exact_raises_when_highs_refuses_the_model(monkeypatch):
+    import lamcc.lp
+
+    core = lamcc.lp._highs()
+
+    class Refusing(core._Highs):
+        def passModel(self, *args):
+            return core.HighsStatus.kError
+
+    class Core:
+        def __getattr__(self, name):
+            return Refusing if name == "_Highs" else getattr(core, name)
+
+    monkeypatch.setattr(lamcc.lp, "_highs", Core)
+    with pytest.raises(InfeasibleSolutionError, match="^HiGHS refused the model: kError$"):
+        solve_exact(_toy_instance())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("orientation", ["z", "x"])
+def test_every_program_refuses_a_cost_that_is_not_finite(orientation, bad):
+    # before the check, a NaN cost solved to objective nan with a "checked"
+    # dual bound of 2.2
+    g = erdos_renyi(8, 0.4, 3)
+    widx = enumerate_wedges(g)
+    lp = build_lambda_stc_lp(g, widx, 0.6)[1] if orientation == "z" else \
+        build_intermediate_lp(g, widx, 0.6)
+    assert solve_exact(lp).dual_objective == pytest.approx(2.2)
+    costs = lp.costs.copy()
+    costs[3] = bad
+    with pytest.raises(ParameterError, match="^costs must be finite$"):
+        replace(lp, costs=costs)
+    with pytest.raises(ParameterError, match="^costs must be finite$"):
+        replace(lp, c0=bad)
+
+
+def test_dual_bound_refuses_a_dual_or_a_bound_that_is_not_finite(path3, wedges_of):
+    inst = _toy_instance()
+    args = (inst.rows, inst.sign, inst.b, inst.costs, inst.u)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InfeasibleSolutionError, match="^row dual is not finite$"):
+            dual_bound(*args, [bad])
+    with pytest.raises(InfeasibleSolutionError, match="^dual bound is not finite$"):
+        dual_bound(*args, [0.1], c0=math.inf)
+    # a NaN cost at an unbounded column fails the overload test, and one
+    # at a boxed column (u = 1) leaves no finite bound
+    with pytest.raises(InfeasibleSolutionError, match="overloads a column"):
+        dual_bound(inst.rows, 1.0, 1.0, [0.4, math.nan, 0.6], np.inf, [0.1])
+    dist = build_intermediate_lp(path3, wedges_of(path3), 0.6)
+    costs = dist.costs.copy()
+    costs[0] = math.nan
+    with pytest.raises(InfeasibleSolutionError, match="^dual bound is not finite$"):
+        dual_bound(dist.rows, dist.sign, dist.b, costs, dist.u, [0.1])
+
+
+def test_verify_certificate_refuses_a_primal_that_is_not_finite():
+    inst = _toy_instance()  # z = (1, 0, 0), y = 0.4 is optimal
+    args = (inst.rows, inst.sign, inst.b, inst.costs, inst.u)
+    assert verify_certificate(*args, [1.0, 0.0, 0.0], [0.4]) == pytest.approx(0.4)
+    # z <= inf admits an infinite z
+    with pytest.raises(InfeasibleSolutionError, match="^primal value is not finite$"):
+        verify_certificate(*args, [math.inf, 0.0, 0.0], [0.4])
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, math.nan], ids=["below-0", "above-u", "nan"])
 def test_check_primal_refuses_a_value_outside_its_bounds(bad):
     check_primal(np.array([[0, 1, 2]]), 1.0, 1.0, 1.0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InfeasibleSolutionError, match="^primal value outside its bounds$"):
