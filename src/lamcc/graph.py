@@ -496,11 +496,18 @@ def _row_runs(a: np.ndarray, b: np.ndarray, c: np.ndarray, heads=None) -> tuple[
     """(heads, first, ends, second, third): run i is the rows heads[i]:ends[i]
     that share a = first[i] (heads, unless given, where a changes); a run of
     one row also names its b and c in second/third (-1, a pad, if longer)."""
+    # few numpy calls: on a tiny program each costs about as much as the work
+    n = a.shape[0]
     if heads is None:
-        heads = np.flatnonzero(np.append(a.shape[0] > 0, a[1:] != a[:-1]))
-    ends = np.append(heads[1:], a.shape[0])
-    one = ends - heads == 1
-    return heads, a[heads], ends, np.where(one, b[heads], -1), np.where(one, c[heads], -1)
+        change = np.empty(n, dtype=bool)
+        change[:1] = True
+        np.not_equal(a[1:], a[:-1], out=change[1:])
+        heads = change.nonzero()[0]
+    ends = np.concatenate((heads[1:], [n]))
+    second, third = b[heads], c[heads]
+    long = ends - heads > 1
+    second[long] = third[long] = -1
+    return heads, a[heads], ends, second, third
 
 
 def _rows_by_column(rows: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -134,8 +134,9 @@ class LinearProgram:
     Rows hold three integer variable indices (int32 from ``build_*``); a
     covering row may pad with -1, and any other index below 0 or past the
     last variable, a non-integer dtype, or a cost or c0 that is not finite
-    raises ParameterError. The orientation fixes the rest of the form,
-    (sign, b, u) in ``_FORMS``:
+    raises ParameterError. Construction marks ``costs`` and ``rows``
+    read-only (the caller's arrays, not copies). The orientation fixes
+    the rest of the form, (sign, b, u) in ``_FORMS``:
 
     * "z", the covering program: sign 1, b = 1, u = inf, positive costs;
     * "x", a distance program: sign ``_TRIANGLE_SIGN`` (row (a, b, c)
@@ -160,6 +161,9 @@ class LinearProgram:
         if rows.size and (rows.ndim != 2 or rows.shape[1] != 3
                           or not -1 <= rows.min() <= rows.max() < N):
             raise ParameterError("malformed constraint rows")
+        # read-only, so no write after construction gets past these checks
+        self.costs.setflags(write=False)
+        rows.setflags(write=False)
 
     @property
     def sign(self) -> float | np.ndarray:
@@ -351,6 +355,13 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     model HiGHS refuses raises InfeasibleSolutionError. HiGHS runs its dual
     simplex with its log off and without presolve (on a GrQc-size covering
     LP presolve takes about 0.4 s and saves the simplex less than 0.2 s).
+    A covering program starts from ``_crash_basis``, the dual-feasible
+    basis of one local-ratio pass, in place of the all-slack basis, whose
+    dual is 0: on the GrQc-size seed-1 covering LP this cuts the simplex
+    iterations from 19,176 to 11,318 at lambda 0.75, from 19,602 to 10,975
+    at 0.55 and from 39,439 to 12,226 at 0.3. The optimal value is the same,
+    but the optimal vertex may differ. A distance program starts from the
+    all-slack basis.
     The returned primal is clipped to [0, 1], where every variable of these
     programs lies, and its value and the dual bound pass
     ``verify_certificate``.
@@ -366,8 +377,9 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     M, N = lp.num_constraints, lp.num_variables
     sign = np.broadcast_to(lp.sign, idx.shape)
     ok = idx >= 0
+    nnz = ok.sum(axis=1)
     start = np.zeros(M, dtype=np.int32)  # row starts, without a closing nnz
-    np.cumsum(ok[:-1].sum(axis=1), out=start[1:])
+    np.cumsum(nnz[:-1], out=start[1:])
     index = idx[ok].astype(np.int32, copy=False)
     highs = h._Highs()
     highs.setOptionValue("output_flag", False)
@@ -380,6 +392,9 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     )
     if status == h.HighsStatus.kError:
         raise InfeasibleSolutionError(f"HiGHS refused the model: {status.name}")
+    # a row of pads alone reads 0 >= 1, which HiGHS reports from any start
+    if lp.orientation == "z" and nnz.all():
+        highs.setBasis(_crash_basis(h, idx, c))
     highs.run()
     status = highs.getModelStatus()
     if status not in (h.HighsModelStatus.kOptimal, h.HighsModelStatus.kModelEmpty):
@@ -390,9 +405,53 @@ def solve_exact(lp: LinearProgram) -> SolveResult:
     x = np.clip(np.asarray(sol.col_value, dtype=float), 0.0, 1.0)
     y = np.asarray(sol.row_dual, dtype=float)
     dual = verify_certificate(idx, sign, b, c, u, x, y, lp.c0)
-    return SolveResult(
-        _solution(lp, x, dual), y, "highs", max(highs.getInfo().simplex_iteration_count, 0)
-    )
+    # an empty model leaves the info invalid: a warning and an unset count
+    status, iterations = highs.getInfoValue("simplex_iteration_count")
+    iterations = iterations if status == h.HighsStatus.kOk else 0
+    return SolveResult(_solution(lp, x, dual), y, "highs", iterations)
+
+
+def _crash_basis(h, rows: np.ndarray, costs: np.ndarray):
+    """A dual-feasible starting basis of a covering program, from one
+    ``_local_ratio`` pass over its rows in row order.
+
+    Each row r the pass gives a positive dual y_r makes basic one column
+    that the pass killed there (a column with residual 0.0 whose last
+    positive row is r): the costliest, and of equal costs the last in the
+    row. The slack of r is nonbasic at its bound 1; every other slack stays
+    basic and every other column nonbasic at 0. A column killed at r lies
+    on no later positive row, so in kill order the basis matrix is unit
+    upper triangular, hence nonsingular. Its dual is the pass's y and its
+    reduced costs are the pass's residuals (>= 0), so the dual simplex
+    starts dual feasible, at the local-ratio bound.
+
+    The choice among the killed columns moves the iteration count and the
+    optimal vertex, not the value. At lambda 0.75 it is the wedge's end
+    pair whenever that died, and on GrQc-size inputs (seeds 1-10) the
+    lp-round ratios came out below those of the all-slack start on every
+    seed, where the first killed column gave ratios above them. At lambda
+    0.3 the costliest column is an edge, and on seed 1 the simplex took
+    12,226 iterations where the last killed column took 15,366.
+    """
+    M, N = rows.shape[0], costs.shape[0]
+    pos, _, residual = _local_ratio(rows, costs)
+    # a few Python steps per positive row: a tiny program pays less than for
+    # a dozen numpy calls
+    r, c = memoryview(residual), memoryview(costs)
+    lower, basic = h.HighsBasisStatus.kLower, h.HighsBasisStatus.kBasic
+    col_status, row_status = [lower] * N, [basic] * M
+    later = set()  # the columns on later positive rows, which no earlier row killed
+    for i, row in zip(reversed(pos.tolist()), reversed(rows.take(pos, axis=0).tolist())):
+        j, top = -1, -1.0
+        for k in reversed(row):
+            if r[k] == 0.0 and k >= 0 and c[k] > top and k not in later:
+                j, top = k, c[k]
+        col_status[j], row_status[i] = basic, lower
+        later.update(row)
+    basis = h.HighsBasis()
+    basis.col_status, basis.row_status = col_status, row_status
+    basis.alien = False
+    return basis
 
 
 # former names, kept for callers

@@ -11,6 +11,8 @@ from lamcc.errors import InfeasibleSolutionError, MwuConvergenceError, Parameter
 from lamcc.graph import Graph, enumerate_wedges
 from lamcc.lp import (
     _TRIANGLE_SIGN,
+    _crash_basis,
+    _highs,
     FractionalSolution,
     LinearProgram,
     PairVariableSpace,
@@ -304,12 +306,67 @@ def test_verify_certificate_rejects_perturbed_primal_or_dual(star4, path3, wedge
 
 def test_exact_solve_of_an_infeasible_program_raises():
     # a row padded to no variable at all reads 0 >= 1
-    inst = _toy_instance()
-    bad = replace(inst, rows=np.array([[0, 1, 2], [-1, -1, -1]]))
-    with pytest.raises(InfeasibleSolutionError, match="HiGHS solve failed: Infeasible"):
+    bad = replace(_toy_instance(), rows=np.array([[0, 1, 2], [-1, -1, -1]]))
+    with pytest.raises(InfeasibleSolutionError, match="^HiGHS solve failed: Infeasible$"):
         solve_exact(bad)
     with pytest.raises(InfeasibleSolutionError, match="row has no variable"):
         solve_mwu(bad, 0.1)
+
+
+def _replayed_crash(rows, costs) -> dict[int, int]:
+    """{positive row: the costliest of its columns whose residual reached
+    0.0 there, the last of equal costs}, from a plain row-by-row replay of
+    the local-ratio pass."""
+    r = costs.tolist()
+    chosen = {}
+    for i, row in enumerate(rows.tolist()):
+        m = min(r[j] for j in row)
+        if m > 0.0:
+            for j in row:
+                r[j] -= m
+            chosen[i] = max((j for j in reversed(row) if r[j] == 0.0), key=lambda j: costs[j])
+    return chosen
+
+
+def test_the_crash_basis_is_the_local_ratio_pass_in_triangular_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lams = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1e-12, exclude_min=True),
+        st.floats(1.0 - 1e-12, 1.0, exclude_max=True),
+    )
+    h = _highs()
+    basic = h.HighsBasisStatus.kBasic
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(3, 11), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1), lams)
+    def check(n, p, seed, lam):
+        g = erdos_renyi(n, p, seed)
+        _, lp = build_lambda_stc_lp(g, enumerate_wedges(g), lam)
+        M = lp.num_constraints
+        hypothesis.assume(M > 0)  # linprog refuses a program with no variables
+        basis = _crash_basis(h, lp.rows, lp.costs)
+        cols = [j for j, s in enumerate(basis.col_status) if s == basic]
+        slacks = [i for i, s in enumerate(basis.row_status) if s == basic]
+        assert len(cols) + len(slacks) == M
+        chosen = _replayed_crash(lp.rows, lp.costs)
+        assert sorted(set(range(M)) - set(slacks)) == sorted(chosen)
+        assert sorted(cols) == sorted(chosen.values())  # one column per row, none shared
+        for i, j in chosen.items():
+            assert not any(j in lp.rows[k] for k in chosen if k > i)
+        assert solve_exact(lp).solution.objective == pytest.approx(_dense_ipm_value(lp), abs=1e-9)
+
+    check()
+
+
+def test_a_padded_covering_program_solves_from_its_crash_basis():
+    lp = replace(_toy_instance(), rows=np.array([[0, -1, 1], [2, 1, -1], [-1, 0, 2]]))
+    h = _highs()
+    basis = _crash_basis(h, lp.rows, lp.costs)
+    statuses = basis.col_status + basis.row_status
+    assert statuses.count(h.HighsBasisStatus.kBasic) == lp.num_constraints
+    assert solve_exact(lp).solution.objective == pytest.approx(_dense_ipm_value(lp), abs=1e-9)
 
 
 def test_highs_loader_names_the_scipy_floor(tmp_path, python_child):
@@ -376,6 +433,11 @@ def test_every_program_refuses_a_cost_that_is_not_finite(orientation, bad):
         replace(lp, costs=costs)
     with pytest.raises(ParameterError, match="^costs must be finite$"):
         replace(lp, c0=bad)
+    # nor can a write after construction get past the check
+    with pytest.raises(ValueError, match="read-only"):
+        lp.costs[3] = bad
+    with pytest.raises(ValueError, match="read-only"):
+        lp.rows[0, 0] = lp.num_variables
 
 
 def test_dual_bound_refuses_a_dual_or_a_bound_that_is_not_finite(path3, wedges_of):
